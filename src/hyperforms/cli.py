@@ -97,29 +97,25 @@ def cmd_reduce(args) -> None:
     _emit(out)
 
 
-def cmd_stratum(args) -> None:
+def _classified(args):
+    """Input tree, its stratum label, and the image dimension (None if no formula)."""
     t = _load_tree(args.input)
     label = classify_stratum(t)
-    g = (t.m - 2) // 2
-    doc = {"label": label.to_dict(), "name": str(label)}
     try:
-        doc["image_dimension"] = image_dimension(label, g)
+        dim = image_dimension(label, (t.m - 2) // 2)
     except ValueError:
-        doc["image_dimension"] = None
-    _emit(doc)
+        dim = None
+    return t, label, dim
+
+
+def cmd_stratum(args) -> None:
+    _, label, dim = _classified(args)
+    _emit({"label": label.to_dict(), "name": str(label), "image_dimension": dim})
 
 
 def cmd_map(args) -> None:
-    t = _load_tree(args.input)
-    label = classify_stratum(t)
-    g = (t.m - 2) // 2
-    doc = {"label": str(label)}
-    doc.update(f_g_exponents(t).to_dict())
-    try:
-        doc["image_dimension"] = image_dimension(label, g)
-    except ValueError:
-        doc["image_dimension"] = None
-    _emit(doc)
+    t, label, dim = _classified(args)
+    _emit({"label": str(label), **f_g_exponents(t).to_dict(), "image_dimension": dim})
 
 
 def cmd_enumerate(args) -> None:

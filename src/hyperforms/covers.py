@@ -10,11 +10,11 @@ pair of nodes.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .trees import WeightedTree, require_stable
+from .trees import WeightedTree, bfs, require_even
 
 RAMIFIED = "ramified"
 SPLIT = "split"
@@ -61,16 +61,8 @@ class CoverModel:
         return adj
 
     def is_connected(self) -> bool:
-        ids = [c.id for c in self.components]
-        seen = {ids[0]}
-        queue = deque([ids[0]])
-        while queue:
-            u = queue.popleft()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(ids)
+        order, _ = bfs(self.adjacency, self.components[0].id)
+        return len(order) == len(self.components)
 
     def to_dict(self) -> dict:
         return {
@@ -125,14 +117,7 @@ def branch_count(t: WeightedTree, v: int) -> int:
 
 def build_cover(t: WeightedTree) -> CoverModel:
     """Construct the admissible double cover of a stable even-weight tree."""
-    require_stable(t)
-    m = t.m
-    if m % 2:
-        raise ValueError(f"total weight must be even, got m={m}")
-    g = (m - 2) // 2
-    if g < 1:
-        raise ValueError(f"need m >= 4, got m={m}")
-
+    g = require_even(t)
     components: list[CoverComponent] = []
     over: dict[int, list[int]] = {}  # base vertex -> component ids
     next_id = itertools.count()
@@ -242,44 +227,40 @@ class StableHyperellipticModel:
 def stable_model(c: CoverModel) -> StableHyperellipticModel:
     """Contract genus-0 components meeting the rest of the curve in 2 points.
 
-    The two attachment points are identified into one node; iterated until
-    every genus-0 component has at least 3 special points.  Arithmetic genus
-    is preserved.
+    The two attachment points are identified into one node, until every
+    genus-0 component has at least 3 special points.  Arithmetic genus is
+    preserved.  One pass in component order suffices: a contraction leaves every
+    other component's special-point count unchanged, so a component that
+    fails the test at its turn never passes it later.
     """
-    components = {comp.id: comp.genus for comp in c.components}
-    nodes = Counter(tuple(sorted(n.components)) for n in c.nodes)
+    genus = {comp.id: comp.genus for comp in c.components}
+    links: dict[int, Counter] = {cid: Counter() for cid in genus}
+    for node in c.nodes:
+        a, b = node.components
+        links[a][b] += 1
+        links[b][a] += 1  # a self-node counts twice
 
-    def endpoints(cid: int) -> list[tuple[int, int]]:
-        out = []
-        for (a, b), mult in nodes.items():
-            for _ in range(mult):
-                if a == cid:
-                    out.append((a, b))
-                if b == cid:
-                    out.append((b, a))
-        return out
+    for cid in list(genus):
+        ends = links[cid]
+        # Two attachments, both to other components: contract.
+        if genus[cid] == 0 and sum(ends.values()) == 2 and not ends[cid]:
+            n1, n2 = ends.elements()
+            del genus[cid], links[cid]
+            links[n1][cid] -= 1
+            links[n2][cid] -= 1
+            links[n1][n2] += 1
+            links[n2][n1] += 1
 
-    changed = True
-    while changed:
-        changed = False
-        for cid, genus in list(components.items()):
-            if genus != 0:
-                continue
-            ends = endpoints(cid)
-            # Two attachments, both to other components: contract.
-            if len(ends) == 2 and all(other != cid for _, other in ends):
-                (_, n1), (_, n2) = ends
-                for _, other in ends:
-                    nodes[tuple(sorted((cid, other)))] -= 1
-                nodes += Counter()  # drop zero entries
-                nodes[tuple(sorted((n1, n2)))] += 1
-                del components[cid]
-                changed = True
-                break
-
+    nodes = sorted(
+        (a, b)
+        for a, ends in links.items()
+        for b, mult in ends.items()
+        if a <= b  # counts to a contracted component are zero
+        for _ in range(mult if a < b else mult // 2)
+    )
     model = StableHyperellipticModel(
-        components=tuple(sorted(components.items())),
-        nodes=tuple(sorted(nodes.elements())),
+        components=tuple(sorted(genus.items())),
+        nodes=tuple(nodes),
         g=c.g,
     )
     assert model.arithmetic_genus == c.g, "contraction changed the genus"

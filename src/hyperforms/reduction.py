@@ -21,9 +21,11 @@ class ExponentVector:
     at_infinity: int = 0
 
     def __post_init__(self):
-        exps = tuple(int(n) for n in self.exponents)
+        exps = tuple(self.exponents)
+        for n in (*exps, self.at_infinity):
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ValueError(f"exponents must be integers, got {n!r}")
         object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "at_infinity", int(self.at_infinity))
         if not exps:
             raise ValueError("need at least one finite root")
         if any(n < 1 for n in exps):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .central import contract_F_m
 from .forms import BinaryFormClass
-from .trees import WeightedTree, require_stable
+from .trees import WeightedTree, require_even
 
 INTERIOR = "interior"
 DELTA = "delta"
@@ -65,25 +65,9 @@ def xi(i: int, g: int) -> StratumLabel:
     return StratumLabel(XI, index=i)
 
 
-def _require_even(t: WeightedTree) -> int:
-    require_stable(t)
-    m = t.m
-    if m % 2:
-        raise ValueError(f"total weight must be even, got m={m}")
-    if m < 4:
-        raise ValueError(f"need m = 2g+2 with g >= 1, got m={m}")
-    return (m - 2) // 2
-
-
-def classify_stratum(t: WeightedTree, *, min_genus: int = 1) -> StratumLabel:
+def classify_stratum(t: WeightedTree) -> StratumLabel:
     """Boundary stratum of the stable tree inside the hyperelliptic moduli."""
-    require_stable(t)
-    m = t.m
-    if m % 2:
-        raise ValueError(f"total weight must be even, got m={m}")
-    g = (m - 2) // 2
-    if g < min_genus:
-        raise ValueError(f"need g >= {min_genus}, got g={g}")
+    g = require_even(t)
     if len(t.ids) == 1:
         return interior()
     if len(t.ids) > 2:
@@ -103,7 +87,7 @@ def f_g_exponents(t: WeightedTree) -> BinaryFormClass:
     The exponent of a contracted branch is its subtree weight; equivalently
     2h+1 for a tail of genus h attached at one point, 2h+2 at two points.
     """
-    _require_even(t)
+    require_even(t)
     return contract_F_m(t)
 
 

@@ -8,9 +8,9 @@ Markings are unordered, so a vertex weight is the only marking data.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 
 class InvalidTreeError(ValueError):
@@ -22,6 +22,22 @@ class UnstableTreeError(ValueError):
 
 
 CanonicalCode = tuple[int, ...]
+
+
+def bfs(adj, root: int, cut: int | None = None) -> tuple[list[int], dict]:
+    """Breadth-first order from `root` and each reached vertex's parent.
+
+    The walk never enters `cut`; the root's parent is None.  Every graph walk
+    in the package goes through here.
+    """
+    parent: dict = {root: None}
+    order = [root]
+    for u in order:  # the list grows while it is read, so it is the queue
+        for w in adj[u]:
+            if w != cut and w not in parent:
+                parent[w] = u
+                order.append(w)
+    return order, parent
 
 
 @dataclass(frozen=True)
@@ -36,7 +52,10 @@ class WeightedTree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        verts = tuple(sorted((int(v), int(w)) for v, w in self.vertices))
+        for x in chain.from_iterable((*self.vertices, *self.edges)):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise InvalidTreeError(f"ids and weights must be integers, got {x!r}")
+        verts = tuple(sorted((v, w) for v, w in self.vertices))
         ids = [v for v, _ in verts]
         if not ids:
             raise InvalidTreeError("tree has no vertices")
@@ -45,7 +64,7 @@ class WeightedTree:
         if any(w < 0 for _, w in verts):
             raise InvalidTreeError("negative vertex weight")
         idset = set(ids)
-        edges = tuple(sorted(tuple(sorted((int(a), int(b)))) for a, b in self.edges))
+        edges = tuple(sorted(tuple(sorted((a, b))) for a, b in self.edges))
         for a, b in edges:
             if a == b:
                 raise InvalidTreeError(f"self-loop at vertex {a}")
@@ -57,7 +76,7 @@ class WeightedTree:
             raise InvalidTreeError("edge count does not match a tree")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
-        if len(self._component_of(ids[0])) != len(verts):
+        if len(bfs(self.adjacency, ids[0])[0]) != len(verts):
             raise InvalidTreeError("graph is disconnected")
 
     @cached_property
@@ -72,10 +91,19 @@ class WeightedTree:
             adj[b].append(a)
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
-    @property
+    @cached_property
     def m(self) -> int:
         """Total weight: the number of marked points on the curve."""
         return sum(w for _, w in self.vertices)
+
+    @cached_property
+    def _rooted(self) -> tuple[dict, dict[int, int]]:
+        """Parent and subtree weight of every vertex, rooted at the first id."""
+        order, parent = bfs(self.adjacency, self.vertices[0][0])
+        below = dict(self.weight_of)
+        for v in order[:0:-1]:  # children before parents, root excluded
+            below[parent[v]] += below[v]
+        return parent, below
 
     @property
     def ids(self) -> tuple[int, ...]:
@@ -95,22 +123,6 @@ class WeightedTree:
         self.weight(v)
         return self.adjacency[v]
 
-    def _component_of(self, start: int, cut: int | None = None) -> set[int]:
-        """Vertices reachable from `start` without passing through `cut`."""
-        adj: dict[int, list[int]] = {v: [] for v, _ in self.vertices}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w != cut and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
-
     def side_weight(self, edge: tuple[int, int], toward: int) -> int:
         """Total weight of the component on the `toward` side of `edge`."""
         a, b = edge
@@ -120,8 +132,12 @@ class WeightedTree:
             away = a
         else:
             raise InvalidTreeError(f"vertex {toward} not an endpoint of {edge}")
-        comp = self._component_of(toward, cut=away)
-        return sum(self.weight_of[v] for v in comp)
+        parent, below = self._rooted
+        if parent.get(toward) == away:
+            return below[toward]
+        if parent.get(away) == toward:
+            return self.m - below[away]
+        raise InvalidTreeError(f"{edge} is not an edge of the tree")
 
     # -- serialization ----------------------------------------------------
 
@@ -214,6 +230,17 @@ def require_stable(t: WeightedTree) -> WeightedTree:
     return t
 
 
+def require_even(t: WeightedTree) -> int:
+    """Require a stable tree of even total weight m = 2g+2; return g.
+
+    A stable tree of even weight has m >= 4, so g >= 1.
+    """
+    require_stable(t)
+    if t.m % 2:
+        raise ValueError(f"total weight must be even, got m={t.m}")
+    return (t.m - 2) // 2
+
+
 def complementary_subtree_weights(t: WeightedTree, v: int) -> list[int]:
     """Weights of the subtrees hanging off each edge at `v`, sorted."""
     t.weight(v)
@@ -223,37 +250,32 @@ def complementary_subtree_weights(t: WeightedTree, v: int) -> list[int]:
 # -- canonical encoding ---------------------------------------------------
 
 def _tree_centers(t: WeightedTree) -> list[int]:
-    """The 1 or 2 structural centers, by iterated leaf removal."""
-    deg = {v: t.degree(v) for v in t.ids}
-    remaining = set(t.ids)
-    leaves = [v for v in remaining if deg[v] <= 1]
-    while len(remaining) > 2:
-        next_leaves = []
-        for u in leaves:
-            remaining.discard(u)
-            for w in t.neighbors(u):
-                if w in remaining:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        next_leaves.append(w)
-        leaves = next_leaves
-    return sorted(remaining)
+    """The 1 or 2 structural centers: the middle of a longest path."""
+    far = bfs(t.adjacency, t.vertices[0][0])[0][-1]
+    order, parent = bfs(t.adjacency, far)
+    path = [order[-1]]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    k = len(path)
+    return sorted(path[(k - 1) // 2 : k // 2 + 1])
 
 
-def _rooted_code(t: WeightedTree, root: int, parent: int | None) -> tuple:
-    children = sorted(
-        _rooted_code(t, u, root) for u in t.neighbors(root) if u != parent
-    )
-    return (t.weight_of[root], tuple(children))
+def _node_code(t: WeightedTree, v: int, kids: list[CanonicalCode]) -> CanonicalCode:
+    """Flat AHU code of `v` over its children's codes.
+
+    Children are sorted as flat tuples, which orders them exactly as the
+    nested (weight, children) tuples they encode, without recursing.
+    """
+    return (-1, t.weight_of[v], *chain.from_iterable(sorted(kids)), -2)
 
 
-def _flatten(code: tuple, out: list[int]) -> None:
-    weight, children = code
-    out.append(-1)
-    out.append(weight)
-    for child in children:
-        _flatten(child, out)
-    out.append(-2)
+def _subtree_codes(t: WeightedTree, root: int, cut: int | None = None) -> list[CanonicalCode]:
+    """Codes of the subtrees hanging below `root`, away from `cut`."""
+    order, parent = bfs(t.adjacency, root, cut)
+    kids: dict[int, list[CanonicalCode]] = {root: []}
+    for v in order[:0:-1]:  # children before parents, root excluded
+        kids.setdefault(parent[v], []).append(_node_code(t, v, kids.pop(v, ())))
+    return kids[root]
 
 
 def canonical_code(t: WeightedTree) -> CanonicalCode:
@@ -263,10 +285,17 @@ def canonical_code(t: WeightedTree) -> CanonicalCode:
     candidates, the lexicographically smaller rooted code wins.  Markers -1/-2
     open and close a subtree, other entries are vertex weights.
     """
-    best = min(_rooted_code(t, c, None) for c in _tree_centers(t))
-    out: list[int] = []
-    _flatten(best, out)
-    return tuple(out)
+    centers = _tree_centers(t)
+    if len(centers) == 1:
+        (c,) = centers
+        return _node_code(t, c, _subtree_codes(t, c))
+    # Each center's side is encoded once and spliced under the other center.
+    a, b = centers
+    below_a, below_b = _subtree_codes(t, a, cut=b), _subtree_codes(t, b, cut=a)
+    return min(
+        _node_code(t, a, below_a + [_node_code(t, b, below_b)]),
+        _node_code(t, b, below_b + [_node_code(t, a, below_a)]),
+    )
 
 
 def isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:

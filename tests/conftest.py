@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from itertools import permutations
 
 from hyperforms import WeightedTree, build_cover, find_central
-from hyperforms.trees import tree
+from hyperforms.covers import CoverModel, StableHyperellipticModel
+from hyperforms.trees import bfs, tree
 
 
 def brute_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
@@ -54,10 +57,82 @@ def leaf_strip_cover(t: WeightedTree):
     return ramified, branch
 
 
+def fixpoint_stable_model(c: CoverModel) -> StableHyperellipticModel:
+    """Stable model by contracting one component at a time, rescanning from
+    the first component after every contraction until nothing changes."""
+    components = {comp.id: comp.genus for comp in c.components}
+    nodes = Counter(tuple(sorted(n.components)) for n in c.nodes)
+
+    def endpoints(cid: int) -> list[tuple[int, int]]:
+        out = []
+        for (a, b), mult in nodes.items():
+            for _ in range(mult):
+                if a == cid:
+                    out.append((a, b))
+                if b == cid:
+                    out.append((b, a))
+        return out
+
+    changed = True
+    while changed:
+        changed = False
+        for cid, genus in list(components.items()):
+            if genus != 0:
+                continue
+            ends = endpoints(cid)
+            if len(ends) == 2 and all(other != cid for _, other in ends):
+                (_, n1), (_, n2) = ends
+                for _, other in ends:
+                    nodes[tuple(sorted((cid, other)))] -= 1
+                nodes += Counter()  # drop zero entries
+                nodes[tuple(sorted((n1, n2)))] += 1
+                del components[cid]
+                changed = True
+                break
+
+    return StableHyperellipticModel(
+        components=tuple(sorted(components.items())),
+        nodes=tuple(sorted(nodes.elements())),
+        g=c.g,
+    )
+
+
+def random_stable_tree(seed: int, n: int, extra: int = 0) -> WeightedTree:
+    """Seeded random stable tree of even total weight on n vertices.
+
+    Each vertex gets the least weight that makes it stable, then `extra`
+    marks land on random vertices, plus one more if the total is odd.  Ids
+    are shuffled so that they carry no structure.
+    """
+    rng = random.Random(seed)
+    edges = [(i, rng.randrange(i)) for i in range(1, n)]
+    degree = Counter(v for e in edges for v in e)
+    weights = [max(0, 3 - degree[v]) for v in range(n)]
+    for _ in range(extra):
+        weights[rng.randrange(n)] += 1
+    if sum(weights) % 2:
+        weights[rng.randrange(n)] += 1
+    ids = rng.sample(range(10 * n), n)
+    return tree(
+        {ids[v]: w for v, w in enumerate(weights)},
+        [(ids[a], ids[b]) for a, b in edges],
+    )
+
+
+def relabeled(t: WeightedTree, seed: int) -> WeightedTree:
+    """Copy of `t` with its vertex ids randomly permuted."""
+    ids = list(t.ids)
+    perm = dict(zip(ids, random.Random(seed).sample(ids, len(ids))))
+    return tree(
+        {perm[v]: w for v, w in t.vertices},
+        [(perm[a], perm[b]) for a, b in t.edges],
+    )
+
+
 def subcover_genus(t: WeightedTree, central_vertex: int, branch_root: int) -> int:
     """Arithmetic genus of the part of the double cover over one branch."""
     cover = build_cover(t)
-    sub_vertices = t._component_of(branch_root, cut=central_vertex)
+    sub_vertices = set(bfs(t.adjacency, branch_root, cut=central_vertex)[0])
     comps = [c for c in cover.components if c.base_vertex in sub_vertices]
     ids = {c.id for c in comps}
     internal = [

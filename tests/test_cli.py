@@ -135,6 +135,26 @@ class TestErrors:
         assert status == 2
         assert "not stable" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("weight", ["null", "2.9", "true", '"3"'])
+    def test_non_integer_weight_exits_2(self, run, weight):
+        doc = '{"vertices": [{"id": 0, "weight": %s}, {"id": 1, "weight": 5}], "edges": [[0, 1]]}'
+        status, out = run(["map"], stdin=doc % weight)
+        assert status == 2
+        assert "must be integers" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"exponents": [3.5, 1, 1, 1]},
+            {"exponents": ["3", 1, 1, 1]},
+            {"exponents": [3, 1, 1], "at_infinity": True},
+        ],
+    )
+    def test_non_integer_exponent_exits_2(self, run, doc):
+        status, out = run(["reduce"], stdin=json.dumps(doc))
+        assert status == 2
+        assert "must be integers" in json.loads(out)["error"]
+
     def test_bad_reduce_input_exits_2(self, run):
         status, out = run(["reduce"], stdin=json.dumps({"exponents": [3, 1]}))
         assert status == 2

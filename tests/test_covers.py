@@ -10,7 +10,7 @@ from hyperforms import (
     tree,
 )
 from hyperforms.covers import RAMIFIED, SPLIT, branch_count, edge_is_ramified
-from conftest import leaf_strip_cover
+from conftest import fixpoint_stable_model, leaf_strip_cover, random_stable_tree
 
 
 class TestBuildCover:
@@ -71,6 +71,20 @@ class TestBuildCover:
             assert ramified == {e for e in t.edges if edge_is_ramified(t, e)}
             assert branch == {v: branch_count(t, v) for v in t.ids}
 
+    def test_large_random_tree_agrees_with_leaf_stripping_oracle(self):
+        t = random_stable_tree(seed=7, n=2000, extra=40)
+        cover = build_cover(t)
+        ramified, branch = leaf_strip_cover(t)
+        assert ramified == {n.base_edge for n in cover.nodes if n.kind == RAMIFIED}
+        assert branch == {c.base_vertex: c.branch_count for c in cover.components}
+        assert cover.arithmetic_genus == (t.m - 2) // 2
+
+    def test_long_path_genus(self):
+        t = path_tree(2, *([1] * 9998), 2)
+        cover = build_cover(t)
+        assert cover.is_connected()
+        assert cover.arithmetic_genus == stable_model(cover).arithmetic_genus == (t.m - 2) // 2
+
 
 class TestStableModel:
     def test_xi0_contraction(self):
@@ -102,6 +116,17 @@ class TestStableModel:
             for cid, genus in model.components:
                 if genus == 0 and len(model.components) > 1:
                     assert model.special_points(cid) >= 3, (t, model)
+
+    @pytest.mark.parametrize("m", range(4, 11, 2))
+    def test_agrees_with_fixpoint_oracle(self, m):
+        for t in enumerate_stable_trees(m).trees:
+            cover = build_cover(t)
+            assert stable_model(cover) == fixpoint_stable_model(cover), t
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_trees_agree_with_fixpoint_oracle(self, seed):
+        cover = build_cover(random_stable_tree(seed, n=5 + 5 * seed, extra=seed % 4))
+        assert stable_model(cover) == fixpoint_stable_model(cover)
 
     @pytest.mark.parametrize("m", range(4, 9, 2))
     def test_injective_on_canonical_codes(self, m):

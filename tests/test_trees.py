@@ -13,7 +13,7 @@ from hyperforms import (
     tree,
     validate_stable,
 )
-from conftest import brute_isomorphic
+from conftest import brute_isomorphic, relabeled
 
 
 class TestStructure:
@@ -94,6 +94,23 @@ class TestCanonicalCode:
         )
         assert isomorphic(t1, t2)
 
+    def test_long_path(self):
+        t = path_tree(2, *([1] * 9998), 2)
+        code = canonical_code(t)
+        assert len(code) == 3 * len(t.ids)
+        assert canonical_code(relabeled(t, seed=1)) == code
+
+    def test_three_legged_spider(self):
+        weights, edges = {0: 0}, []
+        for leg in range(3):
+            ids = [0] + [1 + 700 * leg + i for i in range(700)]
+            weights.update({v: 1 for v in ids[1:-1]})
+            weights[ids[-1]] = 2
+            edges += zip(ids, ids[1:])
+        t = tree(weights, edges)
+        assert validate_stable(t).stable
+        assert canonical_code(relabeled(t, seed=2)) == canonical_code(t)
+
 
 class TestComplementaryWeights:
     def test_star_center(self):
@@ -108,6 +125,10 @@ class TestComplementaryWeights:
     def test_unknown_vertex(self):
         with pytest.raises(InvalidTreeError):
             complementary_subtree_weights(tree({0: 5}), 3)
+
+    def test_side_weight_rejects_non_edge(self):
+        with pytest.raises(InvalidTreeError):
+            path_tree(2, 1, 1, 2).side_weight((0, 2), toward=0)
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_weights_sum_to_m(self, m):
