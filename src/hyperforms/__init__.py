@@ -28,6 +28,7 @@ from .strata import StratumLabel, classify_stratum, f_g_exponents, image_dimensi
 from .trees import (
     CanonicalCode,
     InvalidTreeError,
+    InvariantError,
     StabilityReport,
     UnstableTreeError,
     WeightedTree,

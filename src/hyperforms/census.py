@@ -1,9 +1,15 @@
 """Exhaustive enumeration of stable weighted-tree classes of a given total weight.
 
-Two independent generators back the census: the production one walks
-non-isomorphic tree shapes and fills in weights, the brute-force one runs over
-all labeled trees via Pruefer sequences.  Both deduplicate by canonical code
-and must agree exactly; the test suite enforces this.
+The census is built from the paper's central-vertex lemma: a stable tree has
+either a unique vertex whose branches all weigh less than m/2, or a unique
+edge splitting the weight (m/2, m/2).  So a class is a centre weight plus a
+multiset of rooted stable tails lighter than m/2, or an unordered pair of
+tails of weight m/2.  Tails are drawn from one table in a fixed order, so each
+class is built exactly once: there is no stability filter and no dedup pass.
+
+`brute_force_census` is the independent test oracle: it weights every labeled
+tree from Pruefer sequences, keeps the stable ones and deduplicates by
+canonical code.  The test suite requires the two censuses to agree.
 """
 
 from __future__ import annotations
@@ -11,8 +17,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-
-import networkx as nx
 
 from .strata import classify_stratum
 from .trees import CanonicalCode, WeightedTree, canonical_code, tree, validate_stable
@@ -48,6 +52,73 @@ class Census:
         }
 
 
+# -- the census, built outward from the central vertex --------------------
+
+Tail = tuple[int, tuple[int, ...]]  # root weight, child tails as table indices
+
+
+def _central_classes(m: int) -> list[WeightedTree]:
+    """Every stable class of weight m, built once around its central vertex or edge.
+
+    A tail is a rooted stable tree hanging off one edge: a root weight `a` and a
+    multiset of lighter tails, with a + children + 1 >= 3 (the +1 is the edge
+    up).  `tails` lists them by weight, and a multiset of tails is a
+    non-increasing tuple of indices into it, so each multiset appears once.
+    """
+    tails: list[Tail] = []
+    weight: list[int] = []  # weight[i] is the total weight of tails[i]
+    first: dict[int, int] = {}  # weight -> index of its first tail
+    memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def forests(total: int, hi: int) -> list[tuple[int, ...]]:
+        """Multisets of tails among tails[:hi] weighing `total` together."""
+        if (total, hi) not in memo:
+            found = [()] if total == 0 else []
+            for i in range(hi):
+                if weight[i] > total:
+                    break
+                found += [(i, *rest) for rest in forests(total - weight[i], i + 1)]
+            memo[total, hi] = found
+        return memo[total, hi]
+
+    for w in range(2, m // 2 + 1):
+        first[w] = len(tails)
+        for a in range(w + 1):
+            for kids in forests(w - a, first[w]):
+                if a + len(kids) + 1 >= 3:
+                    tails.append((a, kids))
+                    weight.append(w)
+
+    light = first.get((m + 1) // 2, len(tails))  # tails weighing < m/2
+    roots = [
+        [(c, kids)]
+        for c in range(m + 1)
+        for kids in forests(m - c, light)
+        if c + len(kids) >= 3
+    ]
+    if m % 2 == 0:
+        half = range(first[m // 2], len(tails))
+        roots += [[tails[i], tails[j]] for i in half for j in half if i <= j]
+    return [_build(r, tails) for r in roots]
+
+
+def _build(roots: list[Tail], tails: list[Tail]) -> WeightedTree:
+    """The centre as id 0, or the half-weight edge as (0, 1), then every tail
+    breadth first, ids in build order."""
+    weights = {v: a for v, (a, _) in enumerate(roots)}
+    edges = [(0, 1)] if len(roots) == 2 else []
+    pending = [(v, i) for v, (_, kids) in enumerate(roots) for i in kids]
+    for parent, i in pending:  # the list grows while it is read
+        v = len(weights)
+        a, kids = tails[i]
+        weights[v] = a
+        edges.append((parent, v))
+        pending += [(v, k) for k in kids]
+    return tree(weights, edges)
+
+
+# -- test oracle: every weighting of every labeled tree -------------------
+
 def max_vertices(m: int) -> int:
     """Stability bounds the vertex count by m - 2: leaves weigh >= 2,
     degree-2 vertices >= 1, and degree >= 3 vertices number at most
@@ -72,13 +143,21 @@ def _weightings(lower_bounds: list[int], total: int):
     yield from rec(0, slack, [])
 
 
-def _tree_shapes(n: int):
-    """Edge lists of all non-isomorphic trees on n vertices, ids 0..n-1."""
+def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
+    """Edges of the labeled tree on ids 0..n-1 with Pruefer sequence `seq`."""
     if n == 1:
-        yield []
-        return
-    for shape in nx.nonisomorphic_trees(n):
-        yield list(shape.edges())
+        return []
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = degree.index(1)  # the smallest remaining leaf
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(n) if degree[u] == 1))
+    return edges
 
 
 def _collect(candidates) -> dict[CanonicalCode, WeightedTree]:
@@ -92,36 +171,13 @@ def _collect(candidates) -> dict[CanonicalCode, WeightedTree]:
     return classes
 
 
-def _structured_classes(m: int) -> dict[CanonicalCode, WeightedTree]:
-    def candidates():
-        for n in range(1, max_vertices(m) + 1):
-            for edges in _tree_shapes(n):
-                degree = Counter()
-                for a, b in edges:
-                    degree[a] += 1
-                    degree[b] += 1
-                bounds = [max(0, 3 - degree[v]) for v in range(n)]
-                for weights in _weightings(bounds, m):
-                    yield tree(dict(enumerate(weights)), edges)
-
-    return _collect(candidates())
-
-
 def _prufer_classes(m: int) -> dict[CanonicalCode, WeightedTree]:
     """Independent oracle: labeled trees from Pruefer sequences, all weightings."""
 
     def candidates():
         for n in range(1, max_vertices(m) + 1):
-            if n == 1:
-                shapes = [[]]
-            elif n == 2:
-                shapes = [[(0, 1)]]
-            else:
-                shapes = []
-                for seq in product(range(n), repeat=n - 2):
-                    shape = nx.from_prufer_sequence(list(seq))
-                    shapes.append(list(shape.edges()))
-            for edges in shapes:
+            for seq in product(range(n), repeat=max(0, n - 2)):
+                edges = _prufer_edges(seq, n)
                 degree = Counter()
                 for a, b in edges:
                     degree[a] += 1
@@ -133,8 +189,9 @@ def _prufer_classes(m: int) -> dict[CanonicalCode, WeightedTree]:
     return _collect(candidates())
 
 
-def _make_census(m: int, classes: dict[CanonicalCode, WeightedTree]) -> Census:
-    ordered = tuple(sorted(classes.items()))
+def _make_census(m: int, classes) -> Census:
+    """Census from (code, tree) pairs with distinct codes, put in code order."""
+    ordered = tuple(sorted(classes, key=lambda pair: pair[0]))
     if m % 2 == 0 and m >= 4:
         counts = Counter(str(classify_stratum(t)) for _, t in ordered)
         stratum_counts = tuple(sorted(counts.items()))
@@ -147,11 +204,11 @@ def enumerate_stable_trees(m: int, bound: int = DEFAULT_BOUND) -> Census:
     """Census of all stable weighted-tree classes of total weight m."""
     if not 3 <= m <= bound:
         raise ValueError(f"m must satisfy 3 <= m <= {bound}, got {m}")
-    return _make_census(m, _structured_classes(m))
+    return _make_census(m, ((canonical_code(t), t) for t in _central_classes(m)))
 
 
 def brute_force_census(m: int, bound: int = 8) -> Census:
     """Same census via the Pruefer-sequence generator; test oracle only."""
     if not 3 <= m <= bound:
         raise ValueError(f"m must satisfy 3 <= m <= {bound}, got {m}")
-    return _make_census(m, _prufer_classes(m))
+    return _make_census(m, _prufer_classes(m).items())

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 from .forms import BinaryFormClass
 from .trees import (
+    InvariantError,
     WeightedTree,
+    check,
     complementary_subtree_weights,
     require_stable,
 )
@@ -76,9 +78,9 @@ def find_central(t: WeightedTree) -> CentralResult:
         if not heavy:
             return CentralResult(vertex=v)
         (nxt,) = heavy
-        assert nxt != prev, "walk revisited a vertex"
+        check(nxt != prev, "walk revisited a vertex")
         prev, v = v, nxt
-    raise AssertionError("central-vertex walk did not terminate")
+    raise InvariantError("central-vertex walk did not terminate")
 
 
 def contract_F_m(t: WeightedTree) -> BinaryFormClass:
@@ -95,5 +97,5 @@ def contract_F_m(t: WeightedTree) -> BinaryFormClass:
     v = result.vertex
     mults = complementary_subtree_weights(t, v) + [1] * t.weight(v)
     form = BinaryFormClass.from_multiplicities(mults)
-    assert form.degree == t.m
+    check(form.degree == t.m, "contracted form degree differs from m")
     return form

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .trees import WeightedTree, bfs, require_even
+from .trees import WeightedTree, bfs, check, require_even
 
 RAMIFIED = "ramified"
 SPLIT = "split"
@@ -123,7 +123,7 @@ def build_cover(t: WeightedTree) -> CoverModel:
     next_id = itertools.count()
     for v in t.ids:
         bc = branch_count(t, v)
-        assert bc % 2 == 0, "branch count must be even"
+        check(bc % 2 == 0, "branch count must be even")
         if bc > 0:
             cid = next(next_id)
             components.append(CoverComponent(cid, v, None, bc, bc // 2 - 1))
@@ -140,7 +140,10 @@ def build_cover(t: WeightedTree) -> CoverModel:
     for edge in t.edges:
         a, b = edge
         if edge_is_ramified(t, edge):
-            assert len(over[a]) == 1 and len(over[b]) == 1
+            check(
+                len(over[a]) == 1 and len(over[b]) == 1,
+                "ramified node over an unbranched vertex",
+            )
             nodes.append(CoverNode(edge, RAMIFIED, (over[a][0], over[b][0])))
         else:
             for sheet in (0, 1):
@@ -149,8 +152,8 @@ def build_cover(t: WeightedTree) -> CoverModel:
                 nodes.append(CoverNode(edge, SPLIT, (ca, cb)))
 
     cover = CoverModel(tuple(components), tuple(nodes), g)
-    assert cover.is_connected(), "admissible double cover must be connected"
-    assert cover.arithmetic_genus == g, "arithmetic genus mismatch"
+    check(cover.is_connected(), "admissible double cover must be connected")
+    check(cover.arithmetic_genus == g, "arithmetic genus mismatch")
     return cover
 
 
@@ -179,13 +182,17 @@ class StableHyperellipticModel:
         return sum((a == cid) + (b == cid) for a, b in self.nodes)
 
     def to_dict(self) -> dict:
+        special = Counter()  # one pass over the nodes; a self-node counts twice
+        for a, b in self.nodes:
+            special[a] += 1
+            special[b] += 1
         return {
             "g": self.g,
             "components": [
                 {
                     "id": cid,
                     "genus": genus,
-                    "special_points": self.special_points(cid),
+                    "special_points": special[cid],
                 }
                 for cid, genus in self.components
             ],
@@ -263,5 +270,5 @@ def stable_model(c: CoverModel) -> StableHyperellipticModel:
         nodes=tuple(nodes),
         g=c.g,
     )
-    assert model.arithmetic_genus == c.g, "contraction changed the genus"
+    check(model.arithmetic_genus == c.g, "contraction changed the genus")
     return model

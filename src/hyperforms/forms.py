@@ -30,7 +30,11 @@ class BinaryFormClass:
     semistable_point: bool = False
 
     def __post_init__(self):
-        mults = tuple(sorted((int(n) for n in self.multiplicities), reverse=True))
+        mults = tuple(self.multiplicities)
+        for n in mults:
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ValueError(f"multiplicities must be integers, got {n!r}")
+        mults = tuple(sorted(mults, reverse=True))
         if self.semistable_point:
             if mults:
                 raise ValueError("the semistable point carries no roots")

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
+from .trees import check
+
 
 @dataclass(frozen=True)
 class ExponentVector:
@@ -169,7 +171,7 @@ def reduce(e: ExponentVector) -> ReductionOutput:
                 )
             )
 
-    assert branch_points % 2 == 0, "central branch-point count must be even"
+    check(branch_points % 2 == 0, "central branch-point count must be even")
     split = branch_points == 0
     central_genus = 0 if split else branch_points // 2 - 1
     out = ReductionOutput(
@@ -181,7 +183,7 @@ def reduce(e: ExponentVector) -> ReductionOutput:
         g=g,
         git_unstable_input=top > g + 1,
     )
-    assert out.arithmetic_genus == g, "stable reduction changed the genus"
+    check(out.arithmetic_genus == g, "stable reduction changed the genus")
     return out
 
 

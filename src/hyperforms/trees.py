@@ -21,6 +21,16 @@ class UnstableTreeError(ValueError):
     """The operation requires a stable weighted tree."""
 
 
+class InvariantError(AssertionError):
+    """An internal invariant failed: a bug, never bad input."""
+
+
+def check(cond: bool, msg: str) -> None:
+    """Raise InvariantError unless `cond`; unlike `assert`, survives `python -O`."""
+    if not cond:
+        raise InvariantError(msg)
+
+
 CanonicalCode = tuple[int, ...]
 
 

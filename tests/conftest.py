@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 from hyperforms import WeightedTree, build_cover, find_central
 from hyperforms.covers import CoverModel, StableHyperellipticModel
@@ -169,3 +173,16 @@ def reconstructed_exponents(t: WeightedTree):
 
 def two_vertex_tree(j: int, m: int) -> WeightedTree:
     return tree({0: j, 1: m - j}, [(0, 1)])
+
+
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )

@@ -1,11 +1,14 @@
 import pytest
 
+import hyperforms.census as census_mod
 from hyperforms import (
     brute_force_census,
     canonical_code,
     enumerate_stable_trees,
+    find_central,
     validate_stable,
 )
+from conftest import run_python
 
 
 class TestEnumerate:
@@ -65,3 +68,36 @@ class TestDualGenerators:
     def test_brute_force_excludes_unstable(self, m):
         for t in brute_force_census(m).trees:
             assert validate_stable(t).stable
+
+
+class TestCentralGenerator:
+    @pytest.mark.parametrize(
+        "m,count", [(9, 73), (10, 190), (11, 488), (12, 1350), (13, 3741)]
+    )
+    def test_frozen_counts_to_13(self, m, count):
+        assert len(enumerate_stable_trees(m, bound=13)) == count
+
+    @pytest.mark.parametrize("m", range(3, 12))
+    def test_rooted_at_central_vertex_or_edge(self, m):
+        for t in enumerate_stable_trees(m, bound=11).trees:
+            central = find_central(t)
+            if central.is_semistable_edge:
+                assert central.edge == (0, 1)
+            else:
+                assert central.vertex == 0
+
+    @pytest.mark.parametrize("m", [8, 11, 12])
+    def test_one_canonical_code_per_class(self, m, monkeypatch):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return canonical_code(t)
+
+        monkeypatch.setattr(census_mod, "canonical_code", counted)
+        assert len(enumerate_stable_trees(m, bound=12)) == len(calls)
+
+    def test_import_loads_no_networkx(self):
+        proc = run_python("import sys, hyperforms; print('networkx' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

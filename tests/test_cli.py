@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from hyperforms import WeightedTree, canonical_code
+from hyperforms import WeightedTree, canonical_code, cli
 from hyperforms.cli import main
+from hyperforms.trees import check
 
 
 @pytest.fixture
@@ -158,6 +159,17 @@ class TestErrors:
     def test_bad_reduce_input_exits_2(self, run):
         status, out = run(["reduce"], stdin=json.dumps({"exponents": [3, 1]}))
         assert status == 2
+
+    def test_invariant_failure_exits_1(self, run, monkeypatch):
+        def broken(t):
+            check(False, "arithmetic genus mismatch")
+
+        monkeypatch.setattr(cli, "build_cover", broken)
+        status, out = run(["cover"], stdin=tree_doc(3, 3))
+        assert status == 1
+        assert json.loads(out) == {
+            "error": "internal inconsistency: arithmetic genus mismatch"
+        }
 
     def test_deterministic_output(self, run):
         _, out1 = run(["contract"], stdin=tree_doc(3, 5))

@@ -26,6 +26,13 @@ class TestBinaryFormClass:
         with pytest.raises(ValueError):
             BinaryFormClass.from_multiplicities([2, 0])
 
+    @pytest.mark.parametrize("bad", [2.9, True, "3", None, 3.0])
+    def test_rejects_non_integer(self, bad):
+        with pytest.raises(ValueError):
+            BinaryFormClass.from_dict({"multiplicities": [2, bad, 1]})
+        with pytest.raises(ValueError):
+            BinaryFormClass(multiplicities=(bad, 3))
+
     def test_json_round_trip(self):
         f = BinaryFormClass.from_multiplicities([3, 1, 1, 1])
         assert BinaryFormClass.from_dict(f.to_dict()) == f

@@ -13,7 +13,7 @@ from hyperforms import (
     tree,
     validate_stable,
 )
-from conftest import brute_isomorphic, relabeled
+from conftest import brute_isomorphic, relabeled, run_python
 
 
 class TestStructure:
@@ -154,3 +154,19 @@ class TestSerialization:
     def test_dot_labels(self):
         dot = path_tree(2, 4).to_dot()
         assert '"0:2"' in dot and '"1:4"' in dot and "v0 -- v1" in dot
+
+
+class TestInvariantCheck:
+    def test_check_survives_optimize_flag(self):
+        code = (
+            "from hyperforms.trees import InvariantError, check\n"
+            "assert False, 'asserts are on'\n"
+            "check(True, 'fine')\n"
+            "try:\n"
+            "    check(False, 'broken')\n"
+            "except InvariantError as exc:\n"
+            "    print(isinstance(exc, AssertionError), exc)\n"
+        )
+        proc = run_python(code, "-O")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True broken"
