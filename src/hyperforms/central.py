@@ -77,6 +77,7 @@ def find_central(t: WeightedTree) -> CentralResult:
         ]
         if not heavy:
             return CentralResult(vertex=v)
+        check(len(heavy) == 1, "more than one heavy side at a vertex")
         (nxt,) = heavy
         check(nxt != prev, "walk revisited a vertex")
         prev, v = v, nxt

@@ -116,40 +116,53 @@ def branch_count(t: WeightedTree, v: int) -> int:
 
 
 def build_cover(t: WeightedTree) -> CoverModel:
-    """Construct the admissible double cover of a stable even-weight tree."""
+    """Construct the admissible double cover of a stable even-weight tree.
+
+    Each edge's parity is read once from the tree's rooted table: the edge is
+    ramified iff the weight below its lower end is odd, and a ramified edge
+    adds one branch point at each end.  `edge_is_ramified` and `branch_count`
+    state the same rules edge by edge.
+    """
     g = require_even(t)
+    parent, below = t._rooted
+    branch = dict(t.weight_of)
+    ramified: list[bool] = []
+    for a, b in t.edges:
+        odd = below[a if parent[a] == b else b] % 2 == 1
+        ramified.append(odd)
+        if odd:
+            branch[a] += 1
+            branch[b] += 1
+
     components: list[CoverComponent] = []
     over: dict[int, list[int]] = {}  # base vertex -> component ids
-    next_id = itertools.count()
     for v in t.ids:
-        bc = branch_count(t, v)
+        bc = branch[v]
         check(bc % 2 == 0, "branch count must be even")
+        cid = len(components)
         if bc > 0:
-            cid = next(next_id)
             components.append(CoverComponent(cid, v, None, bc, bc // 2 - 1))
             over[v] = [cid]
         else:
-            ids = [next(next_id), next(next_id)]
-            for sheet, cid in enumerate(ids):
-                components.append(CoverComponent(cid, v, sheet, 0, 0))
-            over[v] = ids
+            components.append(CoverComponent(cid, v, 0, 0, 0))
+            components.append(CoverComponent(cid + 1, v, 1, 0, 0))
+            over[v] = [cid, cid + 1]
 
     # Split nodes over an unbranched vertex go one to each sheet; between two
-    # unbranched vertices the sheets are matched index-to-index.
+    # unbranched vertices the sheets are matched index-to-index.  Index 0 is
+    # sheet 0 and index -1 sheet 1, or the one component over a branched vertex.
     nodes: list[CoverNode] = []
-    for edge in t.edges:
-        a, b = edge
-        if edge_is_ramified(t, edge):
+    for edge, odd in zip(t.edges, ramified):
+        oa, ob = over[edge[0]], over[edge[1]]
+        if odd:
             check(
-                len(over[a]) == 1 and len(over[b]) == 1,
+                len(oa) == 1 and len(ob) == 1,
                 "ramified node over an unbranched vertex",
             )
-            nodes.append(CoverNode(edge, RAMIFIED, (over[a][0], over[b][0])))
+            nodes.append(CoverNode(edge, RAMIFIED, (oa[0], ob[0])))
         else:
-            for sheet in (0, 1):
-                ca = over[a][sheet] if len(over[a]) == 2 else over[a][0]
-                cb = over[b][sheet] if len(over[b]) == 2 else over[b][0]
-                nodes.append(CoverNode(edge, SPLIT, (ca, cb)))
+            nodes.append(CoverNode(edge, SPLIT, (oa[0], ob[0])))
+            nodes.append(CoverNode(edge, SPLIT, (oa[-1], ob[-1])))
 
     cover = CoverModel(tuple(components), tuple(nodes), g)
     check(cover.is_connected(), "admissible double cover must be connected")
@@ -241,22 +254,26 @@ def stable_model(c: CoverModel) -> StableHyperellipticModel:
     fails the test at its turn never passes it later.
     """
     genus = {comp.id: comp.genus for comp in c.components}
-    links: dict[int, Counter] = {cid: Counter() for cid in genus}
+    links: dict[int, dict[int, int]] = {cid: {} for cid in genus}
+    special = dict.fromkeys(genus, 0)  # node branches; a self-node counts twice
     for node in c.nodes:
         a, b = node.components
-        links[a][b] += 1
-        links[b][a] += 1  # a self-node counts twice
+        links[a][b] = links[a].get(b, 0) + 1
+        links[b][a] = links[b].get(a, 0) + 1
+        special[a] += 1
+        special[b] += 1
 
+    # A contraction moves one branch of each neighbour from `cid` to the
+    # other neighbour, so `special` never changes after the loop above.
     for cid in list(genus):
-        ends = links[cid]
         # Two attachments, both to other components: contract.
-        if genus[cid] == 0 and sum(ends.values()) == 2 and not ends[cid]:
-            n1, n2 = ends.elements()
-            del genus[cid], links[cid]
+        if genus[cid] == 0 and special[cid] == 2 and cid not in links[cid]:
+            n1, n2 = [n for n, mult in links.pop(cid).items() for _ in range(mult)]
+            del genus[cid]
             links[n1][cid] -= 1
             links[n2][cid] -= 1
-            links[n1][n2] += 1
-            links[n2][n1] += 1
+            links[n1][n2] = links[n1].get(n2, 0) + 1
+            links[n2][n1] = links[n2].get(n1, 0) + 1
 
     nodes = sorted(
         (a, b)

@@ -6,7 +6,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import permutations
 from pathlib import Path
 
@@ -67,15 +67,12 @@ def fixpoint_stable_model(c: CoverModel) -> StableHyperellipticModel:
     components = {comp.id: comp.genus for comp in c.components}
     nodes = Counter(tuple(sorted(n.components)) for n in c.nodes)
 
-    def endpoints(cid: int) -> list[tuple[int, int]]:
-        out = []
-        for (a, b), mult in nodes.items():
-            for _ in range(mult):
-                if a == cid:
-                    out.append((a, b))
-                if b == cid:
-                    out.append((b, a))
-        return out
+    # Every component's node branches as (component, other end) pairs, built
+    # once from the node multiset and then kept in step with it.
+    ends_of: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for a, b in nodes.elements():
+        ends_of[a].append((a, b))
+        ends_of[b].append((b, a))
 
     changed = True
     while changed:
@@ -83,14 +80,16 @@ def fixpoint_stable_model(c: CoverModel) -> StableHyperellipticModel:
         for cid, genus in list(components.items()):
             if genus != 0:
                 continue
-            ends = endpoints(cid)
+            ends = ends_of[cid]
             if len(ends) == 2 and all(other != cid for _, other in ends):
                 (_, n1), (_, n2) = ends
                 for _, other in ends:
                     nodes[tuple(sorted((cid, other)))] -= 1
-                nodes += Counter()  # drop zero entries
                 nodes[tuple(sorted((n1, n2)))] += 1
-                del components[cid]
+                for x, y in ((n1, n2), (n2, n1)):
+                    ends_of[x].remove((x, cid))
+                    ends_of[x].append((x, y))
+                del components[cid], ends_of[cid]
                 changed = True
                 break
 

@@ -1,12 +1,15 @@
 import pytest
 
 from hyperforms import (
+    InvariantError,
     UnstableTreeError,
+    WeightedTree,
     contract_F_m,
     enumerate_stable_trees,
     find_central,
     half_weight_edge,
     path_tree,
+    star_tree,
     tree,
 )
 from hyperforms.central import is_central
@@ -36,6 +39,12 @@ class TestFindCentral:
     def test_unstable_rejected(self):
         with pytest.raises(UnstableTreeError):
             find_central(path_tree(1, 5))
+
+    def test_two_heavy_sides_raise_invariant_error(self, monkeypatch):
+        # Every side weighing m makes all three neighbours of the centre heavy.
+        monkeypatch.setattr(WeightedTree, "side_weight", lambda self, edge, toward: self.m)
+        with pytest.raises(InvariantError, match="more than one heavy side"):
+            find_central(star_tree(0, 3, 3, 3))
 
     @pytest.mark.parametrize("m", range(3, 10))
     def test_unique_central_vertex_exhaustive(self, m):

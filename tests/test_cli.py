@@ -171,6 +171,15 @@ class TestErrors:
             "error": "internal inconsistency: arithmetic genus mismatch"
         }
 
+    def test_central_walk_invariant_failure_exits_1(self, run, monkeypatch):
+        monkeypatch.setattr(WeightedTree, "side_weight", lambda self, edge, toward: self.m)
+        star = tree_doc(0, 3, 3, 3, edges=[[0, 1], [0, 2], [0, 3]])
+        status, out = run(["central"], stdin=star)
+        assert status == 1
+        assert json.loads(out) == {
+            "error": "internal inconsistency: more than one heavy side at a vertex"
+        }
+
     def test_deterministic_output(self, run):
         _, out1 = run(["contract"], stdin=tree_doc(3, 5))
         _, out2 = run(["contract"], stdin=tree_doc(3, 5))

@@ -86,6 +86,31 @@ class TestBuildCover:
         assert cover.arithmetic_genus == stable_model(cover).arithmetic_genus == (t.m - 2) // 2
 
 
+class TestCoverIdentities:
+    """The one-pass cover against the per-edge rules it replaces."""
+
+    @staticmethod
+    def check_identities(t):
+        cover = build_cover(t)
+        for node in cover.nodes:
+            assert node.kind == (RAMIFIED if edge_is_ramified(t, node.base_edge) else SPLIT)
+        for comp in cover.components:
+            assert comp.branch_count == branch_count(t, comp.base_vertex)
+        ramified = sum(edge_is_ramified(t, e) for e in t.edges)
+        assert sum(c.branch_count for c in cover.components) == t.m + 2 * ramified
+        return cover
+
+    @pytest.mark.parametrize("m", range(4, 13, 2))
+    def test_census(self, m):
+        for t in enumerate_stable_trees(m, bound=12).trees:
+            self.check_identities(t)
+
+    @pytest.mark.parametrize("seed, n", [(0, 500), (1, 500), (2, 2000), (3, 2000)])
+    def test_large_random_trees(self, seed, n):
+        cover = self.check_identities(random_stable_tree(seed, n=n, extra=seed))
+        assert stable_model(cover) == fixpoint_stable_model(cover)
+
+
 class TestStableModel:
     def test_xi0_contraction(self):
         # the rational component over the 2-marked side is contracted to a self-node

@@ -2,7 +2,16 @@ from itertools import permutations
 
 import pytest
 
-from hyperforms import ExponentVector, blowup_chain, reduce
+from hyperforms import (
+    ExponentVector,
+    blowup_chain,
+    build_cover,
+    contract_F_m,
+    enumerate_stable_trees,
+    find_central,
+    reduce,
+    stable_model,
+)
 
 
 def compositions(total, max_part=None):
@@ -131,3 +140,24 @@ class TestBlowupChain:
             assert chain == tuple(2 * j for j in range(1, i + 1))
         else:
             assert chain == tuple(2 * j for j in range(1, i + 1)) + (2 * i + 1, 4 * i + 2)
+
+
+class TestDepthOneIdentity:
+    """On a tree whose central vertex has only leaves as neighbours, the
+    closed-form reduction of F(t) is the stable model of the cover."""
+
+    @pytest.mark.parametrize("m, count", [(6, 4), (8, 10), (10, 23), (12, 47), (14, 90)])
+    def test_reduce_of_contraction_is_stable_model(self, m, count):
+        checked = 0
+        for t in enumerate_stable_trees(m, bound=14).trees:
+            v = find_central(t).vertex
+            if v is None or any(t.degree(u) > 1 for u in t.neighbors(v)):
+                continue
+            red = reduce(ExponentVector(contract_F_m(t).multiplicities))
+            model = stable_model(build_cover(t))
+            genera = [0, 0] if red.central_split else [red.central_genus]
+            genera += [tail.genus for tail in red.tails]
+            assert sorted(genera) == sorted(genus for _, genus in model.components), t
+            assert red.node_count == len(model.nodes), t
+            checked += 1
+        assert checked == count
