@@ -91,7 +91,6 @@ def contract_F_m(t: WeightedTree) -> BinaryFormClass:
     each marked point on the central component becomes a simple root.  A tree
     with a half-weight edge maps to the semistable point.
     """
-    require_stable(t)
     result = find_central(t)
     if result.is_semistable_edge:
         return BinaryFormClass.semistable()

@@ -9,10 +9,10 @@ pair of nodes.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, permutations, product
 
 from .trees import WeightedTree, bfs, check, require_even
 
@@ -190,22 +190,22 @@ class StableHyperellipticModel:
             + 1
         )
 
+    @cached_property
+    def _special(self) -> Counter:
+        return Counter(chain.from_iterable(self.nodes))
+
     def special_points(self, cid: int) -> int:
         """Node branches on the component; a self-node counts twice."""
-        return sum((a == cid) + (b == cid) for a, b in self.nodes)
+        return self._special[cid]
 
     def to_dict(self) -> dict:
-        special = Counter()  # one pass over the nodes; a self-node counts twice
-        for a, b in self.nodes:
-            special[a] += 1
-            special[b] += 1
         return {
             "g": self.g,
             "components": [
                 {
                     "id": cid,
                     "genus": genus,
-                    "special_points": special[cid],
+                    "special_points": self.special_points(cid),
                 }
                 for cid, genus in self.components
             ],
@@ -213,35 +213,26 @@ class StableHyperellipticModel:
         }
 
     def canonical_code(self) -> tuple:
-        """Isomorphism invariant: minimal relabeling over genus-preserving maps."""
-        genera = [genus for _, genus in self.components]
-        order = sorted(range(len(genera)), key=lambda i: genera[i])
-        target = tuple(genera[i] for i in order)
-        groups: dict[int, list[int]] = {}
-        for pos, i in enumerate(order):
-            groups.setdefault(genera[i], []).append(pos)
-        index_of = {cid: i for i, (cid, _) in enumerate(self.components)}
+        """Isomorphism invariant: minimal relabeling over genus-preserving maps.
 
-        best = None
-        # All relabelings sending each component to a slot of equal genus.
-        group_keys = sorted(groups)
-        for perms in itertools.product(
-            *(itertools.permutations(groups[k]) for k in group_keys)
-        ):
-            slot: dict[int, int] = {}
-            for k, perm in zip(group_keys, perms):
-                members = [i for i in range(len(genera)) if genera[i] == k]
-                for i, pos in zip(members, perm):
-                    slot[i] = pos
-            relabeled = tuple(
-                sorted(
-                    tuple(sorted((slot[index_of[a]], slot[index_of[b]])))
-                    for a, b in self.nodes
-                )
+        Slot i of the code has genus target[i], so the components of genus k
+        go, in every order, to the slots from target.index(k) on.
+        """
+        target = tuple(sorted(genus for _, genus in self.components))
+        groups: dict[int, list[int]] = {}  # genus -> ids, genera ascending
+        for cid, genus in sorted(self.components, key=lambda c: c[1]):
+            groups.setdefault(genus, []).append(cid)
+        ids = list(chain(*groups.values()))
+        slot_orders = [
+            permutations(range(target.index(k), target.index(k) + len(group)))
+            for k, group in groups.items()
+        ]
+        return target, min(
+            tuple(sorted(tuple(sorted((slot[a], slot[b]))) for a, b in self.nodes))
+            for slot in (
+                dict(zip(ids, chain(*perms))) for perms in product(*slot_orders)
             )
-            if best is None or relabeled < best:
-                best = relabeled
-        return (target, best)
+        )
 
 
 def stable_model(c: CoverModel) -> StableHyperellipticModel:

@@ -11,6 +11,8 @@ import enum
 import json
 from dataclasses import dataclass
 
+from .trees import is_int
+
 
 class GitClass(enum.Enum):
     STABLE = "stable"
@@ -32,7 +34,7 @@ class BinaryFormClass:
     def __post_init__(self):
         mults = tuple(self.multiplicities)
         for n in mults:
-            if isinstance(n, bool) or not isinstance(n, int):
+            if not is_int(n):
                 raise ValueError(f"multiplicities must be integers, got {n!r}")
         mults = tuple(sorted(mults, reverse=True))
         if self.semistable_point:

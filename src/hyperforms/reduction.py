@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .trees import check
+from .trees import check, is_int
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class ExponentVector:
     def __post_init__(self):
         exps = tuple(self.exponents)
         for n in (*exps, self.at_infinity):
-            if isinstance(n, bool) or not isinstance(n, int):
+            if not is_int(n):
                 raise ValueError(f"exponents must be integers, got {n!r}")
         object.__setattr__(self, "exponents", exps)
         if not exps:

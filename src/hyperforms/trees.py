@@ -31,6 +31,11 @@ def check(cond: bool, msg: str) -> None:
         raise InvariantError(msg)
 
 
+def is_int(x) -> bool:
+    """A JSON integer: an `int` that is not a `bool`."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 CanonicalCode = tuple[int, ...]
 
 
@@ -63,7 +68,7 @@ class WeightedTree:
 
     def __post_init__(self):
         for x in chain.from_iterable((*self.vertices, *self.edges)):
-            if isinstance(x, bool) or not isinstance(x, int):
+            if not is_int(x):
                 raise InvalidTreeError(f"ids and weights must be integers, got {x!r}")
         verts = tuple(sorted((v, w) for v, w in self.vertices))
         ids = [v for v, _ in verts]
@@ -159,10 +164,11 @@ class WeightedTree:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidTreeError(f"malformed tree document: {exc}") from exc
         tree = cls(vertices, edges)
-        if "m" in doc and doc["m"] != tree.m:
-            raise InvalidTreeError(
-                f"declared m={doc['m']} but weights sum to {tree.m}"
-            )
+        m = doc.get("m", tree.m)
+        if not is_int(m):
+            raise InvalidTreeError(f"declared m must be an integer, got {m!r}")
+        if m != tree.m:
+            raise InvalidTreeError(f"declared m={m} but weights sum to {tree.m}")
         return tree
 
     @classmethod
@@ -222,10 +228,9 @@ class StabilityReport:
 
 def validate_stable(t: WeightedTree) -> StabilityReport:
     """Check weight + degree >= 3 at every vertex."""
+    adj = t.adjacency
     violations = tuple(
-        (v, w, t.degree(v))
-        for v, w in t.vertices
-        if w + t.degree(v) < 3
+        (v, w, len(adj[v])) for v, w in t.vertices if w + len(adj[v]) < 3
     )
     return StabilityReport(stable=not violations, violations=violations)
 

@@ -7,7 +7,7 @@ import random
 import subprocess
 import sys
 from collections import Counter, defaultdict
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 from hyperforms import WeightedTree, build_cover, find_central
@@ -98,6 +98,36 @@ def fixpoint_stable_model(c: CoverModel) -> StableHyperellipticModel:
         nodes=tuple(sorted(nodes.elements())),
         g=c.g,
     )
+
+
+def permutation_model_code(model: StableHyperellipticModel) -> tuple:
+    """Model canonical code by index bookkeeping over genus-preserving maps."""
+    genera = [genus for _, genus in model.components]
+    order = sorted(range(len(genera)), key=lambda i: genera[i])
+    target = tuple(genera[i] for i in order)
+    groups: dict[int, list[int]] = {}
+    for pos, i in enumerate(order):
+        groups.setdefault(genera[i], []).append(pos)
+    index_of = {cid: i for i, (cid, _) in enumerate(model.components)}
+
+    best = None
+    # All relabelings sending each component to a slot of equal genus.
+    group_keys = sorted(groups)
+    for perms in product(*(permutations(groups[k]) for k in group_keys)):
+        slot: dict[int, int] = {}
+        for k, perm in zip(group_keys, perms):
+            members = [i for i in range(len(genera)) if genera[i] == k]
+            for i, pos in zip(members, perm):
+                slot[i] = pos
+        relabeled = tuple(
+            sorted(
+                tuple(sorted((slot[index_of[a]], slot[index_of[b]])))
+                for a, b in model.nodes
+            )
+        )
+        if best is None or relabeled < best:
+            best = relabeled
+    return (target, best)
 
 
 def random_stable_tree(seed: int, n: int, extra: int = 0) -> WeightedTree:

@@ -182,3 +182,10 @@ def test_criterion_9_injectivity():
             assert model_code not in seen, (t, seen.get(model_code))
             seen[model_code] = t
     report(9, "tree -> stable-model map injective on codes for even m <= 8")
+
+
+def test_criterion_9_injectivity_m10():
+    classes = enumerate_stable_trees(10).classes
+    codes = {stable_model(build_cover(t)).canonical_code() for _, t in classes}
+    assert len(classes) == len(codes) == 190
+    report(9, "tree -> stable-model map injective on the 190 classes at m = 10")

@@ -144,6 +144,21 @@ class TestErrors:
         assert "must be integers" in json.loads(out)["error"]
 
     @pytest.mark.parametrize(
+        "weights, m",
+        [((4, 4), 8.0), ((4, 4), '"8"'), ((4, 4), "null"), ((1,), "true")],
+    )
+    def test_non_integer_declared_m_exits_2(self, run, weights, m):
+        doc = tree_doc(*weights)[:-1] + ', "m": %s}' % m
+        status, out = run(["stability"], stdin=doc)
+        assert status == 2
+        assert "declared m must be an integer" in json.loads(out)["error"]
+
+    def test_wrong_declared_m_exits_2(self, run):
+        status, out = run(["stability"], stdin=tree_doc(4, 4)[:-1] + ', "m": 9}')
+        assert status == 2
+        assert json.loads(out) == {"error": "declared m=9 but weights sum to 8"}
+
+    @pytest.mark.parametrize(
         "doc",
         [
             {"exponents": [3.5, 1, 1, 1]},

@@ -10,7 +10,12 @@ from hyperforms import (
     tree,
 )
 from hyperforms.covers import RAMIFIED, SPLIT, branch_count, edge_is_ramified
-from conftest import fixpoint_stable_model, leaf_strip_cover, random_stable_tree
+from conftest import (
+    fixpoint_stable_model,
+    leaf_strip_cover,
+    permutation_model_code,
+    random_stable_tree,
+)
 
 
 class TestBuildCover:
@@ -168,3 +173,30 @@ class TestStableModel:
         code1 = stable_model(build_cover(t1)).canonical_code()
         code2 = stable_model(build_cover(t2)).canonical_code()
         assert code1 == code2
+
+
+class TestModelCanonicalCode:
+    """The model code against the index-bookkeeping permutation oracle."""
+
+    @pytest.mark.parametrize("m", range(4, 11, 2))
+    def test_census_agrees_with_permutation_oracle(self, m):
+        for t in enumerate_stable_trees(m).trees:
+            model = stable_model(build_cover(t))
+            assert model.canonical_code() == permutation_model_code(model), t
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_models_agree_with_permutation_oracle(self, seed):
+        model = stable_model(build_cover(random_stable_tree(seed, n=8, extra=12)))
+        assert model.canonical_code() == permutation_model_code(model)
+
+    def test_seven_same_genus_components(self):
+        # seven genus-1 tails around a genus-3 centre: 7! relabelings
+        model = stable_model(build_cover(star_tree(1, *[3] * 7)))
+        assert sorted(genus for _, genus in model.components) == [1] * 7 + [3]
+        assert model.canonical_code() == permutation_model_code(model)
+
+    def test_special_points_match_to_dict(self):
+        model = stable_model(build_cover(star_tree(0, 2, 2, 4)))
+        counts = {c["id"]: c["special_points"] for c in model.to_dict()["components"]}
+        assert counts == {cid: model.special_points(cid) for cid, _ in model.components}
+        assert sum(counts.values()) == 2 * len(model.nodes)
