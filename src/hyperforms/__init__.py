@@ -6,7 +6,7 @@ local stable reductions of hyperelliptic equations, and the boundary-stratum
 behaviour of the map to semistable binary forms.  All arithmetic is exact.
 """
 
-from .census import Census, brute_force_census, enumerate_stable_trees
+from .census import Census, enumerate_stable_trees
 from .central import CentralResult, contract_F_m, find_central, half_weight_edge
 from .covers import (
     CoverModel,

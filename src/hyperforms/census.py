@@ -7,19 +7,20 @@ multiset of rooted stable tails lighter than m/2, or an unordered pair of
 tails of weight m/2.  Tails are drawn from one table in a fixed order, so each
 class is built exactly once: there is no stability filter and no dedup pass.
 
-`brute_force_census` is the independent test oracle: it weights every labeled
-tree from Pruefer sequences, keeps the stable ones and deduplicates by
-canonical code.  The test suite requires the two censuses to agree.
+Each tree is grown with ids in build order, every vertex after its parent,
+through the trusted `WeightedTree._grown`: it is correct by construction, so
+it is not validated again.  The test suite checks the census against an
+independent Pruefer-sequence oracle and pins every tree to the checked
+constructor.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 
 from .strata import classify_stratum
-from .trees import CanonicalCode, WeightedTree, canonical_code, tree, validate_stable
+from .trees import CanonicalCode, WeightedTree, canonical_code, is_int
 
 DEFAULT_BOUND = 10
 
@@ -105,88 +106,16 @@ def _central_classes(m: int) -> list[WeightedTree]:
 def _build(roots: list[Tail], tails: list[Tail]) -> WeightedTree:
     """The centre as id 0, or the half-weight edge as (0, 1), then every tail
     breadth first, ids in build order."""
-    weights = {v: a for v, (a, _) in enumerate(roots)}
-    edges = [(0, 1)] if len(roots) == 2 else []
+    weights = [a for a, _ in roots]
+    parent: list[int | None] = [None] if len(roots) == 1 else [None, 0]
     pending = [(v, i) for v, (_, kids) in enumerate(roots) for i in kids]
-    for parent, i in pending:  # the list grows while it is read
+    for up, i in pending:  # the list grows while it is read
         v = len(weights)
         a, kids = tails[i]
-        weights[v] = a
-        edges.append((parent, v))
+        weights.append(a)
+        parent.append(up)
         pending += [(v, k) for k in kids]
-    return tree(weights, edges)
-
-
-# -- test oracle: every weighting of every labeled tree -------------------
-
-def max_vertices(m: int) -> int:
-    """Stability bounds the vertex count by m - 2: leaves weigh >= 2,
-    degree-2 vertices >= 1, and degree >= 3 vertices number at most
-    (leaves - 2)."""
-    return max(1, m - 2)
-
-
-def _weightings(lower_bounds: list[int], total: int):
-    """All weight vectors >= the per-vertex lower bounds summing to total."""
-    slack = total - sum(lower_bounds)
-    if slack < 0:
-        return
-    n = len(lower_bounds)
-
-    def rec(i: int, remaining: int, acc: list[int]):
-        if i == n - 1:
-            yield acc + [lower_bounds[i] + remaining]
-            return
-        for extra in range(remaining + 1):
-            yield from rec(i + 1, remaining - extra, acc + [lower_bounds[i] + extra])
-
-    yield from rec(0, slack, [])
-
-
-def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    """Edges of the labeled tree on ids 0..n-1 with Pruefer sequence `seq`."""
-    if n == 1:
-        return []
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    for v in seq:
-        leaf = degree.index(1)  # the smallest remaining leaf
-        edges.append((leaf, v))
-        degree[leaf] -= 1
-        degree[v] -= 1
-    edges.append(tuple(u for u in range(n) if degree[u] == 1))
-    return edges
-
-
-def _collect(candidates) -> dict[CanonicalCode, WeightedTree]:
-    classes: dict[CanonicalCode, WeightedTree] = {}
-    for t in candidates:
-        if not validate_stable(t).stable:
-            continue
-        code = canonical_code(t)
-        if code not in classes:
-            classes[code] = t
-    return classes
-
-
-def _prufer_classes(m: int) -> dict[CanonicalCode, WeightedTree]:
-    """Independent oracle: labeled trees from Pruefer sequences, all weightings."""
-
-    def candidates():
-        for n in range(1, max_vertices(m) + 1):
-            for seq in product(range(n), repeat=max(0, n - 2)):
-                edges = _prufer_edges(seq, n)
-                degree = Counter()
-                for a, b in edges:
-                    degree[a] += 1
-                    degree[b] += 1
-                bounds = [max(0, 3 - degree[v]) for v in range(n)]
-                for weights in _weightings(bounds, m):
-                    yield tree(dict(enumerate(weights)), edges)
-
-    return _collect(candidates())
+    return WeightedTree._grown(weights, parent)
 
 
 def _make_census(m: int, classes) -> Census:
@@ -202,13 +131,9 @@ def _make_census(m: int, classes) -> Census:
 
 def enumerate_stable_trees(m: int, bound: int = DEFAULT_BOUND) -> Census:
     """Census of all stable weighted-tree classes of total weight m."""
+    if not is_int(m):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if not 3 <= m <= bound:
         raise ValueError(f"m must satisfy 3 <= m <= {bound}, got {m}")
     return _make_census(m, ((canonical_code(t), t) for t in _central_classes(m)))
 
-
-def brute_force_census(m: int, bound: int = 8) -> Census:
-    """Same census via the Pruefer-sequence generator; test oracle only."""
-    if not 3 <= m <= bound:
-        raise ValueError(f"m must satisfy 3 <= m <= {bound}, got {m}")
-    return _make_census(m, _prufer_classes(m).items())

@@ -94,6 +94,33 @@ class WeightedTree:
         if len(bfs(self.adjacency, ids[0])[0]) != len(verts):
             raise InvalidTreeError("graph is disconnected")
 
+    @classmethod
+    def _grown(cls, weights: list[int], parent: list[int | None]) -> "WeightedTree":
+        """Tree on ids 0..n-1 grown from root 0, each vertex below `parent[v] < v`.
+
+        Trusted path for trees correct by construction (the census): it skips
+        the checks of `__post_init__` but sets `vertices`, `edges` and the
+        cached `adjacency` in the normal form they produce.  `parent[0]` is
+        unused.
+        """
+        n = len(weights)
+        up = parent[1:]
+        check(
+            len(parent) == n and all(0 <= p < v for v, p in enumerate(up, 1)),
+            "grown tree: every parent id must precede its child's",
+        )
+        t = cls.__new__(cls)
+        object.__setattr__(t, "vertices", tuple(enumerate(weights)))
+        object.__setattr__(t, "edges", tuple(sorted(zip(up, range(1, n)))))
+        # A vertex lists its parent first, then its children in id order:
+        # parent < vertex < children, so each neighbour list is sorted.
+        adj = [[p] for p in parent]
+        adj[0] = []
+        for v, p in enumerate(up, 1):
+            adj[p].append(v)
+        object.__setattr__(t, "adjacency", dict(enumerate(map(tuple, adj))))
+        return t
+
     @cached_property
     def weight_of(self) -> dict[int, int]:
         return dict(self.vertices)
@@ -264,52 +291,47 @@ def complementary_subtree_weights(t: WeightedTree, v: int) -> list[int]:
 
 # -- canonical encoding ---------------------------------------------------
 
-def _tree_centers(t: WeightedTree) -> list[int]:
-    """The 1 or 2 structural centers: the middle of a longest path."""
-    far = bfs(t.adjacency, t.vertices[0][0])[0][-1]
-    order, parent = bfs(t.adjacency, far)
-    path = [order[-1]]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    k = len(path)
-    return sorted(path[(k - 1) // 2 : k // 2 + 1])
-
-
-def _node_code(t: WeightedTree, v: int, kids: list[CanonicalCode]) -> CanonicalCode:
-    """Flat AHU code of `v` over its children's codes.
-
-    Children are sorted as flat tuples, which orders them exactly as the
-    nested (weight, children) tuples they encode, without recursing.
-    """
-    return (-1, t.weight_of[v], *chain.from_iterable(sorted(kids)), -2)
-
-
-def _subtree_codes(t: WeightedTree, root: int, cut: int | None = None) -> list[CanonicalCode]:
-    """Codes of the subtrees hanging below `root`, away from `cut`."""
-    order, parent = bfs(t.adjacency, root, cut)
-    kids: dict[int, list[CanonicalCode]] = {root: []}
-    for v in order[:0:-1]:  # children before parents, root excluded
-        kids.setdefault(parent[v], []).append(_node_code(t, v, kids.pop(v, ())))
-    return kids[root]
-
-
 def canonical_code(t: WeightedTree) -> CanonicalCode:
     """Integer sequence identifying the weighted tree up to isomorphism.
 
     AHU-style encoding rooted at the structural center; with two center
     candidates, the lexicographically smaller rooted code wins.  Markers -1/-2
     open and close a subtree, other entries are vertex weights.
+
+    One leaf-peeling pass: leaves are peeled layer by layer, and each peeled
+    vertex's code goes to its one remaining neighbour.  The one or two
+    vertices left are the centers.  Children are sorted as flat tuples, which
+    orders them exactly as the nested (weight, children) tuples they encode.
     """
-    centers = _tree_centers(t)
-    if len(centers) == 1:
-        (c,) = centers
-        return _node_code(t, c, _subtree_codes(t, c))
+    adj, weight = t.adjacency, t.weight_of
+
+    def code(v: int, below: list[CanonicalCode]) -> CanonicalCode:
+        if not below:  # most vertices are leaves: skip the sort and the splat
+            return (-1, weight[v], -2)
+        return (-1, weight[v], *chain.from_iterable(sorted(below)), -2)
+
+    kids: dict[int, list[CanonicalCode]] = {v: [] for v in adj}
+    layer = [v for v, ns in adj.items() if len(ns) == 1]
+    while len(kids) > 2:
+        peeled = layer
+        layer = []
+        for v in peeled:
+            below = kids.pop(v)
+            for u in adj[v]:
+                if u in kids:  # the one neighbour not yet peeled
+                    break
+            above = kids[u]
+            above.append(code(v, below))
+            if len(above) == len(adj[u]) - 1:
+                layer.append(u)
+    if len(kids) == 1:
+        ((c, below),) = kids.items()
+        return code(c, below)
     # Each center's side is encoded once and spliced under the other center.
-    a, b = centers
-    below_a, below_b = _subtree_codes(t, a, cut=b), _subtree_codes(t, b, cut=a)
+    (a, below_a), (b, below_b) = kids.items()
     return min(
-        _node_code(t, a, below_a + [_node_code(t, b, below_b)]),
-        _node_code(t, b, below_b + [_node_code(t, a, below_a)]),
+        code(a, below_a + [code(b, below_b)]),
+        code(b, below_b + [code(a, below_a)]),
     )
 
 

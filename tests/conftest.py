@@ -7,12 +7,13 @@ import random
 import subprocess
 import sys
 from collections import Counter, defaultdict
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from pathlib import Path
 
-from hyperforms import WeightedTree, build_cover, find_central
+from hyperforms import WeightedTree, build_cover, canonical_code, find_central, validate_stable
+from hyperforms.census import Census, _make_census
 from hyperforms.covers import CoverModel, StableHyperellipticModel
-from hyperforms.trees import bfs, tree
+from hyperforms.trees import CanonicalCode, bfs, tree
 
 
 def brute_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
@@ -30,6 +31,118 @@ def brute_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
         if mapped == set(t2.edges):
             return True
     return False
+
+
+def walk_canonical_code(t: WeightedTree) -> CanonicalCode:
+    """Tree canonical code from three walks: two to find the centers as the
+    middle of a longest path, one to encode the subtrees below them."""
+
+    def node_code(v: int, kids: list[CanonicalCode]) -> CanonicalCode:
+        return (-1, t.weight_of[v], *chain.from_iterable(sorted(kids)), -2)
+
+    def subtree_codes(root: int, cut: int | None = None) -> list[CanonicalCode]:
+        order, parent = bfs(t.adjacency, root, cut)
+        kids: dict[int, list[CanonicalCode]] = {root: []}
+        for v in order[:0:-1]:  # children before parents, root excluded
+            kids.setdefault(parent[v], []).append(node_code(v, kids.pop(v, ())))
+        return kids[root]
+
+    far = bfs(t.adjacency, t.vertices[0][0])[0][-1]
+    order, parent = bfs(t.adjacency, far)
+    path = [order[-1]]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    k = len(path)
+    centers = sorted(path[(k - 1) // 2 : k // 2 + 1])
+    if len(centers) == 1:
+        (c,) = centers
+        return node_code(c, subtree_codes(c))
+    a, b = centers
+    below_a, below_b = subtree_codes(a, cut=b), subtree_codes(b, cut=a)
+    return min(
+        node_code(a, below_a + [node_code(b, below_b)]),
+        node_code(b, below_b + [node_code(a, below_a)]),
+    )
+
+
+# -- census oracle: every weighting of every labeled tree -----------------
+
+def max_vertices(m: int) -> int:
+    """Stability bounds the vertex count by m - 2: leaves weigh >= 2,
+    degree-2 vertices >= 1, and degree >= 3 vertices number at most
+    (leaves - 2)."""
+    return max(1, m - 2)
+
+
+def _weightings(lower_bounds: list[int], total: int):
+    """All weight vectors >= the per-vertex lower bounds summing to total."""
+    slack = total - sum(lower_bounds)
+    if slack < 0:
+        return
+    n = len(lower_bounds)
+
+    def rec(i: int, remaining: int, acc: list[int]):
+        if i == n - 1:
+            yield acc + [lower_bounds[i] + remaining]
+            return
+        for extra in range(remaining + 1):
+            yield from rec(i + 1, remaining - extra, acc + [lower_bounds[i] + extra])
+
+    yield from rec(0, slack, [])
+
+
+def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
+    """Edges of the labeled tree on ids 0..n-1 with Pruefer sequence `seq`."""
+    if n == 1:
+        return []
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = degree.index(1)  # the smallest remaining leaf
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(n) if degree[u] == 1))
+    return edges
+
+
+def _collect(candidates) -> dict[CanonicalCode, WeightedTree]:
+    classes: dict[CanonicalCode, WeightedTree] = {}
+    for t in candidates:
+        if not validate_stable(t).stable:
+            continue
+        code = canonical_code(t)
+        if code not in classes:
+            classes[code] = t
+    return classes
+
+
+def _prufer_classes(m: int) -> dict[CanonicalCode, WeightedTree]:
+    """Independent oracle: labeled trees from Pruefer sequences, all weightings."""
+
+    def candidates():
+        for n in range(1, max_vertices(m) + 1):
+            for seq in product(range(n), repeat=max(0, n - 2)):
+                edges = _prufer_edges(seq, n)
+                degree = Counter()
+                for a, b in edges:
+                    degree[a] += 1
+                    degree[b] += 1
+                bounds = [max(0, 3 - degree[v]) for v in range(n)]
+                for weights in _weightings(bounds, m):
+                    yield tree(dict(enumerate(weights)), edges)
+
+    return _collect(candidates())
+
+
+def brute_force_census(m: int, bound: int = 8) -> Census:
+    """Same census via the Pruefer-sequence generator: every weighting of
+    every labeled tree, kept if stable and deduplicated by canonical code."""
+    if not 3 <= m <= bound:
+        raise ValueError(f"m must satisfy 3 <= m <= {bound}, got {m}")
+    return _make_census(m, _prufer_classes(m).items())
 
 
 def leaf_strip_cover(t: WeightedTree):

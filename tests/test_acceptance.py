@@ -7,7 +7,6 @@ import pytest
 
 from hyperforms import (
     GitClass,
-    brute_force_census,
     build_cover,
     classify,
     classify_stratum,
@@ -23,7 +22,12 @@ from hyperforms.central import is_central
 from hyperforms.covers import RAMIFIED, edge_is_ramified, branch_count
 from hyperforms.reduction import ExponentVector, blowup_chain, reduce
 from hyperforms.strata import DELTA, SEMISTABLE_IMAGE, XI, delta, xi
-from conftest import leaf_strip_cover, reconstructed_exponents, two_vertex_tree
+from conftest import (
+    brute_force_census,
+    leaf_strip_cover,
+    reconstructed_exponents,
+    two_vertex_tree,
+)
 
 
 def report(criterion, text):

@@ -2,13 +2,13 @@ import pytest
 
 import hyperforms.census as census_mod
 from hyperforms import (
-    brute_force_census,
     canonical_code,
     enumerate_stable_trees,
     find_central,
+    tree,
     validate_stable,
 )
-from conftest import run_python
+from conftest import brute_force_census, run_python
 
 
 class TestEnumerate:
@@ -37,6 +37,11 @@ class TestEnumerate:
             enumerate_stable_trees(2)
         with pytest.raises(ValueError):
             enumerate_stable_trees(11)
+
+    @pytest.mark.parametrize("m", [10.0, "10", True], ids=["float", "str", "bool"])
+    def test_rejects_non_integer_m(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            enumerate_stable_trees(m, bound=13)
 
     def test_bound_is_configurable(self):
         assert len(enumerate_stable_trees(11, bound=11)) > 0
@@ -76,6 +81,17 @@ class TestCentralGenerator:
     )
     def test_frozen_counts_to_13(self, m, count):
         assert len(enumerate_stable_trees(m, bound=13)) == count
+
+    def test_frozen_count_14(self):
+        assert len(enumerate_stable_trees(14, bound=14)) == 10765
+
+    @pytest.mark.parametrize("m", range(3, 15))
+    def test_trusted_build_matches_checked_path(self, m):
+        for t in enumerate_stable_trees(m, bound=14).trees:
+            checked = tree(dict(t.vertices), t.edges)
+            assert t.vertices == checked.vertices
+            assert t.edges == checked.edges
+            assert t.adjacency == checked.adjacency
 
     @pytest.mark.parametrize("m", range(3, 12))
     def test_rooted_at_central_vertex_or_edge(self, m):

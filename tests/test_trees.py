@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from hyperforms import (
     InvalidTreeError,
+    InvariantError,
     WeightedTree,
     canonical_code,
     complementary_subtree_weights,
@@ -13,7 +14,13 @@ from hyperforms import (
     tree,
     validate_stable,
 )
-from conftest import brute_isomorphic, relabeled, run_python
+from conftest import (
+    brute_isomorphic,
+    random_stable_tree,
+    relabeled,
+    run_python,
+    walk_canonical_code,
+)
 
 
 class TestStructure:
@@ -110,6 +117,49 @@ class TestCanonicalCode:
         t = tree(weights, edges)
         assert validate_stable(t).stable
         assert canonical_code(relabeled(t, seed=2)) == canonical_code(t)
+
+
+class TestLeafPeelingCode:
+    """The one-pass leaf-peeling code against the three-walk oracle."""
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_census_classes(self, m):
+        for t in enumerate_stable_trees(m, bound=12).trees:
+            assert canonical_code(t) == walk_canonical_code(t)
+
+    @pytest.mark.parametrize(
+        "seed,n", [(1, 5), (2, 6), (3, 50), (4, 51), (5, 300), (6, 2000), (7, 2000)]
+    )
+    def test_random_trees(self, seed, n):
+        t = random_stable_tree(seed, n, extra=seed)
+        assert canonical_code(t) == walk_canonical_code(t)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            tree({5: 4}),
+            tree({3: 2, 8: 5}, [(3, 8)]),
+            path_tree(2, 1, 2),
+            path_tree(3, *[1] * 998, 2),
+            star_tree(0, 2, 2, 2),
+            star_tree(1, *[2] * 500),
+            star_tree(0, *range(2, 40)),
+        ],
+        ids=["vertex", "edge", "path3", "path1000", "star3", "star500", "star38"],
+    )
+    def test_small_and_extreme_shapes(self, t):
+        assert canonical_code(t) == walk_canonical_code(t)
+
+
+class TestGrownTree:
+    @pytest.mark.parametrize(
+        "weights,parent",
+        [([2, 1, 2], [None, 2, 0]), ([2, 2], [None, 1]), ([3, 3], [None, 5])],
+        ids=["parent-after-child", "own-parent", "unknown-parent"],
+    )
+    def test_rejects_parent_not_before_child(self, weights, parent):
+        with pytest.raises(InvariantError):
+            WeightedTree._grown(weights, parent)
 
 
 class TestComplementaryWeights:
