@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .strata import classify_stratum
+from .strata import _label
 from .trees import CanonicalCode, WeightedTree, canonical_code, is_int
 
 DEFAULT_BOUND = 10
@@ -119,10 +119,10 @@ def _build(roots: list[Tail], tails: list[Tail]) -> WeightedTree:
 
 
 def _make_census(m: int, classes) -> Census:
-    """Census from (code, tree) pairs with distinct codes, put in code order."""
+    """Census from (code, stable tree) pairs with distinct codes, in code order."""
     ordered = tuple(sorted(classes, key=lambda pair: pair[0]))
     if m % 2 == 0 and m >= 4:
-        counts = Counter(str(classify_stratum(t)) for _, t in ordered)
+        counts = Counter(str(_label(t, (m - 2) // 2)) for _, t in ordered)
         stratum_counts = tuple(sorted(counts.items()))
     else:
         stratum_counts = ()
@@ -131,8 +131,9 @@ def _make_census(m: int, classes) -> Census:
 
 def enumerate_stable_trees(m: int, bound: int = DEFAULT_BOUND) -> Census:
     """Census of all stable weighted-tree classes of total weight m."""
-    if not is_int(m):
-        raise ValueError(f"m must be an integer, got {m!r}")
+    for name, x in (("m", m), ("bound", bound)):
+        if not is_int(x):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
     if not 3 <= m <= bound:
         raise ValueError(f"m must satisfy 3 <= m <= {bound}, got {m}")
     return _make_census(m, ((canonical_code(t), t) for t in _central_classes(m)))

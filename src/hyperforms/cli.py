@@ -15,7 +15,7 @@ from .central import contract_F_m, find_central
 from .covers import build_cover, stable_model
 from .reduction import ExponentVector, blowup_chain, reduce as reduce_equation
 from .strata import classify_stratum, f_g_exponents, image_dimension
-from .trees import InvalidTreeError, UnstableTreeError, WeightedTree, validate_stable
+from .trees import WeightedTree, validate_stable
 
 
 class InputError(ValueError):
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (InputError, InvalidTreeError, UnstableTreeError, ValueError) as exc:
+    except ValueError as exc:  # InputError and the tree errors included
         _emit({"error": str(exc)})
         return 2
     except AssertionError as exc:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
+from .covers import arithmetic_genus
 from .trees import check, is_int
 
 
@@ -72,13 +72,7 @@ class Tail:
     equation: str
 
     def to_dict(self) -> dict:
-        return {
-            "source_index": self.source_index,
-            "exponent": self.exponent,
-            "genus": self.genus,
-            "attachment_points": self.attachment_points,
-            "equation": self.equation,
-        }
+        return dict(vars(self))  # the field names are the keys
 
 
 @dataclass(frozen=True)
@@ -101,14 +95,8 @@ class ReductionOutput:
 
     @property
     def arithmetic_genus(self) -> int:
-        central = 0 if self.central_split else self.central_genus
-        return (
-            central
-            + sum(t.genus for t in self.tails)
-            + self.node_count
-            - self.component_count
-            + 1
-        )
+        central = [0, 0] if self.central_split else [self.central_genus]
+        return arithmetic_genus(central + [t.genus for t in self.tails], self.node_count)
 
     def to_dict(self) -> dict:
         return {

@@ -67,10 +67,15 @@ def xi(i: int, g: int) -> StratumLabel:
 
 def classify_stratum(t: WeightedTree) -> StratumLabel:
     """Boundary stratum of the stable tree inside the hyperelliptic moduli."""
-    g = require_even(t)
-    if len(t.ids) == 1:
+    return _label(t, require_even(t))
+
+
+def _label(t: WeightedTree, g: int) -> StratumLabel:
+    """Stratum of `t`, which the caller knows to be stable of weight 2g+2."""
+    n = len(t.vertices)
+    if n == 1:
         return interior()
-    if len(t.ids) > 2:
+    if n > 2:
         return StratumLabel(DEEPER, codimension=len(t.edges))
     (_, w1), (_, w2) = t.vertices
     j = min(w1, w2)

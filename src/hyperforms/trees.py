@@ -91,7 +91,7 @@ class WeightedTree:
             raise InvalidTreeError("edge count does not match a tree")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
-        if len(bfs(self.adjacency, ids[0])[0]) != len(verts):
+        if len(self._walk[0]) != len(verts):
             raise InvalidTreeError("graph is disconnected")
 
     @classmethod
@@ -127,11 +127,12 @@ class WeightedTree:
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
+        # Sorted edges give lower neighbours, then higher ones, both ascending.
         adj: dict[int, list[int]] = {v: [] for v, _ in self.vertices}
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        return {v: tuple(ns) for v, ns in adj.items()}
 
     @cached_property
     def m(self) -> int:
@@ -139,9 +140,14 @@ class WeightedTree:
         return sum(w for _, w in self.vertices)
 
     @cached_property
+    def _walk(self) -> tuple[list[int], dict]:
+        """Breadth-first order and parents from the first id: the tree's one walk."""
+        return bfs(self.adjacency, self.vertices[0][0])
+
+    @cached_property
     def _rooted(self) -> tuple[dict, dict[int, int]]:
         """Parent and subtree weight of every vertex, rooted at the first id."""
-        order, parent = bfs(self.adjacency, self.vertices[0][0])
+        order, parent = self._walk
         below = dict(self.weight_of)
         for v in order[:0:-1]:  # children before parents, root excluded
             below[parent[v]] += below[v]

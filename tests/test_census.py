@@ -1,8 +1,12 @@
+from collections import Counter
+
 import pytest
 
 import hyperforms.census as census_mod
+import hyperforms.trees as trees_mod
 from hyperforms import (
     canonical_code,
+    classify_stratum,
     enumerate_stable_trees,
     find_central,
     tree,
@@ -42,6 +46,13 @@ class TestEnumerate:
     def test_rejects_non_integer_m(self, m):
         with pytest.raises(ValueError, match="m must be an integer"):
             enumerate_stable_trees(m, bound=13)
+
+    @pytest.mark.parametrize(
+        "bound", [11.5, "12", None, True], ids=["float", "str", "none", "bool"]
+    )
+    def test_rejects_non_integer_bound(self, bound):
+        with pytest.raises(ValueError, match="^bound must be an integer, got "):
+            enumerate_stable_trees(11, bound=bound)
 
     def test_bound_is_configurable(self):
         assert len(enumerate_stable_trees(11, bound=11)) > 0
@@ -112,6 +123,24 @@ class TestCentralGenerator:
 
         monkeypatch.setattr(census_mod, "canonical_code", counted)
         assert len(enumerate_stable_trees(m, bound=12)) == len(calls)
+
+    @pytest.mark.parametrize("m", range(4, 13, 2))
+    def test_stratum_counts_match_checked_classification(self, m):
+        census = enumerate_stable_trees(m, bound=12)
+        counts = Counter(str(classify_stratum(t)) for t in census.trees)
+        assert census.stratum_counts == tuple(sorted(counts.items()))
+
+    def test_strata_counted_without_stability_checks(self, monkeypatch):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return validate_stable(t)
+
+        monkeypatch.setattr(trees_mod, "validate_stable", counted)
+        census = enumerate_stable_trees(12, bound=12)
+        assert len(census) == 1350 and census.stratum_counts
+        assert calls == []
 
     def test_import_loads_no_networkx(self):
         proc = run_python("import sys, hyperforms; print('networkx' in sys.modules)")

@@ -1,6 +1,7 @@
 import pytest
 
 from hyperforms import (
+    CentralResult,
     InvariantError,
     UnstableTreeError,
     WeightedTree,
@@ -14,6 +15,15 @@ from hyperforms import (
 )
 from hyperforms.central import is_central
 from hyperforms.forms import BinaryFormClass, GitClass, classify
+
+
+class TestCentralResult:
+    @pytest.mark.parametrize(
+        "kwargs", [{"vertex": 0, "edge": (0, 1)}, {}], ids=["both", "neither"]
+    )
+    def test_exactly_one_field(self, kwargs):
+        with pytest.raises(ValueError, match="^exactly one of vertex/edge must be set$"):
+            CentralResult(**kwargs)
 
 
 class TestFindCentral:

@@ -104,6 +104,41 @@ class TestSubcommands:
         assert doc["multiplicities"] == [2, 1, 1, 1, 1, 1, 1]
         assert doc["image_dimension"] == 4
 
+    def test_stratum_deeper_has_codimension_and_no_dimension(self, run):
+        status, out = run(["stratum"], stdin=tree_doc(2, 1, 5))
+        assert status == 0
+        assert json.loads(out) == {
+            "image_dimension": None,
+            "label": {"codimension": 2, "kind": "deeper"},
+            "name": "deeper_codim_2",
+        }
+
+    def test_map_deeper_has_no_dimension(self, run):
+        status, out = run(["map"], stdin=tree_doc(2, 1, 5))
+        assert status == 0
+        assert json.loads(out) == {
+            "image_dimension": None,
+            "label": "deeper_codim_2",
+            "multiplicities": [3, 1, 1, 1, 1, 1],
+        }
+
+    def test_stratum_semistable_image_names_underlying(self, run):
+        status, out = run(["stratum"], stdin=tree_doc(4, 4))
+        assert status == 0
+        assert json.loads(out) == {
+            "image_dimension": 0,
+            "label": {
+                "kind": "semistable_image",
+                "underlying": {"index": 1, "kind": "xi"},
+            },
+            "name": "semistable(xi_1)",
+        }
+
+    def test_central_semistable_edge(self, run):
+        status, out = run(["central"], stdin=tree_doc(2, 2))
+        assert status == 0
+        assert json.loads(out) == {"edge": [0, 1], "kind": "semistable_edge"}
+
     def test_enumerate_count(self, run, capsys):
         status, out = run(["enumerate", "--m", "4", "--format", "count"])
         assert status == 0
@@ -170,6 +205,38 @@ class TestErrors:
         status, out = run(["reduce"], stdin=json.dumps(doc))
         assert status == 2
         assert "must be integers" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("command", ["central", "reduce"])
+    def test_invalid_json_exits_2(self, run, command):
+        status, out = run([command], stdin="not json")
+        assert status == 2
+        assert json.loads(out) == {
+            "error": "invalid JSON: Expecting value: line 1 column 1 (char 0)"
+        }
+
+    @pytest.mark.parametrize(
+        "command, error",
+        [
+            (
+                "central",
+                "malformed tree document: list indices must be integers or slices, not str",
+            ),
+            ("reduce", "input must be a JSON object"),
+        ],
+    )
+    def test_json_array_exits_2(self, run, command, error):
+        status, out = run([command], stdin="[1, 2]")
+        assert status == 2
+        assert json.loads(out) == {"error": error}
+
+    @pytest.mark.parametrize("command", ["central", "reduce"])
+    def test_missing_input_file_exits_2(self, run, tmp_path, command):
+        missing = tmp_path / "missing.json"
+        status, out = run([command, "--input", str(missing)])
+        assert status == 2
+        assert json.loads(out) == {
+            "error": f"cannot read input: [Errno 2] No such file or directory: '{missing}'"
+        }
 
     def test_bad_reduce_input_exits_2(self, run):
         status, out = run(["reduce"], stdin=json.dumps({"exponents": [3, 1]}))

@@ -1,5 +1,10 @@
+import re
+from dataclasses import asdict
+from pathlib import Path
+
 import pytest
 
+import hyperforms
 from hyperforms import (
     build_cover,
     canonical_code,
@@ -9,13 +14,38 @@ from hyperforms import (
     star_tree,
     tree,
 )
-from hyperforms.covers import RAMIFIED, SPLIT, branch_count, edge_is_ramified
+from hyperforms.covers import (
+    RAMIFIED,
+    SPLIT,
+    arithmetic_genus,
+    branch_count,
+    edge_is_ramified,
+)
 from conftest import (
     fixpoint_stable_model,
     leaf_strip_cover,
     permutation_model_code,
     random_stable_tree,
 )
+
+
+class TestArithmeticGenus:
+    def test_formula(self):
+        assert arithmetic_genus([0], 0) == 0
+        assert arithmetic_genus([1, 1], 1) == 2  # two elliptic curves, one node
+        assert arithmetic_genus([0, 0], 2) == 1  # two lines meeting twice
+        assert arithmetic_genus([2], 1) == 3  # one self-node
+
+    def test_formula_stated_once(self):
+        # `sum(g) + delta - c + 1`, written out however it is wrapped.
+        pattern = re.compile(r"-\s*(?:len\(|self\.component_count\b)[^+]*\+\s*1\b")
+        src = Path(hyperforms.__file__).parent
+        hits = [
+            path.name
+            for path in sorted(src.glob("*.py"))
+            for _ in pattern.finditer(path.read_text())
+        ]
+        assert hits == ["covers.py"]
 
 
 class TestBuildCover:
@@ -50,6 +80,13 @@ class TestBuildCover:
         cover = build_cover(tree({0: 6}))
         assert [(c.branch_count, c.genus) for c in cover.components] == [(6, 2)]
         assert cover.nodes == ()
+
+    def test_component_documents_are_field_copies(self):
+        cover = build_cover(star_tree(0, 2, 2, 2, 2))  # sheets over the centre
+        docs = cover.to_dict()["components"]
+        assert docs == [asdict(c) for c in cover.components]
+        docs[0]["genus"] = 99
+        assert cover.components[0].genus != 99
 
     @pytest.mark.parametrize("m", range(4, 11, 2))
     def test_parity_coherence(self, m):

@@ -26,6 +26,14 @@ class TestBinaryFormClass:
         with pytest.raises(ValueError):
             BinaryFormClass.from_multiplicities([2, 0])
 
+    def test_rejects_semistable_point_with_roots(self):
+        with pytest.raises(ValueError, match="^the semistable point carries no roots$"):
+            BinaryFormClass((3, 3), semistable_point=True)
+
+    def test_rejects_form_without_roots(self):
+        with pytest.raises(ValueError, match="^a form needs at least one root$"):
+            BinaryFormClass(())
+
     @pytest.mark.parametrize("bad", [2.9, True, "3", None, 3.0])
     def test_rejects_non_integer(self, bad):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from itertools import permutations
 
 import pytest
@@ -42,6 +43,16 @@ class TestExponentVector:
         with pytest.raises(ValueError):
             ExponentVector((), at_infinity=6)
 
+    def test_rejects_zero_exponent(self):
+        with pytest.raises(ValueError, match="^finite-root exponents must be positive$"):
+            ExponentVector((0, 3, 3))
+
+    def test_rejects_negative_at_infinity(self):
+        with pytest.raises(
+            ValueError, match="^multiplicity at infinity must be non-negative$"
+        ):
+            ExponentVector((3, 3, 1), at_infinity=-1)
+
 
 class TestReduce:
     def test_even_exponent_tail(self):
@@ -57,6 +68,7 @@ class TestReduce:
         (tail,) = out.tails
         assert (tail.exponent, tail.genus, tail.attachment_points) == (3, 1, 1)
         assert tail.equation == "y^2 = z^3 - 1"
+        assert tail.to_dict() == asdict(tail)
         # the odd root stays as a branch point of the central component
         assert (out.central_branch_points, out.central_genus) == (4, 1)
         assert out.arithmetic_genus == 2

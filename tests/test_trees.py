@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import hyperforms.trees as trees_mod
 from hyperforms import (
     InvalidTreeError,
     InvariantError,
@@ -14,6 +15,7 @@ from hyperforms import (
     tree,
     validate_stable,
 )
+from hyperforms.trees import bfs
 from conftest import (
     brute_isomorphic,
     random_stable_tree,
@@ -47,6 +49,61 @@ class TestStructure:
     def test_rejects_unknown_edge_vertex(self):
         with pytest.raises(InvalidTreeError):
             tree({0: 2, 1: 2}, [(0, 7)])
+
+    def test_rejects_no_vertices(self):
+        with pytest.raises(InvalidTreeError, match="^tree has no vertices$"):
+            WeightedTree((), ())
+
+    def test_rejects_repeated_edge(self):
+        with pytest.raises(InvalidTreeError, match="^repeated edge$"):
+            tree({0: 2, 1: 2}, [(0, 1), (1, 0)])
+
+    def test_rejects_triangle_plus_isolated_vertex(self):
+        # As many edges as a tree on four vertices, but one vertex unreached.
+        with pytest.raises(InvalidTreeError, match="^graph is disconnected$"):
+            tree({0: 1, 1: 1, 2: 1, 3: 3}, [(0, 1), (1, 2), (0, 2)])
+
+    def test_from_json_rejects_invalid_json(self):
+        msg = r"^invalid JSON: Expecting value: line 1 column 1 \(char 0\)$"
+        with pytest.raises(InvalidTreeError, match=msg):
+            WeightedTree.from_json("not json")
+
+    @pytest.mark.parametrize("seed,n", [(1, 7), (2, 40), (3, 300)])
+    def test_adjacency_sorted_without_resorting(self, seed, n):
+        t = random_stable_tree(seed, n)  # shuffled ids
+        assert all(list(ns) == sorted(ns) for ns in t.adjacency.values())
+        assert t.adjacency == WeightedTree(t.vertices[::-1], t.edges[::-1]).adjacency
+
+
+class TestOneWalk:
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Root of every `bfs` the tree layer runs from here on."""
+        roots = []
+
+        def counted(adj, root, cut=None):
+            roots.append(root)
+            return bfs(adj, root, cut)
+
+        monkeypatch.setattr(trees_mod, "bfs", counted)
+        return roots
+
+    def test_from_dict_then_side_weight_walks_once(self, walks):
+        t = WeightedTree.from_dict(
+            {
+                "vertices": [{"id": i, "weight": w} for i, w in enumerate([2, 1, 1, 2])],
+                "edges": [[0, 1], [1, 2], [2, 3]],
+            }
+        )
+        assert t.side_weight((1, 2), toward=2) == 3
+        assert t.side_weight((0, 1), toward=0) == 2
+        assert walks == [0]
+
+    def test_grown_tree_walks_on_first_use(self, walks):
+        t = WeightedTree._grown([0, 2, 2, 2], [None, 0, 0, 0])
+        assert walks == []
+        assert t.side_weight((0, 3), toward=3) == 2
+        assert walks == [0]
 
 
 class TestStability:
@@ -175,6 +232,10 @@ class TestComplementaryWeights:
     def test_unknown_vertex(self):
         with pytest.raises(InvalidTreeError):
             complementary_subtree_weights(tree({0: 5}), 3)
+
+    def test_side_weight_rejects_vertex_off_the_edge(self):
+        with pytest.raises(InvalidTreeError, match=r"^vertex 5 not an endpoint of \(0, 1\)$"):
+            path_tree(2, 1, 1, 2).side_weight((0, 1), toward=5)
 
     def test_side_weight_rejects_non_edge(self):
         with pytest.raises(InvalidTreeError):
