@@ -7,11 +7,17 @@ multiset of rooted stable tails lighter than m/2, or an unordered pair of
 tails of weight m/2.  Tails are drawn from one table in a fixed order, so each
 class is built exactly once: there is no stability filter and no dedup pass.
 
+Each tail's rooted code and height are computed once, when it joins the
+table.  A class's canonical code is then a short walk from its root toward
+the tree's centre, stepping into the deepest child tail while that lowers the
+eccentricity; no tree is walked or peeled for its code.
+
 Each tree is grown with ids in build order, every vertex after its parent,
 through the trusted `WeightedTree._grown`: it is correct by construction, so
-it is not validated again.  The test suite checks the census against an
-independent Pruefer-sequence oracle and pins every tree to the checked
-constructor.
+it is not validated again, and its adjacency is built only if a caller asks.
+The test suite checks the census against an independent Pruefer-sequence
+oracle, checks every code against `canonical_code`, and pins every tree to
+the checked constructor.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .strata import _label
-from .trees import CanonicalCode, WeightedTree, canonical_code, is_int
+from .trees import CanonicalCode, WeightedTree, is_int, rooted_code
 
 DEFAULT_BOUND = 10
 
@@ -58,8 +64,9 @@ class Census:
 Tail = tuple[int, tuple[int, ...]]  # root weight, child tails as table indices
 
 
-def _central_classes(m: int) -> list[WeightedTree]:
-    """Every stable class of weight m, built once around its central vertex or edge.
+def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
+    """Every stable class of weight m with its code, built once around its
+    central vertex or edge.
 
     A tail is a rooted stable tree hanging off one edge: a root weight `a` and a
     multiset of lighter tails, with a + children + 1 >= 3 (the +1 is the edge
@@ -68,6 +75,8 @@ def _central_classes(m: int) -> list[WeightedTree]:
     """
     tails: list[Tail] = []
     weight: list[int] = []  # weight[i] is the total weight of tails[i]
+    code: list[CanonicalCode] = []  # code[i] encodes tails[i] rooted at its root
+    height: list[int] = []  # height[i] is the depth of tails[i] below its root
     first: dict[int, int] = {}  # weight -> index of its first tail
     memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
@@ -89,18 +98,50 @@ def _central_classes(m: int) -> list[WeightedTree]:
                 if a + len(kids) + 1 >= 3:
                     tails.append((a, kids))
                     weight.append(w)
+                    code.append(rooted_code(a, [code[k] for k in kids]))
+                    height.append(max((height[k] + 1 for k in kids), default=0))
+
+    def centre_code(a: int, kids: tuple[int, ...]) -> CanonicalCode:
+        """Code of the tree rooted at a vertex of weight `a` over child tails
+        `kids`: walk into the deepest child while the eccentricity drops,
+        carrying the part left behind as one more branch, `up`."""
+        up: list[CanonicalCode] = []
+        up_depth = 0  # depth of `up` seen from the current vertex
+        while kids:
+            deep = max(kids, key=height.__getitem__)
+            rest = list(kids)
+            rest.remove(deep)
+            d1 = height[deep] + 1
+            d2 = max([height[k] + 1 for k in rest] + [up_depth])
+            if d1 <= d2:  # the current vertex is the one centre
+                break
+            left = rooted_code(a, [code[k] for k in rest] + up)
+            if d1 == d2 + 1:  # two centres: the current vertex and `deep`
+                b, below = tails[deep]
+                return min(
+                    rooted_code(a, [code[k] for k in kids] + up),
+                    rooted_code(b, [code[k] for k in below] + [left]),
+                )
+            up, up_depth = [left], d2 + 1
+            a, kids = tails[deep]
+        return rooted_code(a, [code[k] for k in kids] + up)
 
     light = first.get((m + 1) // 2, len(tails))  # tails weighing < m/2
-    roots = [
-        [(c, kids)]
+    classes = [
+        (centre_code(c, kids), _build([(c, kids)], tails))
         for c in range(m + 1)
         for kids in forests(m - c, light)
         if c + len(kids) >= 3
     ]
-    if m % 2 == 0:
+    if m % 2 == 0:  # tail j hangs below tail i's root across the half-weight edge
         half = range(first[m // 2], len(tails))
-        roots += [[tails[i], tails[j]] for i in half for j in half if i <= j]
-    return [_build(r, tails) for r in roots]
+        classes += [
+            (centre_code(tails[i][0], (*tails[i][1], j)), _build([tails[i], tails[j]], tails))
+            for i in half
+            for j in half
+            if i <= j
+        ]
+    return classes
 
 
 def _build(roots: list[Tail], tails: list[Tail]) -> WeightedTree:
@@ -136,5 +177,5 @@ def enumerate_stable_trees(m: int, bound: int = DEFAULT_BOUND) -> Census:
             raise ValueError(f"{name} must be an integer, got {x!r}")
     if not 3 <= m <= bound:
         raise ValueError(f"m must satisfy 3 <= m <= {bound}, got {m}")
-    return _make_census(m, ((canonical_code(t), t) for t in _central_classes(m)))
+    return _make_census(m, _central_classes(m))
 

@@ -99,9 +99,9 @@ class WeightedTree:
         """Tree on ids 0..n-1 grown from root 0, each vertex below `parent[v] < v`.
 
         Trusted path for trees correct by construction (the census): it skips
-        the checks of `__post_init__` but sets `vertices`, `edges` and the
-        cached `adjacency` in the normal form they produce.  `parent[0]` is
-        unused.
+        the checks of `__post_init__` but sets `vertices` and `edges` in the
+        normal form they produce.  `adjacency` is built from `edges` on first
+        use, like every other cached table.  `parent[0]` is unused.
         """
         n = len(weights)
         up = parent[1:]
@@ -112,13 +112,6 @@ class WeightedTree:
         t = cls.__new__(cls)
         object.__setattr__(t, "vertices", tuple(enumerate(weights)))
         object.__setattr__(t, "edges", tuple(sorted(zip(up, range(1, n)))))
-        # A vertex lists its parent first, then its children in id order:
-        # parent < vertex < children, so each neighbour list is sorted.
-        adj = [[p] for p in parent]
-        adj[0] = []
-        for v, p in enumerate(up, 1):
-            adj[p].append(v)
-        object.__setattr__(t, "adjacency", dict(enumerate(map(tuple, adj))))
         return t
 
     @cached_property
@@ -297,24 +290,30 @@ def complementary_subtree_weights(t: WeightedTree, v: int) -> list[int]:
 
 # -- canonical encoding ---------------------------------------------------
 
+def rooted_code(weight: int, below: list[CanonicalCode]) -> CanonicalCode:
+    """Code of a vertex of weight `weight` over the codes of its subtrees below.
+
+    Markers -1/-2 open and close a subtree, other entries are vertex weights.
+    Subtrees are sorted as flat tuples, which orders them exactly as the
+    nested (weight, children) tuples they encode.
+    """
+    if not below:  # most vertices are leaves: skip the sort and the splat
+        return (-1, weight, -2)
+    return (-1, weight, *chain.from_iterable(sorted(below)), -2)
+
+
 def canonical_code(t: WeightedTree) -> CanonicalCode:
     """Integer sequence identifying the weighted tree up to isomorphism.
 
     AHU-style encoding rooted at the structural center; with two center
-    candidates, the lexicographically smaller rooted code wins.  Markers -1/-2
-    open and close a subtree, other entries are vertex weights.
+    candidates, the lexicographically smaller rooted code wins; each vertex
+    is encoded by `rooted_code`.
 
     One leaf-peeling pass: leaves are peeled layer by layer, and each peeled
     vertex's code goes to its one remaining neighbour.  The one or two
-    vertices left are the centers.  Children are sorted as flat tuples, which
-    orders them exactly as the nested (weight, children) tuples they encode.
+    vertices left are the centers.
     """
     adj, weight = t.adjacency, t.weight_of
-
-    def code(v: int, below: list[CanonicalCode]) -> CanonicalCode:
-        if not below:  # most vertices are leaves: skip the sort and the splat
-            return (-1, weight[v], -2)
-        return (-1, weight[v], *chain.from_iterable(sorted(below)), -2)
 
     kids: dict[int, list[CanonicalCode]] = {v: [] for v in adj}
     layer = [v for v, ns in adj.items() if len(ns) == 1]
@@ -327,17 +326,17 @@ def canonical_code(t: WeightedTree) -> CanonicalCode:
                 if u in kids:  # the one neighbour not yet peeled
                     break
             above = kids[u]
-            above.append(code(v, below))
+            above.append(rooted_code(weight[v], below))
             if len(above) == len(adj[u]) - 1:
                 layer.append(u)
     if len(kids) == 1:
         ((c, below),) = kids.items()
-        return code(c, below)
+        return rooted_code(weight[c], below)
     # Each center's side is encoded once and spliced under the other center.
     (a, below_a), (b, below_b) = kids.items()
     return min(
-        code(a, below_a + [code(b, below_b)]),
-        code(b, below_b + [code(a, below_a)]),
+        rooted_code(weight[a], below_a + [rooted_code(weight[b], below_b)]),
+        rooted_code(weight[b], below_b + [rooted_code(weight[a], below_a)]),
     )
 
 

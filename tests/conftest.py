@@ -33,9 +33,21 @@ def brute_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
     return False
 
 
+def tree_centers(t: WeightedTree) -> list[int]:
+    """The one or two centers of the tree, as the middle of a longest path
+    found by two walks."""
+    far = bfs(t.adjacency, t.vertices[0][0])[0][-1]
+    order, parent = bfs(t.adjacency, far)
+    path = [order[-1]]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    k = len(path)
+    return sorted(path[(k - 1) // 2 : k // 2 + 1])
+
+
 def walk_canonical_code(t: WeightedTree) -> CanonicalCode:
-    """Tree canonical code from three walks: two to find the centers as the
-    middle of a longest path, one to encode the subtrees below them."""
+    """Tree canonical code from three walks: two to find the centers, one to
+    encode the subtrees below them."""
 
     def node_code(v: int, kids: list[CanonicalCode]) -> CanonicalCode:
         return (-1, t.weight_of[v], *chain.from_iterable(sorted(kids)), -2)
@@ -47,13 +59,7 @@ def walk_canonical_code(t: WeightedTree) -> CanonicalCode:
             kids.setdefault(parent[v], []).append(node_code(v, kids.pop(v, ())))
         return kids[root]
 
-    far = bfs(t.adjacency, t.vertices[0][0])[0][-1]
-    order, parent = bfs(t.adjacency, far)
-    path = [order[-1]]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    k = len(path)
-    centers = sorted(path[(k - 1) // 2 : k // 2 + 1])
+    centers = tree_centers(t)
     if len(centers) == 1:
         (c,) = centers
         return node_code(c, subtree_codes(c))

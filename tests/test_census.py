@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import pytest
@@ -12,7 +13,21 @@ from hyperforms import (
     tree,
     validate_stable,
 )
-from conftest import brute_force_census, run_python
+from hyperforms.trees import bfs
+from conftest import brute_force_census, run_python, tree_centers
+
+
+def walk_depth(t) -> int:
+    """Steps from the census root (id 0) to the farther center of the tree:
+    the depth of the deepest vertex the census walk roots a code at."""
+    _, parent = bfs(t.adjacency, 0)
+    depths = []
+    for c in tree_centers(t):
+        depth = 0
+        while parent[c] is not None:
+            c, depth = parent[c], depth + 1
+        depths.append(depth)
+    return max(depths)
 
 
 class TestEnumerate:
@@ -57,9 +72,9 @@ class TestEnumerate:
     def test_bound_is_configurable(self):
         assert len(enumerate_stable_trees(11, bound=11)) > 0
 
-    @pytest.mark.parametrize("m", range(3, 11))
+    @pytest.mark.parametrize("m", range(3, 15))
     def test_members_stable_and_distinct(self, m):
-        census = enumerate_stable_trees(m)
+        census = enumerate_stable_trees(m, bound=14)
         codes = census.codes
         assert len(set(codes)) == len(codes)
         assert codes == tuple(sorted(codes))
@@ -67,6 +82,10 @@ class TestEnumerate:
             assert validate_stable(t).stable
             assert canonical_code(t) == code
             assert t.m == m
+        # The census walks from its root toward the center for each code:
+        # walks of depth 2 appear from m = 9, of depth 3 from m = 13.
+        deepest = max(walk_depth(t) for t in census.trees)
+        assert deepest == (0 if m < 4 else 1 if m < 9 else 2 if m < 13 else 3)
 
     def test_deterministic(self):
         a = enumerate_stable_trees(7)
@@ -114,15 +133,24 @@ class TestCentralGenerator:
                 assert central.vertex == 0
 
     @pytest.mark.parametrize("m", [8, 11, 12])
-    def test_one_canonical_code_per_class(self, m, monkeypatch):
+    def test_no_generic_canonical_code(self, m, monkeypatch):
         calls = []
 
         def counted(t):
             calls.append(t)
             return canonical_code(t)
 
-        monkeypatch.setattr(census_mod, "canonical_code", counted)
-        assert len(enumerate_stable_trees(m, bound=12)) == len(calls)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hyperforms") and hasattr(module, "canonical_code"):
+                monkeypatch.setattr(module, "canonical_code", counted)
+        assert not hasattr(census_mod, "canonical_code")
+        assert len(enumerate_stable_trees(m, bound=12)) > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("m", [9, 12, 13])
+    def test_adjacency_built_on_demand(self, m):
+        trees = enumerate_stable_trees(m, bound=13).trees
+        assert not any("adjacency" in t.__dict__ for t in trees)
 
     @pytest.mark.parametrize("m", range(4, 13, 2))
     def test_stratum_counts_match_checked_classification(self, m):
