@@ -4,8 +4,10 @@ The census is built from the paper's central-vertex lemma: a stable tree has
 either a unique vertex whose branches all weigh less than m/2, or a unique
 edge splitting the weight (m/2, m/2).  So a class is a centre weight plus a
 multiset of rooted stable tails lighter than m/2, or an unordered pair of
-tails of weight m/2.  Tails are drawn from one table in a fixed order, so each
-class is built exactly once: there is no stability filter and no dedup pass.
+tails of weight m/2.  Both are one rooted form, a root weight over child
+tails: the pair is the first tail's root with the second tail hung below it.
+Tails are drawn from one table in a fixed order, so each class is built
+exactly once: there is no stability filter and no dedup pass.
 
 Each tail's rooted code and height are computed once, when it joins the
 table.  A class's canonical code is then a short walk from its root toward
@@ -72,6 +74,9 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
     multiset of lighter tails, with a + children + 1 >= 3 (the +1 is the edge
     up).  `tails` lists them by weight, and a multiset of tails is a
     non-increasing tuple of indices into it, so each multiset appears once.
+    A class is one more root of that form: a centre weight over tails lighter
+    than m/2, or, across a half-weight edge, the root of half-weight tail i
+    over tail j >= i and the tails of i.
     """
     tails: list[Tail] = []
     weight: list[int] = []  # weight[i] is the total weight of tails[i]
@@ -127,35 +132,31 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
         return rooted_code(a, [code[k] for k in kids] + up)
 
     light = first.get((m + 1) // 2, len(tails))  # tails weighing < m/2
-    classes = [
-        (centre_code(c, kids), _build([(c, kids)], tails))
+    roots = [
+        (c, kids)
         for c in range(m + 1)
         for kids in forests(m - c, light)
         if c + len(kids) >= 3
     ]
-    if m % 2 == 0:  # tail j hangs below tail i's root across the half-weight edge
+    if m % 2 == 0:  # half-weight classes
         half = range(first[m // 2], len(tails))
-        classes += [
-            (centre_code(tails[i][0], (*tails[i][1], j)), _build([tails[i], tails[j]], tails))
-            for i in half
-            for j in half
-            if i <= j
-        ]
-    return classes
+        roots += [(tails[i][0], (j, *tails[i][1])) for i in half for j in half if i <= j]
+    return [(centre_code(a, kids), _build(a, kids, tails)) for a, kids in roots]
 
 
-def _build(roots: list[Tail], tails: list[Tail]) -> WeightedTree:
-    """The centre as id 0, or the half-weight edge as (0, 1), then every tail
-    breadth first, ids in build order."""
-    weights = [a for a, _ in roots]
-    parent: list[int | None] = [None] if len(roots) == 1 else [None, 0]
-    pending = [(v, i) for v, (_, kids) in enumerate(roots) for i in kids]
+def _build(a: int, kids: tuple[int, ...], tails: list[Tail]) -> WeightedTree:
+    """The root of weight `a` as id 0, then its child tails breadth first, ids
+    in build order.  A half-weight class hangs its second tail first, so the
+    half-weight edge is (0, 1)."""
+    weights = [a]
+    parent: list[int | None] = [None]
+    pending = [(0, i) for i in kids]
     for up, i in pending:  # the list grows while it is read
         v = len(weights)
-        a, kids = tails[i]
-        weights.append(a)
+        b, below = tails[i]
+        weights.append(b)
         parent.append(up)
-        pending += [(v, k) for k in kids]
+        pending += [(v, k) for k in below]
     return WeightedTree._grown(weights, parent)
 
 

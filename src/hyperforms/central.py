@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .forms import BinaryFormClass
 from .trees import (
-    InvariantError,
     WeightedTree,
     check,
     complementary_subtree_weights,
@@ -58,30 +57,21 @@ def is_central(t: WeightedTree, v: int) -> bool:
 
 
 def find_central(t: WeightedTree) -> CentralResult:
-    """Locate the central vertex by walking toward the heavy side.
+    """Locate the central vertex, or the half-weight edge, in one scan.
 
-    Starting anywhere, step across the unique edge whose far side weighs more
-    than m/2; the maximal complementary weight strictly decreases, so the walk
-    terminates at the central vertex without revisiting anything.
+    Rooted anywhere, the vertices whose subtree weighs at least m/2 form a
+    chain down from the root, so the lightest of them, `v`, is its end.  If
+    `v`'s subtree weighs exactly m/2, the edge above `v` is the half-weight
+    edge; otherwise every side at `v` weighs less than m/2 and `v` is central.
     """
     require_stable(t)
-    edge = half_weight_edge(t)
-    if edge is not None:
-        return CentralResult(edge=edge)
     m = t.m
-    v = t.ids[0]
-    prev = None
-    for _ in range(len(t.ids)):
-        heavy = [
-            u for u in t.neighbors(v) if 2 * t.side_weight((v, u), toward=u) > m
-        ]
-        if not heavy:
-            return CentralResult(vertex=v)
-        check(len(heavy) == 1, "more than one heavy side at a vertex")
-        (nxt,) = heavy
-        check(nxt != prev, "walk revisited a vertex")
-        prev, v = v, nxt
-    raise InvariantError("central-vertex walk did not terminate")
+    parent, below = t._rooted
+    v = min((u for u in below if 2 * below[u] >= m), key=below.__getitem__)
+    if 2 * below[v] == m:
+        return CentralResult(edge=tuple(sorted((parent[v], v))))
+    check(is_central(t, v), "central vertex has a side weighing at least m/2")
+    return CentralResult(vertex=v)
 
 
 def contract_F_m(t: WeightedTree) -> BinaryFormClass:

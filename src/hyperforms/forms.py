@@ -8,7 +8,6 @@ degree are collapsed to one distinguished semistable-point value.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 from .trees import is_int
@@ -32,6 +31,8 @@ class BinaryFormClass:
     semistable_point: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.semistable_point, bool):
+            raise ValueError(f"semistable_point must be a boolean, got {self.semistable_point!r}")
         mults = tuple(self.multiplicities)
         for n in mults:
             if not is_int(n):
@@ -69,14 +70,9 @@ class BinaryFormClass:
             return {"semistable_point": True}
         return {"multiplicities": list(self.multiplicities)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "BinaryFormClass":
-        if doc.get("semistable_point"):
-            return cls.semistable()
-        return cls.from_multiplicities(doc["multiplicities"])
+        return cls(doc.get("multiplicities", ()), doc.get("semistable_point", False))
 
 
 def classify(f: BinaryFormClass) -> GitClass:

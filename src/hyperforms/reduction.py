@@ -8,7 +8,6 @@ central component keeps one branch point per odd exponent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .covers import arithmetic_genus
@@ -111,9 +110,6 @@ class ReductionOutput:
             "arithmetic_genus": self.arithmetic_genus,
             "git_unstable_input": self.git_unstable_input,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def tail_genus(n: int) -> int:

@@ -123,9 +123,9 @@ class TestCentralGenerator:
             assert t.edges == checked.edges
             assert t.adjacency == checked.adjacency
 
-    @pytest.mark.parametrize("m", range(3, 12))
+    @pytest.mark.parametrize("m", range(3, 15))
     def test_rooted_at_central_vertex_or_edge(self, m):
-        for t in enumerate_stable_trees(m, bound=11).trees:
+        for t in enumerate_stable_trees(m, bound=14).trees:
             central = find_central(t)
             if central.is_semistable_edge:
                 assert central.edge == (0, 1)

@@ -16,6 +16,17 @@ from hyperforms import (
 from hyperforms.central import is_central
 from hyperforms.forms import BinaryFormClass, GitClass, classify
 
+from conftest import random_stable_tree, relabeled
+
+
+def central_by_definition(t: WeightedTree) -> CentralResult:
+    """The half-weight edge if there is one, else the one vertex `is_central` accepts."""
+    edge = half_weight_edge(t)
+    if edge is not None:
+        return CentralResult(edge=edge)
+    (v,) = [v for v in t.ids if is_central(t, v)]
+    return CentralResult(vertex=v)
+
 
 class TestCentralResult:
     @pytest.mark.parametrize(
@@ -53,7 +64,7 @@ class TestFindCentral:
     def test_two_heavy_sides_raise_invariant_error(self, monkeypatch):
         # Every side weighing m makes all three neighbours of the centre heavy.
         monkeypatch.setattr(WeightedTree, "side_weight", lambda self, edge, toward: self.m)
-        with pytest.raises(InvariantError, match="more than one heavy side"):
+        with pytest.raises(InvariantError, match="central vertex has a side weighing at least m/2"):
             find_central(star_tree(0, 3, 3, 3))
 
     @pytest.mark.parametrize("m", range(3, 10))
@@ -74,6 +85,39 @@ class TestFindCentral:
             assert len(halves) <= 1
             result = find_central(t)
             assert result.is_semistable_edge == bool(halves)
+
+    # Census trees are rooted at their centre, so the tests above never follow
+    # the chain of heavy subtrees past the first id; these trees do.
+    def test_relabeled_census_classes(self):
+        away = 0
+        trees = [
+            relabeled(t, seed=m)
+            for m in range(3, 13)
+            for t in enumerate_stable_trees(m, bound=12).trees
+        ]
+        assert len(trees) == 2159
+        for t in trees:
+            result = find_central(t)
+            assert result == central_by_definition(t), t
+            away += t.ids[0] not in (result.edge or (result.vertex,))
+        assert away > len(trees) // 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_trees(self, seed):
+        t = random_stable_tree(seed, n=3000)
+        assert find_central(t) == central_by_definition(t)
+
+    def test_long_path_odd_m(self):
+        t = path_tree(2, *[1] * 9998, 3)  # m = 10003
+        assert find_central(t) == central_by_definition(t) == CentralResult(vertex=5000)
+
+    def test_long_path_even_m(self):
+        t = path_tree(2, *[1] * 9998, 2)  # m = 10002
+        assert find_central(t) == central_by_definition(t) == CentralResult(edge=(4999, 5000))
+
+    def test_star_first_id_a_leaf(self):
+        t = tree({0: 3, 1: 0, 2: 3, 3: 3}, [(1, 0), (1, 2), (1, 3)])
+        assert find_central(t) == central_by_definition(t) == CentralResult(vertex=1)
 
 
 class TestContract:

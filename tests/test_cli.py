@@ -259,7 +259,7 @@ class TestErrors:
         status, out = run(["central"], stdin=star)
         assert status == 1
         assert json.loads(out) == {
-            "error": "internal inconsistency: more than one heavy side at a vertex"
+            "error": "internal inconsistency: central vertex has a side weighing at least m/2"
         }
 
     def test_deterministic_output(self, run):

@@ -34,6 +34,23 @@ class TestBinaryFormClass:
         with pytest.raises(ValueError, match="^a form needs at least one root$"):
             BinaryFormClass(())
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"semistable_point": "false"},
+            {"semistable_point": 1},
+            {"semistable_point": "no", "multiplicities": [3, 3]},
+        ],
+        ids=["string-false", "int-1", "string-no-with-roots"],
+    )
+    def test_rejects_non_boolean_semistable_flag(self, doc):
+        with pytest.raises(ValueError, match="^semistable_point must be a boolean, got "):
+            BinaryFormClass.from_dict(doc)
+
+    def test_from_dict_rejects_semistable_point_with_roots(self):
+        with pytest.raises(ValueError, match="^the semistable point carries no roots$"):
+            BinaryFormClass.from_dict({"semistable_point": True, "multiplicities": [3, 3]})
+
     @pytest.mark.parametrize("bad", [2.9, True, "3", None, 3.0])
     def test_rejects_non_integer(self, bad):
         with pytest.raises(ValueError):
