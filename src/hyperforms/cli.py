@@ -32,101 +32,92 @@ def _read_input(path: str) -> str:
         raise InputError(f"cannot read input: {exc}") from exc
 
 
-def _load_tree(path: str) -> WeightedTree:
-    return WeightedTree.from_json(_read_input(path))
+def _tree(doc) -> WeightedTree:
+    return WeightedTree.from_dict(doc)
 
 
-def _load_json(path: str) -> dict:
-    try:
-        doc = json.loads(_read_input(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from exc
+def _vector(doc) -> ExponentVector:
     if not isinstance(doc, dict):
         raise InputError("input must be a JSON object")
-    return doc
-
-
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True))
-
-
-def cmd_stability(args) -> None:
-    report = validate_stable(_load_tree(args.input))
-    _emit(
-        {
-            "stable": report.stable,
-            "violations": [
-                {"vertex": v, "weight": w, "degree": d}
-                for v, w, d in report.violations
-            ],
-        }
-    )
-
-
-def cmd_central(args) -> None:
-    _emit(find_central(_load_tree(args.input)).to_dict())
-
-
-def cmd_contract(args) -> None:
-    _emit(contract_F_m(_load_tree(args.input)).to_dict())
-
-
-def cmd_cover(args) -> None:
-    cover = build_cover(_load_tree(args.input))
-    if args.format == "dot":
-        print(cover.to_dot())
-        return
-    doc = cover.to_dict()
-    doc["stable_model"] = stable_model(cover).to_dict()
-    _emit(doc)
-
-
-def cmd_reduce(args) -> None:
-    doc = _load_json(args.input)
     try:
-        vector = ExponentVector.from_dict(doc)
+        return ExponentVector.from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad exponent vector: {exc}") from exc
+
+
+def _stability(t, args) -> dict:
+    report = validate_stable(t)
+    return {
+        "stable": report.stable,
+        "violations": [{"vertex": v, "weight": w, "degree": d} for v, w, d in report.violations],
+    }
+
+
+def _cover(t, args):
+    cover = build_cover(t)
+    if args.format == "dot":
+        return cover.to_dot()
+    return {**cover.to_dict(), "stable_model": stable_model(cover).to_dict()}
+
+
+def _reduce(vector, args) -> dict:
     out = reduce_equation(vector).to_dict()
     if args.chain:
-        out["chains"] = [
-            blowup_chain(n).to_dict()
-            for n in vector.all_multiplicities()
-            if n >= 2
-        ]
-    _emit(out)
+        out["chains"] = [blowup_chain(n).to_dict() for n in vector.all_multiplicities() if n >= 2]
+    return out
 
 
-def _classified(args):
-    """Input tree, its stratum label, and the image dimension (None if no formula)."""
-    t = _load_tree(args.input)
+def _classified(t):
+    """The tree's stratum label and its image dimension (None if no formula)."""
     label = classify_stratum(t)
     try:
-        dim = image_dimension(label, (t.m - 2) // 2)
+        return label, image_dimension(label, (t.m - 2) // 2)
     except ValueError:
-        dim = None
-    return t, label, dim
+        return label, None
 
 
-def cmd_stratum(args) -> None:
-    _, label, dim = _classified(args)
-    _emit({"label": label.to_dict(), "name": str(label), "image_dimension": dim})
+def _stratum(t, args) -> dict:
+    label, dim = _classified(t)
+    return {"label": label.to_dict(), "name": str(label), "image_dimension": dim}
 
 
-def cmd_map(args) -> None:
-    t, label, dim = _classified(args)
-    _emit({"label": str(label), **f_g_exponents(t).to_dict(), "image_dimension": dim})
+def _map(t, args) -> dict:
+    label, dim = _classified(t)
+    return {"label": str(label), **f_g_exponents(t).to_dict(), "image_dimension": dim}
 
 
-def cmd_enumerate(args) -> None:
+def _enumerate(_, args):
     result = census_mod.enumerate_stable_trees(args.m, bound=args.bound)
     if args.format == "count":
-        print(len(result))
-    elif args.format == "dot":
-        for t in result.trees:
-            print(t.to_dot())
-    else:
-        _emit(result.to_dict())
+        return str(len(result))
+    if args.format == "dot":
+        return "\n".join(t.to_dot() for t in result.trees)
+    return result.to_dict()
+
+
+INPUT = ("--input", dict(default="-", help="input path, or - for stdin"))
+
+# One row per subcommand, all run alike by `main`: (help, builder of the input object
+# or None to read no input, function of (that object, args) -> document or text, options)
+COMMANDS = {
+    "stability": ("check the stability condition", _tree, _stability, [INPUT]),
+    "central": ("locate the central vertex or semistable edge", _tree,
+                lambda t, args: find_central(t).to_dict(), [INPUT]),
+    "contract": ("contract branches to a binary-form class", _tree,
+                 lambda t, args: contract_F_m(t).to_dict(), [INPUT]),
+    "cover": ("build the admissible double cover and its stable model", _tree, _cover,
+              [INPUT, ("--format", dict(choices=("json", "dot"), default="json"))]),
+    "reduce": ("local stable reduction of a hyperelliptic equation", _vector, _reduce,
+               [INPUT, ("--chain", dict(action="store_true",
+                                        help="also emit blow-up multiplicity chains"))]),
+    "stratum": ("classify the boundary stratum", _tree, _stratum, [INPUT]),
+    "map": ("evaluate the map to binary forms with image dimension", _tree, _map, [INPUT]),
+    "enumerate": ("census of stable weighted-tree classes", None, _enumerate, [
+        ("--m", dict(type=int, required=True, help="total weight")),
+        ("--bound", dict(type=int, default=census_mod.DEFAULT_BOUND)),
+        ("--format", dict(choices=("json", "dot", "count"), default="json")),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,52 +127,32 @@ def build_parser() -> argparse.ArgumentParser:
         "and the map to semistable binary forms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def tree_command(name, func, help_text, formats=("json",)):
+    for name, (help_text, _, _, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", default="-", help="input path, or - for stdin")
-        if len(formats) > 1:
-            p.add_argument("--format", choices=formats, default="json")
-        p.set_defaults(func=func)
-        return p
-
-    tree_command("stability", cmd_stability, "check the stability condition")
-    tree_command("central", cmd_central, "locate the central vertex or semistable edge")
-    tree_command("contract", cmd_contract, "contract branches to a binary-form class")
-    tree_command(
-        "cover",
-        cmd_cover,
-        "build the admissible double cover and its stable model",
-        formats=("json", "dot"),
-    )
-
-    p = sub.add_parser("reduce", help="local stable reduction of a hyperelliptic equation")
-    p.add_argument("--input", default="-", help="input path, or - for stdin")
-    p.add_argument("--chain", action="store_true", help="also emit blow-up multiplicity chains")
-    p.set_defaults(func=cmd_reduce)
-
-    tree_command("stratum", cmd_stratum, "classify the boundary stratum")
-    tree_command("map", cmd_map, "evaluate the map to binary forms with image dimension")
-
-    p = sub.add_parser("enumerate", help="census of stable weighted-tree classes")
-    p.add_argument("--m", type=int, required=True, help="total weight")
-    p.add_argument("--bound", type=int, default=census_mod.DEFAULT_BOUND)
-    p.add_argument("--format", choices=("json", "dot", "count"), default="json")
-    p.set_defaults(func=cmd_enumerate)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, build, run, _ = COMMANDS[args.command]
     try:
-        args.func(args)
+        obj = None
+        if build is not None:
+            text = _read_input(args.input)
+            try:  # RecursionError: nested deeper than the decoder's stack allows
+                doc = json.loads(text)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise InputError(f"invalid JSON: {exc}") from exc
+            obj = build(doc)
+        out, status = run(obj, args), 0
     except ValueError as exc:  # InputError and the tree errors included
-        _emit({"error": str(exc)})
-        return 2
+        out, status = {"error": str(exc)}, 2
     except AssertionError as exc:
-        _emit({"error": f"internal inconsistency: {exc}"})
-        return 1
-    return 0
+        out, status = {"error": f"internal inconsistency: {exc}"}, 1
+    print(out if isinstance(out, str) else json.dumps(out, sort_keys=True))
+    return status
 
 
 if __name__ == "__main__":

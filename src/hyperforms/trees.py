@@ -201,7 +201,7 @@ class WeightedTree:
     def from_json(cls, text: str) -> "WeightedTree":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise InvalidTreeError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(doc)
 

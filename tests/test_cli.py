@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from hyperforms import WeightedTree, canonical_code, cli
-from hyperforms.cli import main
+from hyperforms import WeightedTree, canonical_code, cli, path_tree
+from hyperforms.cli import build_parser, main
 from hyperforms.trees import check
 
 
@@ -29,6 +30,198 @@ def tree_doc(*weights, edges=None):
             "edges": edges,
         }
     )
+
+
+# Exact stdout of every command and format on small inputs.
+GOLDEN_TREES = {
+    (3, 5): {
+        ("stability",): '{"stable": true, "violations": []}\n',
+        ("central",): '{"kind": "central_vertex", "vertex": 1}\n',
+        ("contract",): '{"multiplicities": [3, 1, 1, 1, 1, 1]}\n',
+        ("cover",): (
+            '{"components": [{"base_vertex": 0, "branch_count": 4, "genus": 1, "id": 0, '
+            '"sheet": null}, {"base_vertex": 1, "branch_count": 6, "genus": 2, "id": 1, '
+            '"sheet": null}], "g": 3, "nodes": [{"components": [0, 1], "edge": [0, 1], '
+            '"kind": "ramified"}], "stable_model": {"components": [{"genus": 1, '
+            '"id": 0, "special_points": 1}, {"genus": 2, "id": 1, '
+            '"special_points": 1}], "g": 3, "nodes": [[0, 1]]}}\n'
+        ),
+        ("cover", "--format", "dot"): (
+            'graph cover {\n'
+            '  c0 [label="over 0 g=1"];\n'
+            '  c1 [label="over 1 g=2"];\n'
+            '  c0 -- c1 [style=bold];\n'
+            '}\n'
+        ),
+        ("stratum",): (
+            '{"image_dimension": 3, "label": {"index": 1, "kind": "delta"}, '
+            '"name": "delta_1"}\n'
+        ),
+        ("map",): (
+            '{"image_dimension": 3, "label": "delta_1", '
+            '"multiplicities": [3, 1, 1, 1, 1, 1]}\n'
+        ),
+    },
+    (2, 1, 5): {
+        ("stability",): '{"stable": true, "violations": []}\n',
+        ("central",): '{"kind": "central_vertex", "vertex": 2}\n',
+        ("contract",): '{"multiplicities": [3, 1, 1, 1, 1, 1]}\n',
+        ("cover",): (
+            '{"components": [{"base_vertex": 0, "branch_count": 2, "genus": 0, "id": 0, '
+            '"sheet": null}, {"base_vertex": 1, "branch_count": 2, "genus": 0, "id": 1, '
+            '"sheet": null}, {"base_vertex": 2, "branch_count": 6, "genus": 2, "id": 2, '
+            '"sheet": null}], "g": 3, "nodes": [{"components": [0, 1], "edge": [0, 1], '
+            '"kind": "split"}, {"components": [0, 1], "edge": [0, 1], '
+            '"kind": "split"}, {"components": [1, 2], "edge": [1, 2], '
+            '"kind": "ramified"}], "stable_model": {"components": [{"genus": 0, '
+            '"id": 1, "special_points": 3}, {"genus": 2, "id": 2, '
+            '"special_points": 1}], "g": 3, "nodes": [[1, 1], [1, 2]]}}\n'
+        ),
+        ("cover", "--format", "dot"): (
+            'graph cover {\n'
+            '  c0 [label="over 0 g=0"];\n'
+            '  c1 [label="over 1 g=0"];\n'
+            '  c2 [label="over 2 g=2"];\n'
+            '  c0 -- c1;\n'
+            '  c0 -- c1;\n'
+            '  c1 -- c2 [style=bold];\n'
+            '}\n'
+        ),
+        ("stratum",): (
+            '{"image_dimension": null, "label": {"codimension": 2, "kind": "deeper"}, '
+            '"name": "deeper_codim_2"}\n'
+        ),
+        ("map",): (
+            '{"image_dimension": null, "label": "deeper_codim_2", '
+            '"multiplicities": [3, 1, 1, 1, 1, 1]}\n'
+        ),
+    },
+    (4, 4): {
+        ("stability",): '{"stable": true, "violations": []}\n',
+        ("central",): '{"edge": [0, 1], "kind": "semistable_edge"}\n',
+        ("contract",): '{"semistable_point": true}\n',
+        ("cover",): (
+            '{"components": [{"base_vertex": 0, "branch_count": 4, "genus": 1, "id": 0, '
+            '"sheet": null}, {"base_vertex": 1, "branch_count": 4, "genus": 1, "id": 1, '
+            '"sheet": null}], "g": 3, "nodes": [{"components": [0, 1], "edge": [0, 1], '
+            '"kind": "split"}, {"components": [0, 1], "edge": [0, 1], '
+            '"kind": "split"}], "stable_model": {"components": [{"genus": 1, "id": 0, '
+            '"special_points": 2}, {"genus": 1, "id": 1, "special_points": 2}], "g": 3, '
+            '"nodes": [[0, 1], [0, 1]]}}\n'
+        ),
+        ("cover", "--format", "dot"): (
+            'graph cover {\n'
+            '  c0 [label="over 0 g=1"];\n'
+            '  c1 [label="over 1 g=1"];\n'
+            '  c0 -- c1;\n'
+            '  c0 -- c1;\n'
+            '}\n'
+        ),
+        ("stratum",): (
+            '{"image_dimension": 0, "label": {"kind": "semistable_image", '
+            '"underlying": {"index": 1, "kind": "xi"}}, "name": "semistable(xi_1)"}\n'
+        ),
+        ("map",): (
+            '{"image_dimension": 0, "label": "semistable(xi_1)", '
+            '"semistable_point": true}\n'
+        ),
+    },
+}
+GOLDEN_REDUCE = {
+    ("reduce",): (
+        '{"arithmetic_genus": 4, "central": {"branch_points": 6, "genus": 2, '
+        '"split": false}, "extra_nodes": 0, "g": 4, "git_unstable_input": false, '
+        '"tails": [{"attachment_points": 1, "equation": "y^2 = z^5 - 1", "exponent": 5, '
+        '"genus": 2, "source_index": 0}]}\n'
+    ),
+    ("reduce", "--chain"): (
+        '{"arithmetic_genus": 4, "central": {"branch_points": 6, "genus": 2, '
+        '"split": false}, "chains": [{"multiplicities": [2, 4, 5, 10], "n": 5}], '
+        '"extra_nodes": 0, "g": 4, "git_unstable_input": false, '
+        '"tails": [{"attachment_points": 1, "equation": "y^2 = z^5 - 1", "exponent": 5, '
+        '"genus": 2, "source_index": 0}]}\n'
+    ),
+}
+GOLDEN_ENUMERATE = {
+    "json": (
+        '{"classes": [{"edges": [[0, 1], [0, 2]], "m": 5, "vertices": [{"id": 0, '
+        '"weight": 1}, {"id": 1, "weight": 2}, {"id": 2, '
+        '"weight": 2}]}, {"edges": [[0, 1]], "m": 5, "vertices": [{"id": 0, '
+        '"weight": 3}, {"id": 1, "weight": 2}]}, {"edges": [], "m": 5, '
+        '"vertices": [{"id": 0, "weight": 5}]}], "count": 3, "m": 5, '
+        '"stratum_counts": {}}\n'
+    ),
+    "dot": (
+        'graph tree {\n'
+        '  v0 [label="0:1"];\n'
+        '  v1 [label="1:2"];\n'
+        '  v2 [label="2:2"];\n'
+        '  v0 -- v1;\n'
+        '  v0 -- v2;\n'
+        '}\n'
+        'graph tree {\n'
+        '  v0 [label="0:3"];\n'
+        '  v1 [label="1:2"];\n'
+        '  v0 -- v1;\n'
+        '}\n'
+        'graph tree {\n'
+        '  v0 [label="0:5"];\n'
+        '}\n'
+    ),
+    "count": "3\n",
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize(
+        "weights, argv", [(w, argv) for w, outs in GOLDEN_TREES.items() for argv in outs]
+    )
+    def test_tree_commands(self, run, weights, argv):
+        doc = path_tree(*weights).to_json()
+        assert run(list(argv), stdin=doc) == (0, GOLDEN_TREES[weights][argv])
+
+    @pytest.mark.parametrize("argv", list(GOLDEN_REDUCE))
+    def test_reduce(self, run, argv):
+        doc = json.dumps({"at_infinity": 0, "exponents": [5, 1, 1, 1, 1, 1]})
+        assert run(list(argv), stdin=doc) == (0, GOLDEN_REDUCE[argv])
+
+    @pytest.mark.parametrize("fmt", list(GOLDEN_ENUMERATE))
+    def test_enumerate(self, run, fmt):
+        assert run(["enumerate", "--m", "5", "--format", fmt]) == (0, GOLDEN_ENUMERATE[fmt])
+
+
+class TestParserSurface:
+    # option: (default, required, choices, type, nargs)
+    TREE = {"--input": ("-", False, None, None, None)}
+    EXPECTED = {
+        "stability": TREE,
+        "central": TREE,
+        "contract": TREE,
+        "cover": {**TREE, "--format": ("json", False, ("json", "dot"), None, None)},
+        "reduce": {**TREE, "--chain": (False, False, None, None, 0)},
+        "stratum": TREE,
+        "map": TREE,
+        "enumerate": {
+            "--m": (None, True, None, int, None),
+            "--bound": (10, False, None, int, None),
+            "--format": ("json", False, ("json", "dot", "count"), None, None),
+        },
+    }
+
+    def test_each_subcommand_takes_exactly_its_options(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        surface = {
+            name: {
+                "/".join(a.option_strings): (
+                    a.default, a.required, a.choices and tuple(a.choices), a.type, a.nargs
+                )
+                for a in p._actions
+                if a.dest != "help"
+            }
+            for name, p in sub.choices.items()
+        }
+        assert list(surface) == list(self.EXPECTED)
+        assert surface == self.EXPECTED
 
 
 class TestSubcommands:
@@ -213,6 +406,13 @@ class TestErrors:
         assert json.loads(out) == {
             "error": "invalid JSON: Expecting value: line 1 column 1 (char 0)"
         }
+
+    @pytest.mark.parametrize("command", ["central", "reduce"])
+    def test_too_deeply_nested_json_exits_2(self, run, command):
+        status, out = run([command], stdin="[" * 100_000 + "]" * 100_000)
+        assert status == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"].startswith("invalid JSON: ")
 
     @pytest.mark.parametrize(
         "command, error",

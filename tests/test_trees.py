@@ -68,6 +68,10 @@ class TestStructure:
         with pytest.raises(InvalidTreeError, match=msg):
             WeightedTree.from_json("not json")
 
+    def test_from_json_rejects_too_deeply_nested_json(self):
+        with pytest.raises(InvalidTreeError, match="^invalid JSON: .*recursion"):
+            WeightedTree.from_json("[" * 100_000 + "]" * 100_000)
+
     @pytest.mark.parametrize("seed,n", [(1, 7), (2, 40), (3, 300)])
     def test_adjacency_sorted_without_resorting(self, seed, n):
         t = random_stable_tree(seed, n)  # shuffled ids
