@@ -36,15 +36,6 @@ def _tree(doc) -> WeightedTree:
     return WeightedTree.from_dict(doc)
 
 
-def _vector(doc) -> ExponentVector:
-    if not isinstance(doc, dict):
-        raise InputError("input must be a JSON object")
-    try:
-        return ExponentVector.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad exponent vector: {exc}") from exc
-
-
 def _stability(t, args) -> dict:
     report = validate_stable(t)
     return {
@@ -107,7 +98,8 @@ COMMANDS = {
                  lambda t, args: contract_F_m(t).to_dict(), [INPUT]),
     "cover": ("build the admissible double cover and its stable model", _tree, _cover,
               [INPUT, ("--format", dict(choices=("json", "dot"), default="json"))]),
-    "reduce": ("local stable reduction of a hyperelliptic equation", _vector, _reduce,
+    "reduce": ("local stable reduction of a hyperelliptic equation", ExponentVector.from_dict,
+               _reduce,
                [INPUT, ("--chain", dict(action="store_true",
                                         help="also emit blow-up multiplicity chains"))]),
     "stratum": ("classify the boundary stratum", _tree, _stratum, [INPUT]),

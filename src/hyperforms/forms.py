@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .trees import is_int
+from .trees import is_int, json_array
 
 
 class GitClass(enum.Enum):
@@ -72,7 +72,8 @@ class BinaryFormClass:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BinaryFormClass":
-        return cls(doc.get("multiplicities", ()), doc.get("semistable_point", False))
+        mults = json_array(doc, "multiplicities", required=False)
+        return cls(mults, doc.get("semistable_point", False))
 
 
 def classify(f: BinaryFormClass) -> GitClass:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .covers import arithmetic_genus
-from .trees import check, is_int
+from .trees import check, is_int, json_array
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class ExponentVector:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExponentVector":
-        return cls(tuple(doc["exponents"]), doc.get("at_infinity", 0))
+        return cls(tuple(json_array(doc, "exponents")), doc.get("at_infinity", 0))
 
     def to_dict(self) -> dict:
         return {"at_infinity": self.at_infinity, "exponents": list(self.exponents)}

@@ -8,9 +8,11 @@ Markings are unordered, so a vertex weight is the only marking data.
 from __future__ import annotations
 
 import json
+from bisect import bisect
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 
 class InvalidTreeError(ValueError):
@@ -34,6 +36,16 @@ def check(cond: bool, msg: str) -> None:
 def is_int(x) -> bool:
     """A JSON integer: an `int` that is not a `bool`."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def json_array(doc, field: str, error: type[ValueError] = ValueError, required=True) -> list:
+    """`doc[field]`, checked to be an array; [] if absent and not `required`."""
+    if not isinstance(doc, dict):
+        raise error("input must be a JSON object")
+    value = doc.get(field, None if required else [])
+    if not isinstance(value, (list, tuple)):
+        raise error(f"field {field!r} must be an array" if field in doc else f"missing field {field!r}")
+    return value
 
 
 CanonicalCode = tuple[int, ...]
@@ -184,11 +196,16 @@ class WeightedTree:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "WeightedTree":
+        vertices = json_array(doc, "vertices", InvalidTreeError)
+        edges = json_array(doc, "edges", InvalidTreeError, required=False)
         try:
-            vertices = tuple((v["id"], v["weight"]) for v in doc["vertices"])
-            edges = tuple((a, b) for a, b in doc.get("edges", []))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidTreeError(f"malformed tree document: {exc}") from exc
+            vertices = tuple((v["id"], v["weight"]) for v in vertices)
+        except (KeyError, TypeError) as exc:
+            raise InvalidTreeError("each vertex must be an object with an id and a weight") from exc
+        try:
+            edges = tuple((a, b) for a, b in edges)
+        except (TypeError, ValueError) as exc:
+            raise InvalidTreeError("each edge must be an array of two vertex ids") from exc
         tree = cls(vertices, edges)
         m = doc.get("m", tree.m)
         if not is_int(m):
@@ -302,38 +319,67 @@ def rooted_code(weight: int, below: list[CanonicalCode]) -> CanonicalCode:
     return (-1, weight, *chain.from_iterable(sorted(below)), -2)
 
 
+def _extended_code(weight: int, below: list) -> CanonicalCode | deque:
+    """`rooted_code`, but a child's code longer than the rest together is
+    extended in place at both ends, as a deque: only the shorter ones are copied."""
+    if len(below) == 1:  # along a path
+        heavy = below[0] if type(below[0]) is deque else deque(below[0])
+        heavy.extendleft((weight, -1))
+        heavy.append(-2)
+        return heavy
+    heavy = max(below, key=len)
+    rest = sum(map(len, below)) - len(heavy)
+    if len(heavy) <= rest:
+        return rooted_code(weight, [*map(tuple, below)])
+    below.remove(heavy)
+    light = sorted(map(tuple, below))
+    # No code is a prefix of another: the heavy code's first `rest` tokens place it.
+    i = bisect(light, tuple(islice(heavy, rest)))
+    heavy = heavy if type(heavy) is deque else deque(heavy)
+    heavy.extendleft(reversed((-1, weight, *chain.from_iterable(light[:i]))))
+    heavy.extend(chain.from_iterable(light[i:]))
+    heavy.append(-2)
+    return heavy
+
+
 def canonical_code(t: WeightedTree) -> CanonicalCode:
     """Integer sequence identifying the weighted tree up to isomorphism.
 
     AHU-style encoding rooted at the structural center; with two center
     candidates, the lexicographically smaller rooted code wins; each vertex
-    is encoded by `rooted_code`.
+    is encoded as by `rooted_code`.
 
     One leaf-peeling pass: leaves are peeled layer by layer, and each peeled
     vertex's code goes to its one remaining neighbour.  The one or two
-    vertices left are the centers.
+    vertices left are the centers.  Each token is copied O(log n) times on n
+    vertices: once per layer in the first log2(n) layers (`rooted_code`), then
+    only into a code at least twice as long, or once into a deque that
+    `_extended_code` extends in place.
     """
     adj, weight = t.adjacency, t.weight_of
 
-    kids: dict[int, list[CanonicalCode]] = {v: [] for v in adj}
+    kids: dict[int, list] = {v: [] for v in adj}
     layer = [v for v, ns in adj.items() if len(ns) == 1]
+    build, copying = rooted_code, len(adj).bit_length()
     while len(kids) > 2:
         peeled = layer
         layer = []
+        build = build if copying else _extended_code
+        copying -= 1
         for v in peeled:
             below = kids.pop(v)
             for u in adj[v]:
                 if u in kids:  # the one neighbour not yet peeled
                     break
             above = kids[u]
-            above.append(rooted_code(weight[v], below))
+            above.append(build(weight[v], below))
             if len(above) == len(adj[u]) - 1:
                 layer.append(u)
     if len(kids) == 1:
         ((c, below),) = kids.items()
-        return rooted_code(weight[c], below)
+        return tuple(build(weight[c], below))
     # Each center's side is encoded once and spliced under the other center.
-    (a, below_a), (b, below_b) = kids.items()
+    (a, below_a), (b, below_b) = ((v, [*map(tuple, below)]) for v, below in kids.items())
     return min(
         rooted_code(weight[a], below_a + [rooted_code(weight[b], below_b)]),
         rooted_code(weight[b], below_b + [rooted_code(weight[a], below_a)]),

@@ -417,15 +417,37 @@ class TestErrors:
     @pytest.mark.parametrize(
         "command, error",
         [
-            (
-                "central",
-                "malformed tree document: list indices must be integers or slices, not str",
-            ),
+            ("central", "input must be a JSON object"),
             ("reduce", "input must be a JSON object"),
         ],
     )
     def test_json_array_exits_2(self, run, command, error):
         status, out = run([command], stdin="[1, 2]")
+        assert status == 2
+        assert json.loads(out) == {"error": error}
+
+    @pytest.mark.parametrize(
+        "command, doc, error",
+        [
+            ("central", {"vertices": "nope"}, "field 'vertices' must be an array"),
+            ("central", {"edges": []}, "missing field 'vertices'"),
+            ("map", {"vertices": [{"id": 0, "weight": 4}], "edges": {}},
+             "field 'edges' must be an array"),
+            ("stability", {"vertices": [[0, 4]]},
+             "each vertex must be an object with an id and a weight"),
+            ("cover", {"vertices": [{"id": 0}]},
+             "each vertex must be an object with an id and a weight"),
+            ("contract", {"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}],
+                          "edges": [[0, 1, 2]]}, "each edge must be an array of two vertex ids"),
+            ("stratum", {"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}],
+                         "edges": [5]}, "each edge must be an array of two vertex ids"),
+            ("reduce", {"nope": 1}, "missing field 'exponents'"),
+            ("reduce", {"exponents": 5}, "field 'exponents' must be an array"),
+            ("reduce", {"exponents": [3, 1]}, "exponents must sum to 2g+2 with g >= 2, got sum 4"),
+        ],
+    )
+    def test_malformed_document_names_the_field(self, run, command, doc, error):
+        status, out = run([command], stdin=json.dumps(doc))
         assert status == 2
         assert json.loads(out) == {"error": error}
 

@@ -51,6 +51,19 @@ class TestBinaryFormClass:
         with pytest.raises(ValueError, match="^the semistable point carries no roots$"):
             BinaryFormClass.from_dict({"semistable_point": True, "multiplicities": [3, 3]})
 
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            ([3, 3], "input must be a JSON object"),
+            (None, "input must be a JSON object"),
+            ({"multiplicities": 6}, "field 'multiplicities' must be an array"),
+            ({"multiplicities": {"3": 2}}, "field 'multiplicities' must be an array"),
+        ],
+    )
+    def test_from_dict_names_the_broken_field(self, doc, error):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            BinaryFormClass.from_dict(doc)
+
     @pytest.mark.parametrize("bad", [2.9, True, "3", None, 3.0])
     def test_rejects_non_integer(self, bad):
         with pytest.raises(ValueError):

@@ -53,6 +53,21 @@ class TestExponentVector:
         ):
             ExponentVector((3, 3, 1), at_infinity=-1)
 
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            ([3, 3], "input must be a JSON object"),
+            ("exponents", "input must be a JSON object"),
+            ({"at_infinity": 2}, "missing field 'exponents'"),
+            ({"exponents": 6}, "field 'exponents' must be an array"),
+            ({"exponents": "3111"}, "field 'exponents' must be an array"),
+            ({"exponents": None}, "field 'exponents' must be an array"),
+        ],
+    )
+    def test_from_dict_names_the_broken_field(self, doc, error):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            ExponentVector.from_dict(doc)
+
 
 class TestReduce:
     def test_even_exponent_tail(self):

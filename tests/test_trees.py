@@ -1,5 +1,7 @@
+from itertools import chain
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import hyperforms.trees as trees_mod
 from hyperforms import (
@@ -180,6 +182,58 @@ class TestCanonicalCode:
         assert canonical_code(relabeled(t, seed=2)) == canonical_code(t)
 
 
+def caterpillar(k: int, spine: int = 1, leg: int = 2):
+    """Spine 0..k-1 of weight `spine`, one leaf of weight `leg` on each."""
+    weights = {**{i: spine for i in range(k)}, **{k + i: leg for i in range(k)}}
+    return tree(weights, [(i, i + 1) for i in range(k - 1)] + [(i, k + i) for i in range(k)])
+
+
+def spider(center: int, legs: list[int]):
+    """Paths of the given numbers of vertices from a center of weight `center`;
+    inner vertices weigh 1, leg ends 2."""
+    weights, edges = {0: center}, []
+    for length in legs:
+        ids = [0, *range(len(weights), len(weights) + length)]
+        weights.update({v: 1 for v in ids[1:-1]})
+        weights[ids[-1]] = 2
+        edges += zip(ids, ids[1:])
+    return tree(weights, edges)
+
+
+def split_paths(depth: int, leg: int):
+    """Binary tree of paths: every branch point has two legs of `leg` vertices,
+    `depth` levels deep, so equal codes meet mid-tree; branch points weigh 1."""
+    weights, edges, tips = {0: 1}, [], [0]
+    for level in range(depth):
+        new_tips = []
+        for tip in tips:
+            for _ in range(2):
+                ids = [tip, *range(len(weights), len(weights) + leg)]
+                weights.update({v: 1 for v in ids[1:]})
+                edges += zip(ids, ids[1:])
+                new_tips.append(ids[-1])
+        tips = new_tips
+    weights.update({v: 2 for v in tips})
+    return tree(weights, edges)
+
+
+def hanging(weights) -> tuple:
+    """Code of a path hanging from its first vertex."""
+    return (*chain.from_iterable((-1, w) for w in weights), *[-2] * len(weights))
+
+
+def deep_tree(back: list[int], extra: list[int]) -> WeightedTree:
+    """Stable tree where vertex i hangs `back[i-1]` steps above i-1: long chains
+    with side branches, so codes are also extended in place."""
+    parent = [None] + [max(0, i - 1 - b) for i, b in enumerate(back, 1)]
+    degree = [0] * len(parent)
+    for i, p in enumerate(parent[1:], 1):
+        degree[i] += 1
+        degree[p] += 1
+    weights = {i: max(0, 3 - d) + extra[i % len(extra)] for i, d in enumerate(degree)}
+    return tree(weights, [(p, i) for i, p in enumerate(parent[1:], 1)])
+
+
 class TestLeafPeelingCode:
     """The one-pass leaf-peeling code against the three-walk oracle."""
 
@@ -210,6 +264,58 @@ class TestLeafPeelingCode:
     )
     def test_small_and_extreme_shapes(self, t):
         assert canonical_code(t) == walk_canonical_code(t)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            path_tree(2, *[1] * 1998, 2),
+            path_tree(2, *[1] * 1999, 2),
+            caterpillar(1000),
+            caterpillar(1001, leg=3),
+            spider(0, [1000] + [1] * 1000),
+            spider(0, [667] * 3),
+            spider(1, [500, 500, 499, 500]),
+            spider(0, list(range(1, 61))),
+            spider(3, [30] * 60),
+            split_paths(4, 60),
+        ],
+        ids=["path-even", "path-odd", "caterpillar", "caterpillar-odd", "broom",
+             "spider-equal-legs", "spider-one-short-leg", "star-of-paths", "star-of-equal-paths",
+             "split-paths"],
+    )
+    def test_matches_walk_oracle(self, t):
+        assert validate_stable(t).stable
+        code = canonical_code(t)
+        assert code == walk_canonical_code(t)
+        assert canonical_code(relabeled(t, seed=len(t.ids))) == code
+
+    @given(st.integers(0, 2**32), st.integers(1, 400), st.integers(0, 3))
+    def test_random_trees_property(self, seed, n, extra):
+        t = random_stable_tree(seed, n, extra)
+        code = canonical_code(t)
+        assert code == walk_canonical_code(t)
+        assert canonical_code(relabeled(t, seed)) == code
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(0, 3), max_size=300), st.lists(st.integers(0, 2), min_size=1))
+    def test_deep_trees(self, back, extra):
+        t = deep_tree(back, extra)
+        code = canonical_code(t)
+        assert code == walk_canonical_code(t)
+        assert canonical_code(relabeled(t, len(back))) == code
+
+    def test_long_path_closed_form(self):
+        n = 10**5
+        half = [1] * (n // 2 - 1) + [2]  # a center down to one end
+        expected = (-1, 1, *hanging(half), *hanging(half[1:]), -2)
+        assert canonical_code(path_tree(2, *[1] * (n - 2), 2)) == expected
+
+    def test_long_caterpillar_closed_form(self):
+        k = 5 * 10**4  # spine vertices; two centers in its middle
+        def side(j):  # the spine below a center, j vertices, with their leaves
+            return (-1, 1) * j + (-1, 2, -2, -2) * j
+        expected = (-1, 1, *side(k // 2), *side(k // 2 - 1), -1, 2, -2, -2)
+        assert canonical_code(caterpillar(k)) == expected
 
 
 class TestGrownTree:
@@ -265,6 +371,28 @@ class TestSerialization:
         assert t.m == 6
         with pytest.raises(InvalidTreeError):
             WeightedTree.from_dict({"m": 5, "vertices": [{"id": 0, "weight": 3}], "edges": []})
+
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            ([1, 2], "input must be a JSON object"),
+            ("tree", "input must be a JSON object"),
+            ({"edges": []}, "missing field 'vertices'"),
+            ({"vertices": "nope"}, "field 'vertices' must be an array"),
+            ({"vertices": {"0": 4}}, "field 'vertices' must be an array"),
+            ({"vertices": [{"id": 0, "weight": 4}], "edges": None},
+             "field 'edges' must be an array"),
+            ({"vertices": [1, 2]}, "each vertex must be an object with an id and a weight"),
+            ({"vertices": [{"weight": 4}]}, "each vertex must be an object with an id and a weight"),
+            ({"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}], "edges": [[0]]},
+             "each edge must be an array of two vertex ids"),
+            ({"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}], "edges": [1]},
+             "each edge must be an array of two vertex ids"),
+        ],
+    )
+    def test_from_dict_names_the_broken_field(self, doc, error):
+        with pytest.raises(InvalidTreeError, match=f"^{error}$"):
+            WeightedTree.from_dict(doc)
 
     def test_dot_labels(self):
         dot = path_tree(2, 4).to_dot()
