@@ -24,22 +24,21 @@ the checked constructor.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .strata import _label
-from .trees import CanonicalCode, WeightedTree, is_int, rooted_code
+from .trees import CanonicalCode, WeightedTree, checked_make, is_int, rooted_code
 
 DEFAULT_BOUND = 10
 
 
-@dataclass(frozen=True)
-class Census:
-    """All stable weighted-tree classes of total weight m, in code order."""
+class Census(namedtuple("Census", "m classes stratum_counts")):
+    """All stable weighted-tree classes of total weight m, in code order:
+    `classes` holds (code, tree) pairs, `stratum_counts` (label, count) pairs."""
 
-    m: int
-    classes: tuple[tuple[CanonicalCode, WeightedTree], ...]
-    stratum_counts: tuple[tuple[str, int], ...]
+    __slots__ = ()
+    # `len` is the class count, so the stock `_make`'s length check misfires.
+    _make = classmethod(checked_make)
 
     def __len__(self) -> int:
         return len(self.classes)

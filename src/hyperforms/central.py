@@ -8,27 +8,29 @@ splits the weight evenly the whole tree maps to the semistable point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .forms import BinaryFormClass
 from .trees import (
     WeightedTree,
     check,
+    checked_make,
     complementary_subtree_weights,
     require_stable,
 )
 
 
-@dataclass(frozen=True)
-class CentralResult:
+class CentralResult(namedtuple("CentralResult", "vertex edge")):
     """Either a central vertex or the unique half-weight (semistable) edge."""
 
-    vertex: int | None = None
-    edge: tuple[int, int] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.vertex is None) == (self.edge is None):
+    def __new__(cls, vertex: int | None = None, edge: tuple[int, int] | None = None):
+        if (vertex is None) == (edge is None):
             raise ValueError("exactly one of vertex/edge must be set")
+        return tuple.__new__(cls, (vertex, edge))
+
+    _make = classmethod(checked_make)
 
     @property
     def is_semistable_edge(self) -> bool:

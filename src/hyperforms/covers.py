@@ -9,12 +9,11 @@ pair of nodes.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import chain, permutations, product
 
-from .trees import WeightedTree, bfs, check, require_even
+from .trees import WeightedTree, bfs, check, read_only, require_even
 
 RAMIFIED = "ramified"
 SPLIT = "split"
@@ -26,27 +25,14 @@ def arithmetic_genus(genera: list[int], nodes: int) -> int:
     return sum(genera) + nodes - len(genera) + 1
 
 
-@dataclass(frozen=True)
-class CoverComponent:
-    id: int
-    base_vertex: int
-    sheet: int | None  # 0/1 for the sheets over an unbranched vertex, else None
-    branch_count: int
-    genus: int
+# `sheet` is 0/1 for the two sheets over an unbranched vertex, else None.
+CoverComponent = namedtuple("CoverComponent", "id base_vertex sheet branch_count genus")
+# `kind` is RAMIFIED or SPLIT; `components` are the ids of the two ends.
+CoverNode = namedtuple("CoverNode", "base_edge kind components")
 
 
-@dataclass(frozen=True)
-class CoverNode:
-    base_edge: tuple[int, int]
-    kind: str  # RAMIFIED or SPLIT
-    components: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class CoverModel:
-    components: tuple[CoverComponent, ...]
-    nodes: tuple[CoverNode, ...]
-    g: int
+class CoverModel(namedtuple("CoverModel", "components nodes g")):
+    __slots__ = ()
 
     @property
     def arithmetic_genus(self) -> int:
@@ -64,9 +50,7 @@ class CoverModel:
     def to_dict(self) -> dict:
         return {
             "g": self.g,
-            # Keys are the field names.  `asdict` deep-copies every scalar and
-            # is 15x slower on a 1000-component cover; a shallow copy suffices.
-            "components": [dict(vars(c)) for c in self.components],
+            "components": [c._asdict() for c in self.components],
             "nodes": [
                 {
                     "edge": list(n.base_edge),
@@ -160,16 +144,14 @@ def build_cover(t: WeightedTree) -> CoverModel:
     return cover
 
 
-@dataclass(frozen=True)
-class StableHyperellipticModel:
-    """Stable reduction of a cover: components with genera, nodes as id pairs.
+class StableHyperellipticModel(namedtuple("StableHyperellipticModel", "components nodes g")):
+    """Stable reduction of a cover: components as (id, genus) pairs, nodes as
+    sorted id pairs.
 
     Self-pairs record non-separating nodes.  Node pairs form a multiset.
     """
 
-    components: tuple[tuple[int, int], ...]  # (id, genus)
-    nodes: tuple[tuple[int, int], ...]  # sorted pairs, possibly repeated
-    g: int
+    __setattr__ = __delattr__ = read_only
 
     @property
     def arithmetic_genus(self) -> int:

@@ -8,9 +8,9 @@ degree are collapsed to one distinguished semistable-point value.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .trees import is_int, json_array
+from .trees import checked_make, is_int, json_array
 
 
 class GitClass(enum.Enum):
@@ -19,26 +19,24 @@ class GitClass(enum.Enum):
     UNSTABLE = "unstable"
 
 
-@dataclass(frozen=True)
-class BinaryFormClass:
+class BinaryFormClass(namedtuple("BinaryFormClass", "multiplicities semistable_point")):
     """Multiset of root multiplicities, or the distinguished semistable point.
 
     Roots carry no coordinates: two classes compare equal iff their
     multiplicity multisets agree (the stratum-level notion of equality).
     """
 
-    multiplicities: tuple[int, ...] = ()
-    semistable_point: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.semistable_point, bool):
-            raise ValueError(f"semistable_point must be a boolean, got {self.semistable_point!r}")
-        mults = tuple(self.multiplicities)
+    def __new__(cls, multiplicities=(), semistable_point: bool = False):
+        if not isinstance(semistable_point, bool):
+            raise ValueError(f"semistable_point must be a boolean, got {semistable_point!r}")
+        mults = tuple(multiplicities)
         for n in mults:
             if not is_int(n):
                 raise ValueError(f"multiplicities must be integers, got {n!r}")
         mults = tuple(sorted(mults, reverse=True))
-        if self.semistable_point:
+        if semistable_point:
             if mults:
                 raise ValueError("the semistable point carries no roots")
         else:
@@ -46,7 +44,9 @@ class BinaryFormClass:
                 raise ValueError("a form needs at least one root")
             if any(n <= 0 for n in mults):
                 raise ValueError("multiplicities must be positive")
-        object.__setattr__(self, "multiplicities", mults)
+        return tuple.__new__(cls, (mults, semistable_point))
+
+    _make = classmethod(checked_make)
 
     @classmethod
     def from_multiplicities(cls, mults) -> "BinaryFormClass":

@@ -8,36 +8,37 @@ central component keeps one branch point per odd exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .covers import arithmetic_genus
-from .trees import check, is_int, json_array
+from .trees import check, checked_make, is_int, json_array
 
 
-@dataclass(frozen=True)
-class ExponentVector:
+class ExponentVector(namedtuple("ExponentVector", "exponents at_infinity")):
     """Exponents of the distinct finite roots plus the multiplicity at infinity."""
 
-    exponents: tuple[int, ...]
-    at_infinity: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        exps = tuple(self.exponents)
-        for n in (*exps, self.at_infinity):
+    def __new__(cls, exponents, at_infinity: int = 0):
+        exps = tuple(exponents)
+        for n in (*exps, at_infinity):
             if not is_int(n):
                 raise ValueError(f"exponents must be integers, got {n!r}")
-        object.__setattr__(self, "exponents", exps)
         if not exps:
             raise ValueError("need at least one finite root")
         if any(n < 1 for n in exps):
             raise ValueError("finite-root exponents must be positive")
-        if self.at_infinity < 0:
+        if at_infinity < 0:
             raise ValueError("multiplicity at infinity must be non-negative")
+        self = tuple.__new__(cls, (exps, at_infinity))
         total = self.total
         if total % 2 or total < 6:
             raise ValueError(
                 f"exponents must sum to 2g+2 with g >= 2, got sum {total}"
             )
+        return self
+
+    _make = classmethod(checked_make)
 
     @property
     def total(self) -> int:
@@ -62,27 +63,21 @@ class ExponentVector:
         return {"at_infinity": self.at_infinity, "exponents": list(self.exponents)}
 
 
-@dataclass(frozen=True)
-class Tail:
-    source_index: int  # position in all_multiplicities()
-    exponent: int
-    genus: int
-    attachment_points: int
-    equation: str
+class Tail(namedtuple("Tail", "source_index exponent genus attachment_points equation")):
+    """A blown-down root; `source_index` is its position in all_multiplicities()."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return dict(vars(self))  # the field names are the keys
+        return self._asdict()  # the field names are the keys
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
-    central_branch_points: int
-    central_genus: int
-    central_split: bool  # no branch points left: two disjoint genus-0 sheets
-    tails: tuple[Tail, ...]
-    extra_nodes: int  # nodes left by contracted exponent-2 tails
-    g: int
-    git_unstable_input: bool
+class ReductionOutput(namedtuple("ReductionOutput", "central_branch_points central_genus "
+                                 "central_split tails extra_nodes g git_unstable_input")):
+    """`central_split`: no branch points left, so two disjoint genus-0 sheets;
+    `extra_nodes`: nodes left by contracted exponent-2 tails."""
+
+    __slots__ = ()
 
     @property
     def component_count(self) -> int:
@@ -171,12 +166,10 @@ def reduce(e: ExponentVector) -> ReductionOutput:
     return out
 
 
-@dataclass(frozen=True)
-class BlowupChain:
+class BlowupChain(namedtuple("BlowupChain", "n multiplicities")):
     """Multiplicities of the exceptional chain from repeated blow-up at a root."""
 
-    n: int
-    multiplicities: tuple[int, ...]
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"n": self.n, "multiplicities": list(self.multiplicities)}

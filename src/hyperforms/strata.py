@@ -7,7 +7,7 @@ point.  Deeper strata (three or more vertices) only get their codimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .central import contract_F_m
 from .forms import BinaryFormClass
@@ -20,12 +20,12 @@ DEEPER = "deeper"
 SEMISTABLE_IMAGE = "semistable_image"
 
 
-@dataclass(frozen=True)
-class StratumLabel:
-    kind: str
-    index: int | None = None  # i for delta/xi
-    codimension: int | None = None  # edge count for deeper strata
-    underlying: "StratumLabel | None" = None  # divisor hit by a semistable image
+class StratumLabel(namedtuple("StratumLabel", "kind index codimension underlying",
+                              defaults=(None, None, None))):
+    """A stratum kind; `index` is i for delta/xi, `codimension` the edge count of
+    a deeper stratum, `underlying` the divisor whose image is the semistable point."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.kind}

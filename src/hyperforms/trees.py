@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
 from itertools import chain, islice
 
@@ -67,22 +66,29 @@ def bfs(adj, root: int, cut: int | None = None) -> tuple[list[int], dict]:
     return order, parent
 
 
-@dataclass(frozen=True)
-class WeightedTree:
+def checked_make(cls, fields):
+    """`_make`, and so `_replace`, through the validating constructor."""
+    return cls(*fields)
+
+
+def read_only(self, name, *value):
+    """`__setattr__` and `__delattr__` of a record that keeps a `__dict__` for
+    cached tables, which `cached_property` fills without calling either."""
+    raise AttributeError(f"cannot assign to or delete {name!r}: {type(self).__name__} is immutable")
+
+
+class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
     """Weighted tree: vertices are (id, weight) pairs, edges unordered id pairs.
 
     Immutable after construction; structural validity (connected, acyclic,
     distinct ids, no loops) is enforced here, stability is not.
     """
 
-    vertices: tuple[tuple[int, int], ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for x in chain.from_iterable((*self.vertices, *self.edges)):
+    def __new__(cls, vertices, edges):
+        for x in chain.from_iterable((*vertices, *edges)):
             if not is_int(x):
                 raise InvalidTreeError(f"ids and weights must be integers, got {x!r}")
-        verts = tuple(sorted((v, w) for v, w in self.vertices))
+        verts = tuple(sorted((v, w) for v, w in vertices))
         ids = [v for v, _ in verts]
         if not ids:
             raise InvalidTreeError("tree has no vertices")
@@ -91,7 +97,7 @@ class WeightedTree:
         if any(w < 0 for _, w in verts):
             raise InvalidTreeError("negative vertex weight")
         idset = set(ids)
-        edges = tuple(sorted(tuple(sorted((a, b))) for a, b in self.edges))
+        edges = tuple(sorted(tuple(sorted((a, b))) for a, b in edges))
         for a, b in edges:
             if a == b:
                 raise InvalidTreeError(f"self-loop at vertex {a}")
@@ -101,17 +107,20 @@ class WeightedTree:
             raise InvalidTreeError("repeated edge")
         if len(edges) != len(verts) - 1:
             raise InvalidTreeError("edge count does not match a tree")
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", edges)
+        self = tuple.__new__(cls, (verts, edges))
         if len(self._walk[0]) != len(verts):
             raise InvalidTreeError("graph is disconnected")
+        return self
+
+    _make = classmethod(checked_make)
+    __setattr__ = __delattr__ = read_only
 
     @classmethod
     def _grown(cls, weights: list[int], parent: list[int | None]) -> "WeightedTree":
         """Tree on ids 0..n-1 grown from root 0, each vertex below `parent[v] < v`.
 
         Trusted path for trees correct by construction (the census): it skips
-        the checks of `__post_init__` but sets `vertices` and `edges` in the
+        the checks of `__new__` but builds `vertices` and `edges` in the
         normal form they produce.  `adjacency` is built from `edges` on first
         use, like every other cached table.  `parent[0]` is unused.
         """
@@ -121,10 +130,7 @@ class WeightedTree:
             len(parent) == n and all(0 <= p < v for v, p in enumerate(up, 1)),
             "grown tree: every parent id must precede its child's",
         )
-        t = cls.__new__(cls)
-        object.__setattr__(t, "vertices", tuple(enumerate(weights)))
-        object.__setattr__(t, "edges", tuple(sorted(zip(up, range(1, n)))))
-        return t
+        return tuple.__new__(cls, (tuple(enumerate(weights)), tuple(sorted(zip(up, range(1, n))))))
 
     @cached_property
     def weight_of(self) -> dict[int, int]:
@@ -263,10 +269,8 @@ def star_tree(center_weight: int, *leaf_weights: int) -> WeightedTree:
     )
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    stable: bool
-    violations: tuple[tuple[int, int, int], ...]  # (vertex, weight, degree)
+# `violations` holds a (vertex, weight, degree) triple per unstable vertex.
+StabilityReport = namedtuple("StabilityReport", "stable violations")
 
 
 def validate_stable(t: WeightedTree) -> StabilityReport:
@@ -312,11 +316,13 @@ def rooted_code(weight: int, below: list[CanonicalCode]) -> CanonicalCode:
 
     Markers -1/-2 open and close a subtree, other entries are vertex weights.
     Subtrees are sorted as flat tuples, which orders them exactly as the
-    nested (weight, children) tuples they encode.
+    nested (weight, children) tuples they encode.  `below` is sorted in
+    place: every caller builds the list for this call.
     """
     if not below:  # most vertices are leaves: skip the sort and the splat
         return (-1, weight, -2)
-    return (-1, weight, *chain.from_iterable(sorted(below)), -2)
+    below.sort()
+    return (-1, weight, *chain.from_iterable(below), -2)
 
 
 def _extended_code(weight: int, below: list) -> CanonicalCode | deque:

@@ -1,5 +1,4 @@
 import re
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -84,7 +83,7 @@ class TestBuildCover:
     def test_component_documents_are_field_copies(self):
         cover = build_cover(star_tree(0, 2, 2, 2, 2))  # sheets over the centre
         docs = cover.to_dict()["components"]
-        assert docs == [asdict(c) for c in cover.components]
+        assert docs == [c._asdict() for c in cover.components]
         docs[0]["genus"] = 99
         assert cover.components[0].genus != 99
 

@@ -1,0 +1,152 @@
+"""Result records: immutable named tuples, validated on every construction path."""
+
+import pytest
+
+from hyperforms import (
+    BinaryFormClass,
+    CentralResult,
+    ExponentVector,
+    InvalidTreeError,
+    WeightedTree,
+    blowup_chain,
+    build_cover,
+    classify_stratum,
+    contract_F_m,
+    enumerate_stable_trees,
+    find_central,
+    path_tree,
+    reduce,
+    stable_model,
+    tree,
+    validate_stable,
+)
+from conftest import run_python
+
+
+def sample_records() -> dict:
+    """One record of every record type the package builds."""
+    t = path_tree(3, 5)
+    cover = build_cover(t)
+    out = reduce(ExponentVector((3, 1, 1, 1, 1, 1)))
+    records = [
+        t, validate_stable(t), find_central(t), contract_F_m(t), classify_stratum(t),
+        cover, cover.components[0], cover.nodes[0], stable_model(cover),
+        ExponentVector((3, 1, 1, 1, 1, 1)), out, out.tails[0], blowup_chain(5),
+        enumerate_stable_trees(6),
+    ]
+    return {type(r).__name__: r for r in records}
+
+
+RECORDS = sample_records()
+
+
+def test_every_record_type_sampled():
+    assert len(RECORDS) == 14
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+class TestImmutable:
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        record = RECORDS[name]
+        before = tuple(record)
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        assert tuple(record) == before
+
+    def test_no_new_attributes(self, name):
+        with pytest.raises(AttributeError):
+            RECORDS[name].extra = 1
+
+
+class TestCachedTables:
+    @pytest.mark.parametrize("name", ["m", "adjacency", "weight_of", "_walk", "_rooted"])
+    @pytest.mark.parametrize("computed", [True, False], ids=["computed", "fresh"])
+    def test_tree_tables_cannot_be_overwritten(self, name, computed):
+        t = path_tree(3, 5)
+        if computed:
+            getattr(t, name)
+        with pytest.raises(AttributeError):
+            setattr(t, name, 99)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+        assert t.m == 8 and t.adjacency == {0: (1,), 1: (0,)}
+
+    def test_model_table_cannot_be_overwritten(self):
+        model = stable_model(build_cover(path_tree(3, 5)))
+        points = [model.special_points(cid) for cid, _ in model.components]
+        with pytest.raises(AttributeError):
+            model._special = None
+        assert [model.special_points(cid) for cid, _ in model.components] == points
+
+    def test_tables_still_cached(self):
+        t = path_tree(3, 5)
+        assert t.adjacency is t.adjacency
+        assert "adjacency" in t.__dict__
+
+
+REJECTED = [
+    (lambda: path_tree(3, 5)._replace(edges=()), InvalidTreeError),
+    (lambda: path_tree(3, 5)._replace(vertices=((0, 3), (1, 2.5))), InvalidTreeError),
+    (lambda: WeightedTree._make((((0, 1), (1, 2)), ((0, 0),))), InvalidTreeError),
+    (lambda: BinaryFormClass._make(((1,), True)), ValueError),
+    (lambda: BinaryFormClass((2, 1))._replace(multiplicities=(0,)), ValueError),
+    (lambda: BinaryFormClass._make(((1,), 1)), ValueError),
+    (lambda: CentralResult._make((None, None)), ValueError),
+    (lambda: CentralResult(vertex=0)._replace(edge=(0, 1)), ValueError),
+    (lambda: ExponentVector._make(((1, 1), 0)), ValueError),
+    (lambda: ExponentVector((3, 1, 1, 1))._replace(at_infinity=-1), ValueError),
+    (lambda: ExponentVector._make(((3, 1.0, 1, 1), 0)), ValueError),
+]
+
+
+class TestConstructionPaths:
+    @pytest.mark.parametrize("build, error", REJECTED, ids=range(len(REJECTED)))
+    def test_replace_and_make_reject_what_the_constructor_rejects(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    def test_replace_and_make_normalise_like_the_constructor(self):
+        t = path_tree(3, 5)
+        assert t._replace(edges=[(1, 0)]) == t
+        assert WeightedTree._make(([(1, 5), (0, 3)], [(1, 0)])) == t
+        assert BinaryFormClass._make(([1, 3, 2], False)).multiplicities == (3, 2, 1)
+        assert ExponentVector._make(([3, 1, 1, 1], 0)).exponents == (3, 1, 1, 1)
+
+    def test_census_make_keeps_its_fields(self):
+        census = RECORDS["Census"]
+        assert len(census) == 7
+        assert census._make(census) == census
+        assert census._replace(m=6) == census
+
+
+class TestTupleBehaviour:
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_fields_by_name_and_position(self, name):
+        record = RECORDS[name]
+        fields = tuple(getattr(record, f) for f in record._fields)
+        assert tuple(record) == fields and record == fields
+        assert record._asdict() == dict(zip(record._fields, fields))
+        assert hash(record) == hash(fields)
+
+    def test_equality_within_a_type(self):
+        assert path_tree(3, 5) == tree({1: 5, 0: 3}, [(1, 0)])
+        assert hash(path_tree(3, 5)) == hash(tree({1: 5, 0: 3}, [(1, 0)]))
+        assert path_tree(3, 5) != path_tree(5, 3)
+
+    def test_repr_names_the_fields(self):
+        assert repr(path_tree(3, 5)) == "WeightedTree(vertices=((0, 3), (1, 5)), edges=((0, 1),))"
+        assert repr(find_central(path_tree(3, 5))) == "CentralResult(vertex=1, edge=None)"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """Start-up contract: the CLI imports neither module.  Checked in a fresh
+    interpreter without `site`, since pytest imports both."""
+    proc = run_python(
+        "import sys, hyperforms.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        "-S",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
