@@ -15,7 +15,7 @@ from .central import contract_F_m, find_central
 from .covers import build_cover, stable_model
 from .reduction import ExponentVector, blowup_chain, reduce as reduce_equation
 from .strata import classify_stratum, f_g_exponents, image_dimension
-from .trees import WeightedTree, validate_stable
+from .trees import WeightedTree, decode, validate_stable
 
 
 class InputError(ValueError):
@@ -26,14 +26,10 @@ def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read input: {exc}") from exc
-
-
-def _tree(doc) -> WeightedTree:
-    return WeightedTree.from_dict(doc)
 
 
 def _stability(t, args) -> dict:
@@ -91,19 +87,20 @@ INPUT = ("--input", dict(default="-", help="input path, or - for stdin"))
 # One row per subcommand, all run alike by `main`: (help, builder of the input object
 # or None to read no input, function of (that object, args) -> document or text, options)
 COMMANDS = {
-    "stability": ("check the stability condition", _tree, _stability, [INPUT]),
-    "central": ("locate the central vertex or semistable edge", _tree,
+    "stability": ("check the stability condition", WeightedTree.from_dict, _stability, [INPUT]),
+    "central": ("locate the central vertex or semistable edge", WeightedTree.from_dict,
                 lambda t, args: find_central(t).to_dict(), [INPUT]),
-    "contract": ("contract branches to a binary-form class", _tree,
+    "contract": ("contract branches to a binary-form class", WeightedTree.from_dict,
                  lambda t, args: contract_F_m(t).to_dict(), [INPUT]),
-    "cover": ("build the admissible double cover and its stable model", _tree, _cover,
-              [INPUT, ("--format", dict(choices=("json", "dot"), default="json"))]),
+    "cover": ("build the admissible double cover and its stable model", WeightedTree.from_dict,
+              _cover, [INPUT, ("--format", dict(choices=("json", "dot"), default="json"))]),
     "reduce": ("local stable reduction of a hyperelliptic equation", ExponentVector.from_dict,
                _reduce,
                [INPUT, ("--chain", dict(action="store_true",
                                         help="also emit blow-up multiplicity chains"))]),
-    "stratum": ("classify the boundary stratum", _tree, _stratum, [INPUT]),
-    "map": ("evaluate the map to binary forms with image dimension", _tree, _map, [INPUT]),
+    "stratum": ("classify the boundary stratum", WeightedTree.from_dict, _stratum, [INPUT]),
+    "map": ("evaluate the map to binary forms with image dimension", WeightedTree.from_dict,
+            _map, [INPUT]),
     "enumerate": ("census of stable weighted-tree classes", None, _enumerate, [
         ("--m", dict(type=int, required=True, help="total weight")),
         ("--bound", dict(type=int, default=census_mod.DEFAULT_BOUND)),
@@ -132,12 +129,7 @@ def main(argv=None) -> int:
     try:
         obj = None
         if build is not None:
-            text = _read_input(args.input)
-            try:  # RecursionError: nested deeper than the decoder's stack allows
-                doc = json.loads(text)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise InputError(f"invalid JSON: {exc}") from exc
-            obj = build(doc)
+            obj = build(decode(_read_input(args.input), InputError))
         out, status = run(obj, args), 0
     except ValueError as exc:  # InputError and the tree errors included
         out, status = {"error": str(exc)}, 2

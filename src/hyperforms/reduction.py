@@ -59,9 +59,6 @@ class ExponentVector(namedtuple("ExponentVector", "exponents at_infinity")):
     def from_dict(cls, doc: dict) -> "ExponentVector":
         return cls(tuple(json_array(doc, "exponents")), doc.get("at_infinity", 0))
 
-    def to_dict(self) -> dict:
-        return {"at_infinity": self.at_infinity, "exponents": list(self.exponents)}
-
 
 class Tail(namedtuple("Tail", "source_index exponent genus attachment_points equation")):
     """A blown-down root; `source_index` is its position in all_multiplicities()."""
@@ -129,26 +126,12 @@ def reduce(e: ExponentVector) -> ReductionOutput:
             f"exponent {top} exceeds 2g = {2 * g}; no central component exists"
         )
 
-    tails: list[Tail] = []
-    extra_nodes = 0
-    branch_points = 0
-    for idx, n in enumerate(mults):
-        if n == 1:
-            branch_points += 1
-        elif n == 2:
-            extra_nodes += 1
-        else:
-            if n % 2:
-                branch_points += 1
-            tails.append(
-                Tail(
-                    source_index=idx,
-                    exponent=n,
-                    genus=tail_genus(n),
-                    attachment_points=attachment_points(n),
-                    equation=f"y^2 = z^{n} - 1",
-                )
-            )
+    branch_points = sum(n % 2 for n in mults)
+    tails = tuple(
+        Tail(source_index=idx, exponent=n, genus=tail_genus(n),
+             attachment_points=attachment_points(n), equation=f"y^2 = z^{n} - 1")
+        for idx, n in enumerate(mults) if n >= 3
+    )
 
     check(branch_points % 2 == 0, "central branch-point count must be even")
     split = branch_points == 0
@@ -157,8 +140,8 @@ def reduce(e: ExponentVector) -> ReductionOutput:
         central_branch_points=branch_points,
         central_genus=central_genus,
         central_split=split,
-        tails=tuple(tails),
-        extra_nodes=extra_nodes,
+        tails=tails,
+        extra_nodes=mults.count(2),
         g=g,
         git_unstable_input=top > g + 1,
     )

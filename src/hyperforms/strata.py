@@ -28,11 +28,7 @@ class StratumLabel(namedtuple("StratumLabel", "kind index codimension underlying
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.index is not None:
-            doc["index"] = self.index
-        if self.codimension is not None:
-            doc["codimension"] = self.codimension
+        doc = {name: value for name, value in self._asdict().items() if value is not None}
         if self.underlying is not None:
             doc["underlying"] = self.underlying.to_dict()
         return doc
@@ -47,10 +43,6 @@ class StratumLabel(namedtuple("StratumLabel", "kind index codimension underlying
         if self.kind == SEMISTABLE_IMAGE:
             return f"semistable({self.underlying})"
         return self.kind
-
-
-def interior() -> StratumLabel:
-    return StratumLabel(INTERIOR)
 
 
 def delta(i: int, g: int) -> StratumLabel:
@@ -74,7 +66,7 @@ def _label(t: WeightedTree, g: int) -> StratumLabel:
     """Stratum of `t`, which the caller knows to be stable of weight 2g+2."""
     n = len(t.vertices)
     if n == 1:
-        return interior()
+        return StratumLabel(INTERIOR)
     if n > 2:
         return StratumLabel(DEEPER, codimension=len(t.edges))
     (_, w1), (_, w2) = t.vertices

@@ -47,6 +47,14 @@ def json_array(doc, field: str, error: type[ValueError] = ValueError, required=T
     return value
 
 
+def decode(text: str, error: type[ValueError]):
+    """The JSON document in `text`, or `error("invalid JSON: ...")`."""
+    try:  # ValueError: malformed or an over-long integer; RecursionError: nested too deeply
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"invalid JSON: {exc}") from exc
+
+
 CanonicalCode = tuple[int, ...]
 
 
@@ -222,11 +230,7 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
 
     @classmethod
     def from_json(cls, text: str) -> "WeightedTree":
-        try:
-            doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-            raise InvalidTreeError(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(decode(text, InvalidTreeError))
 
     def to_dict(self) -> dict:
         return {
@@ -305,7 +309,6 @@ def require_even(t: WeightedTree) -> int:
 
 def complementary_subtree_weights(t: WeightedTree, v: int) -> list[int]:
     """Weights of the subtrees hanging off each edge at `v`, sorted."""
-    t.weight(v)
     return sorted(t.side_weight((v, u), toward=u) for u in t.neighbors(v))
 
 

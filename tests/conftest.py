@@ -10,6 +10,8 @@ from collections import Counter, defaultdict
 from itertools import chain, permutations, product
 from pathlib import Path
 
+import pytest
+
 from hyperforms import WeightedTree, build_cover, canonical_code, find_central, validate_stable
 from hyperforms.census import Census, _make_census
 from hyperforms.covers import CoverModel, StableHyperellipticModel
@@ -334,3 +336,12 @@ def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
         text=True,
         timeout=60,
     )
+
+
+def over_long_integer() -> str:
+    """A JSON integer literal one digit longer than `int()` may convert from a
+    string; skips the calling test on an interpreter without that limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no limit on integer string conversion")
+    return "1" * (limit + 1)

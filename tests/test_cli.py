@@ -6,6 +6,7 @@ import pytest
 from hyperforms import WeightedTree, canonical_code, cli, path_tree
 from hyperforms.cli import build_parser, main
 from hyperforms.trees import check
+from conftest import over_long_integer
 
 
 @pytest.fixture
@@ -315,6 +316,25 @@ class TestSubcommands:
             "multiplicities": [3, 1, 1, 1, 1, 1],
         }
 
+    # g = 1: no dimension formula below g = 2, so both print null.
+    def test_map_genus_one_has_no_dimension(self, run):
+        status, out = run(["map"], stdin=tree_doc(4))
+        assert status == 0
+        assert json.loads(out) == {
+            "image_dimension": None,
+            "label": "interior",
+            "multiplicities": [1, 1, 1, 1],
+        }
+
+    def test_stratum_genus_one_has_no_dimension(self, run):
+        status, out = run(["stratum"], stdin=tree_doc(2, 2))
+        assert status == 0
+        assert json.loads(out) == {
+            "image_dimension": None,
+            "label": {"kind": "semistable_image", "underlying": {"index": 0, "kind": "xi"}},
+            "name": "semistable(xi_0)",
+        }
+
     def test_stratum_semistable_image_names_underlying(self, run):
         status, out = run(["stratum"], stdin=tree_doc(4, 4))
         assert status == 0
@@ -415,6 +435,20 @@ class TestErrors:
         assert json.loads(out)["error"].startswith("invalid JSON: ")
 
     @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("central", '{"vertices": [{"id": %s, "weight": 4}], "edges": []}'),
+            ("reduce", '{"exponents": [3, 1, 1, 1, 1, 1], "at_infinity": %s}'),
+        ],
+        ids=["central", "reduce"],
+    )
+    def test_over_long_integer_is_invalid_json(self, run, command, doc):
+        status, out = run([command], stdin=doc % over_long_integer())
+        assert status == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"].startswith("invalid JSON: ")
+
+    @pytest.mark.parametrize(
         "command, error",
         [
             ("central", "input must be a JSON object"),
@@ -458,6 +492,17 @@ class TestErrors:
         assert status == 2
         assert json.loads(out) == {
             "error": f"cannot read input: [Errno 2] No such file or directory: '{missing}'"
+        }
+
+    @pytest.mark.parametrize("command", ["central", "reduce"])
+    def test_undecodable_input_file_exits_2(self, run, tmp_path, command):
+        path = tmp_path / "utf16.json"
+        path.write_bytes("{}".encode("utf-16"))  # starts with the bytes ff fe
+        status, out = run([command, "--input", str(path)])
+        assert status == 2
+        assert json.loads(out) == {
+            "error": "cannot read input: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte"
         }
 
     def test_bad_reduce_input_exits_2(self, run):

@@ -9,7 +9,9 @@ from hyperforms import (
     path_tree,
     tree,
 )
-from hyperforms.strata import DEEPER, DELTA, INTERIOR, SEMISTABLE_IMAGE, XI
+from hyperforms.strata import (
+    DEEPER, DELTA, INTERIOR, SEMISTABLE_IMAGE, XI, StratumLabel, delta, xi,
+)
 from conftest import reconstructed_exponents, two_vertex_tree
 
 
@@ -56,6 +58,19 @@ class TestClassifyStratum:
                     assert (label.kind, label.index) == (XI, (j - 2) // 2)
             else:
                 assert (label.kind, label.codimension) == (DEEPER, len(t.edges))
+
+
+class TestLabelIndexRange:
+    @pytest.mark.parametrize("i, g", [(0, 4), (3, 4), (1, 1)])
+    def test_delta_index_out_of_range(self, i, g):
+        with pytest.raises(ValueError, match=rf"^delta index must satisfy 1 <= i <= {g // 2}, got {i}$"):
+            delta(i, g)
+
+    @pytest.mark.parametrize("i, g", [(-1, 4), (2, 4), (1, 2)])
+    def test_xi_index_out_of_range(self, i, g):
+        bound = (g - 1) // 2
+        with pytest.raises(ValueError, match=rf"^xi index must satisfy 0 <= i <= {bound}, got {i}$"):
+            xi(i, g)
 
 
 class TestFgExponents:
@@ -108,6 +123,11 @@ class TestImageDimension:
         label = classify_stratum(path_tree(2, 2, 4))
         with pytest.raises(ValueError):
             image_dimension(label, 3)
+
+    @pytest.mark.parametrize("g", [1, 0, -1])
+    def test_genus_below_two_rejected(self, g):
+        with pytest.raises(ValueError, match=rf"^need g >= 2, got {g}$"):
+            image_dimension(StratumLabel(INTERIOR), g)
 
     @pytest.mark.parametrize("g", range(2, 7))
     def test_two_vertex_dimension_consistency(self, g):

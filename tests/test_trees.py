@@ -1,4 +1,6 @@
+import ast
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from hyperforms import (
 from hyperforms.trees import bfs
 from conftest import (
     brute_isomorphic,
+    over_long_integer,
     random_stable_tree,
     relabeled,
     run_python,
@@ -73,6 +76,11 @@ class TestStructure:
     def test_from_json_rejects_too_deeply_nested_json(self):
         with pytest.raises(InvalidTreeError, match="^invalid JSON: .*recursion"):
             WeightedTree.from_json("[" * 100_000 + "]" * 100_000)
+
+    def test_from_json_rejects_over_long_integer(self):
+        doc = '{"vertices": [{"id": 0, "weight": %s}], "edges": []}' % over_long_integer()
+        with pytest.raises(InvalidTreeError, match="^invalid JSON: "):
+            WeightedTree.from_json(doc)
 
     @pytest.mark.parametrize("seed,n", [(1, 7), (2, 40), (3, 300)])
     def test_adjacency_sorted_without_resorting(self, seed, n):
@@ -413,3 +421,14 @@ class TestInvariantCheck:
         proc = run_python(code, "-O")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "True broken"
+
+    def test_no_assert_statements_in_the_package(self):
+        # Every invariant goes through `check`: an `assert` would vanish under -O.
+        package = Path(trees_mod.__file__).parent
+        asserts = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)
+        ]
+        assert asserts == []
