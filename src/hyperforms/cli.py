@@ -23,11 +23,13 @@ class InputError(ValueError):
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The input as UTF-8 text; in-process callers may set a text stream as stdin."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        if path != "-":
+            with open(path, encoding="utf-8") as fh:
+                return fh.read()
+        stdin = sys.stdin
+        return stdin.buffer.read().decode("utf-8") if hasattr(stdin, "buffer") else stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read input: {exc}") from exc
 

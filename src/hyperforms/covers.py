@@ -10,10 +10,9 @@ pair of nodes.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import cached_property
-from itertools import chain, permutations, product
+from itertools import chain, groupby, permutations, product
 
-from .trees import WeightedTree, bfs, check, read_only, require_even
+from .trees import WeightedTree, bfs, check, require_even
 
 RAMIFIED = "ramified"
 SPLIT = "split"
@@ -110,8 +109,7 @@ def build_cover(t: WeightedTree) -> CoverModel:
 
     components: list[CoverComponent] = []
     over: dict[int, list[int]] = {}  # base vertex -> component ids
-    for v in t.ids:
-        bc = branch[v]
+    for v, bc in branch.items():
         check(bc % 2 == 0, "branch count must be even")
         cid = len(components)
         if bc > 0:
@@ -151,29 +149,22 @@ class StableHyperellipticModel(namedtuple("StableHyperellipticModel", "component
     Self-pairs record non-separating nodes.  Node pairs form a multiset.
     """
 
-    __setattr__ = __delattr__ = read_only
+    __slots__ = ()
 
     @property
     def arithmetic_genus(self) -> int:
         return arithmetic_genus([genus for _, genus in self.components], len(self.nodes))
 
-    @cached_property
-    def _special(self) -> Counter:
-        return Counter(chain.from_iterable(self.nodes))
-
     def special_points(self, cid: int) -> int:
         """Node branches on the component; a self-node counts twice."""
-        return self._special[cid]
+        return sum((a == cid) + (b == cid) for a, b in self.nodes)
 
     def to_dict(self) -> dict:
+        special = Counter(chain.from_iterable(self.nodes))
         return {
             "g": self.g,
             "components": [
-                {
-                    "id": cid,
-                    "genus": genus,
-                    "special_points": self.special_points(cid),
-                }
+                {"id": cid, "genus": genus, "special_points": special[cid]}
                 for cid, genus in self.components
             ],
             "nodes": [list(pair) for pair in self.nodes],
@@ -182,23 +173,18 @@ class StableHyperellipticModel(namedtuple("StableHyperellipticModel", "component
     def canonical_code(self) -> tuple:
         """Isomorphism invariant: minimal relabeling over genus-preserving maps.
 
-        Slot i of the code has genus target[i], so the components of genus k
-        go, in every order, to the slots from target.index(k) on.
+        Position i holds the i-th component by genus, target[i]; a relabeling
+        permutes the positions within every run of equal genera.
         """
-        target = tuple(sorted(genus for _, genus in self.components))
-        groups: dict[int, list[int]] = {}  # genus -> ids, genera ascending
-        for cid, genus in sorted(self.components, key=lambda c: c[1]):
-            groups.setdefault(genus, []).append(cid)
-        ids = list(chain(*groups.values()))
-        slot_orders = [
-            permutations(range(target.index(k), target.index(k) + len(group)))
-            for k, group in groups.items()
-        ]
+        ranked = sorted(self.components, key=lambda c: c[1])
+        target = tuple(genus for _, genus in ranked)
+        pos = {cid: i for i, (cid, _) in enumerate(ranked)}
+        ends = [(pos[a], pos[b]) for a, b in self.nodes]
+        runs = [permutations(run) for _, run in groupby(range(len(target)), target.__getitem__)]
         return target, min(
-            tuple(sorted(tuple(sorted((slot[a], slot[b]))) for a, b in self.nodes))
-            for slot in (
-                dict(zip(ids, chain(*perms))) for perms in product(*slot_orders)
-            )
+            tuple(sorted((slot[a], slot[b]) if slot[a] <= slot[b] else (slot[b], slot[a])
+                         for a, b in ends))
+            for slot in (list(chain(*perms)) for perms in product(*runs))
         )
 
 
@@ -207,31 +193,27 @@ def stable_model(c: CoverModel) -> StableHyperellipticModel:
 
     The two attachment points are identified into one node, until every
     genus-0 component has at least 3 special points.  Arithmetic genus is
-    preserved.  One pass in component order suffices: a contraction leaves every
-    other component's special-point count unchanged, so a component that
-    fails the test at its turn never passes it later.
+    preserved.  One pass in component order suffices: a contraction moves one
+    branch of each neighbour from the contracted component to the other
+    neighbour, so no special-point count changes, and a component that fails
+    the test at its turn never passes it later.
     """
     genus = {comp.id: comp.genus for comp in c.components}
+    # links[a][b]: nodes from a to b, a self-node twice; a's special points are their sum.
     links: dict[int, dict[int, int]] = {cid: {} for cid in genus}
-    special = dict.fromkeys(genus, 0)  # node branches; a self-node counts twice
     for node in c.nodes:
         a, b = node.components
         links[a][b] = links[a].get(b, 0) + 1
         links[b][a] = links[b].get(a, 0) + 1
-        special[a] += 1
-        special[b] += 1
 
-    # A contraction moves one branch of each neighbour from `cid` to the
-    # other neighbour, so `special` never changes after the loop above.
     for cid in list(genus):
         # Two attachments, both to other components: contract.
-        if genus[cid] == 0 and special[cid] == 2 and cid not in links[cid]:
+        if genus[cid] == 0 and cid not in links[cid] and sum(links[cid].values()) == 2:
             n1, n2 = [n for n, mult in links.pop(cid).items() for _ in range(mult)]
             del genus[cid]
-            links[n1][cid] -= 1
-            links[n2][cid] -= 1
-            links[n1][n2] = links[n1].get(n2, 0) + 1
-            links[n2][n1] = links[n2].get(n1, 0) + 1
+            for x, y in ((n1, n2), (n2, n1)):
+                links[x][cid] -= 1
+                links[x][y] = links[x].get(y, 0) + 1
 
     nodes = sorted(
         (a, b)

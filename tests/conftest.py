@@ -14,7 +14,8 @@ import pytest
 
 from hyperforms import WeightedTree, build_cover, canonical_code, find_central, validate_stable
 from hyperforms.census import Census, _make_census
-from hyperforms.covers import CoverModel, StableHyperellipticModel
+from hyperforms.covers import CoverModel, StableHyperellipticModel, arithmetic_genus
+from hyperforms.reduction import attachment_points, tail_genus
 from hyperforms.trees import CanonicalCode, bfs, tree
 
 
@@ -307,6 +308,36 @@ def subcover_genus(t: WeightedTree, central_vertex: int, branch_root: int) -> in
     return sum(c.genus for c in comps) + len(internal) - len(comps) + 1
 
 
+def check_branch_identity(t: WeightedTree) -> int:
+    """Check every branch at the central vertex against `reduce`'s closed
+    form: a branch of weight n has a connected subcover of arithmetic genus
+    `tail_genus(n)` that meets the rest of the cover in `attachment_points(n)`
+    nodes.  Returns the number of branches checked, 0 when the centre is an
+    edge."""
+    central = find_central(t)
+    if central.is_semistable_edge:
+        return 0
+    v = central.vertex
+    cover = build_cover(t)
+    for u in t.neighbors(v):
+        n = t.side_weight((v, u), toward=u)
+        base = set(bfs(t.adjacency, u, cut=v)[0])
+        genus = {c.id: c.genus for c in cover.components if c.base_vertex in base}
+        adj: dict[int, list[int]] = {cid: [] for cid in genus}
+        internal = crossing = 0
+        for a, b in (node.components for node in cover.nodes):
+            if a in genus and b in genus:
+                adj[a].append(b)
+                adj[b].append(a)
+                internal += 1
+            else:
+                crossing += a in genus or b in genus
+        assert len(bfs(adj, next(iter(genus)))[0]) == len(genus), (t, u, "disconnected")
+        assert arithmetic_genus(list(genus.values()), internal) == tail_genus(n), (t, u)
+        assert crossing == attachment_points(n), (t, u)
+    return len(t.neighbors(v))
+
+
 def reconstructed_exponents(t: WeightedTree):
     """Exponents recovered from the cover tails: 2h+1 odd weight, 2h+2 even."""
     result = find_central(t)
@@ -325,13 +356,18 @@ def two_vertex_tree(j: int, m: int) -> WeightedTree:
     return tree({0: j, 1: m - j}, [(0, 1)])
 
 
-def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
-    """Run `code` in a fresh interpreter that imports this checkout's package."""
+def checkout_env() -> dict:
+    """The environment with this checkout's package first on `PYTHONPATH`."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this checkout's package."""
     return subprocess.run(
         [sys.executable, *flags, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        env=checkout_env(),
         capture_output=True,
         text=True,
         timeout=60,

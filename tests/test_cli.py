@@ -1,12 +1,15 @@
 import argparse
+import io
 import json
+import subprocess
+import sys
 
 import pytest
 
 from hyperforms import WeightedTree, canonical_code, cli, path_tree
 from hyperforms.cli import build_parser, main
 from hyperforms.trees import check
-from conftest import over_long_integer
+from conftest import checkout_env, over_long_integer
 
 
 @pytest.fixture
@@ -504,6 +507,33 @@ class TestErrors:
             "error": "cannot read input: 'utf-8' codec can't decode byte 0xff in position 0: "
             "invalid start byte"
         }
+
+    @pytest.mark.parametrize("command, data, error", [
+        ("reduce", b'{"exponents": [3, 1, 1, 1, 1, 1], "x": "\xe9"}',
+         "byte 0xe9 in position 40: invalid continuation byte"),
+        ("central", b"\xff\xfe{}", "byte 0xff in position 0: invalid start byte"),
+    ], ids=["latin-1-byte", "utf-16-bom"])
+    def test_undecodable_stdin_reads_as_the_same_file(self, run, tmp_path, command, data, error):
+        """stdin is decoded as UTF-8 whatever the interpreter's stdin encoding."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperforms.cli", command],
+            input=data,
+            capture_output=True,
+            env={**checkout_env(), "PYTHONIOENCODING": "utf-8:surrogateescape"},
+            timeout=60,
+        )
+        expected = {"error": f"cannot read input: 'utf-8' codec can't decode {error}"}
+        assert (proc.returncode, json.loads(proc.stdout)) == (2, expected)
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        status, out = run([command, "--input", str(path)])
+        assert (status, json.loads(out)) == (2, expected)
+
+    def test_text_stream_as_stdin(self, capsys, monkeypatch):
+        """In-process callers may set a text stream, with no `buffer`, as stdin."""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(tree_doc(3, 5)))
+        assert main(["central"]) == 0
+        assert capsys.readouterr().out == GOLDEN_TREES[(3, 5)][("central",)]
 
     def test_bad_reduce_input_exits_2(self, run):
         status, out = run(["reduce"], stdin=json.dumps({"exponents": [3, 1]}))

@@ -1,4 +1,6 @@
+import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,11 +18,16 @@ from hyperforms import (
 from hyperforms.covers import (
     RAMIFIED,
     SPLIT,
+    CoverComponent,
+    CoverModel,
+    CoverNode,
+    StableHyperellipticModel,
     arithmetic_genus,
     branch_count,
     edge_is_ramified,
 )
 from conftest import (
+    check_branch_identity,
     fixpoint_stable_model,
     leaf_strip_cover,
     permutation_model_code,
@@ -236,3 +243,153 @@ class TestModelCanonicalCode:
         counts = {c["id"]: c["special_points"] for c in model.to_dict()["components"]}
         assert counts == {cid: model.special_points(cid) for cid, _ in model.components}
         assert sum(counts.values()) == 2 * len(model.nodes)
+
+
+class TestBranchIdentity:
+    """`reduce`'s closed form read off `build_cover` at the central vertex."""
+
+    def test_every_even_class_up_to_12(self):
+        checked = sum(
+            check_branch_identity(t)
+            for m in range(4, 13, 2)
+            for t in enumerate_stable_trees(m, bound=12).trees
+        )
+        assert checked == 2572
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_random_trees(self, seed):
+        assert check_branch_identity(random_stable_tree(seed, n=3000, extra=seed)) > 0
+
+
+def hand_model(genus: dict[int, int], pairs) -> StableHyperellipticModel:
+    """A model off the tree pipeline, in `stable_model`'s normal form."""
+    components = tuple(sorted(genus.items()))
+    nodes = tuple(sorted(tuple(sorted(pair)) for pair in pairs))
+    g = arithmetic_genus(list(genus.values()), len(nodes))
+    return StableHyperellipticModel(components, nodes, g)
+
+
+def relabeled_model(model: StableHyperellipticModel, seed: int) -> StableHyperellipticModel:
+    ids = [cid for cid, _ in model.components]
+    new = dict(zip(ids, random.Random(seed).sample(range(100), len(ids))))
+    return hand_model(
+        {new[cid]: genus for cid, genus in model.components},
+        [(new[a], new[b]) for a, b in model.nodes],
+    )
+
+
+def random_model(seed: int) -> StableHyperellipticModel:
+    """Up to 7 components of genus 0-2, random nodes, self-nodes included."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 7)
+    pairs = [(rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(k, 2 * k))]
+    return hand_model({cid: rng.randrange(3) for cid in range(k)}, pairs)
+
+
+def degrees(model: StableHyperellipticModel) -> list[int]:
+    return sorted(model.special_points(cid) for cid, _ in model.components)
+
+
+A, B = 0, 1
+K33 = [(a, b) for a in range(3) for b in range(3, 6)]
+PRISM = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+# Pairs of non-isomorphic models with the same genus multiset and degree sequence.
+TWINS = {
+    "self-nodes": (hand_model({A: 1, B: 1}, [(A, A), (A, B), (B, B)]),
+                   hand_model({A: 1, B: 1}, [(A, B)] * 3)),
+    "k33-prism": (hand_model(dict.fromkeys(range(6), 0), K33),
+                  hand_model(dict.fromkeys(range(6), 0), PRISM)),
+    "genus-order": (hand_model({0: 0, 1: 1, 2: 1, 3: 0}, [(0, 1), (1, 2), (2, 3)]),
+                    hand_model({0: 1, 1: 0, 2: 0, 3: 1}, [(0, 1), (1, 2), (2, 3)])),
+}
+
+
+class TestModelCodeOffThePipeline:
+    """The model code on hand-built models against the permutation oracle."""
+
+    @pytest.mark.parametrize("name", sorted(TWINS))
+    def test_twins_get_different_codes(self, name):
+        first, second = TWINS[name]
+        assert Counter(g for _, g in first.components) == Counter(g for _, g in second.components)
+        assert degrees(first) == degrees(second)
+        assert first.canonical_code() != second.canonical_code()
+        for model in (first, second):
+            assert model.canonical_code() == permutation_model_code(model)
+            for seed in range(3):
+                assert relabeled_model(model, seed).canonical_code() == model.canonical_code()
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_models(self, seed):
+        model = random_model(seed)
+        assert model.canonical_code() == permutation_model_code(model)
+        for copy_seed in range(3):
+            copy = relabeled_model(model, copy_seed)
+            assert copy.canonical_code() == model.canonical_code()
+            assert copy.canonical_code() == permutation_model_code(copy)
+
+
+def hand_cover(genus: dict[int, int], pairs, seed: int) -> CoverModel:
+    """A cover off the tree pipeline; components listed in a seeded order,
+    which is the order `stable_model` visits them in."""
+    ids = random.Random(seed).sample(sorted(genus), len(genus))
+    components = tuple(CoverComponent(cid, cid, None, 2 * genus[cid] + 2, genus[cid]) for cid in ids)
+    nodes = tuple(CoverNode((a, b), SPLIT, (a, b)) for a, b in pairs)
+    return CoverModel(components, nodes, arithmetic_genus(list(genus.values()), len(nodes)))
+
+
+def chain_cover(k: int, anchored: bool, seed: int) -> CoverModel:
+    """k two-pointed genus-0 components 1..k in a chain from 0 to k + 1;
+    the ends have genus 1 if anchored, else genus 0 and one node each."""
+    end = int(anchored)
+    genus = {0: end, **dict.fromkeys(range(1, k + 1), 0), k + 1: end}
+    return hand_cover(genus, [(i, i + 1) for i in range(k + 1)], seed)
+
+
+def cycle_cover(k: int, anchored: bool, seed: int) -> CoverModel:
+    """A cycle of k two-pointed genus-0 components, through one genus-1
+    component 0 if anchored."""
+    ids = list(range(k + anchored))
+    genus = {cid: int(anchored and cid == 0) for cid in ids}
+    return hand_cover(genus, [(ids[i - 1], ids[i]) for i in range(len(ids))], seed)
+
+
+class TestStableModelOffThePipeline:
+    """`stable_model` on chains and cycles the tree pipeline never builds."""
+
+    @staticmethod
+    def check(cover: CoverModel) -> StableHyperellipticModel:
+        model = stable_model(cover)
+        assert model == fixpoint_stable_model(cover)
+        # No contraction changes a kept component's node branches.
+        ends = Counter(cid for node in cover.nodes for cid in node.components)
+        for cid, _ in model.components:
+            assert model.special_points(cid) == ends[cid]
+        return model
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_anchored_chain_contracts_to_one_node(self, k, seed):
+        model = self.check(chain_cover(k, True, seed))
+        assert model.components == ((0, 1), (k + 1, 1))
+        assert model.nodes == ((0, k + 1),)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_anchored_cycle_contracts_to_a_self_node(self, k, seed):
+        model = self.check(cycle_cover(k, True, seed))
+        assert model.components == ((0, 1),)
+        assert model.nodes == ((0, 0),)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_unanchored_chain(self, k, seed):
+        model = self.check(chain_cover(k, False, seed))
+        assert len(model.nodes) == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_unanchored_cycle_keeps_one_self_node(self, k, seed):
+        model = self.check(cycle_cover(k, False, seed))
+        assert len(model.components) == 1
+        (cid, genus), = model.components
+        assert genus == 0 and model.nodes == ((cid, cid),)

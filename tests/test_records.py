@@ -61,6 +61,12 @@ class TestImmutable:
             RECORDS[name].extra = 1
 
 
+@pytest.mark.parametrize("name", sorted(set(RECORDS) - {"WeightedTree"}))
+def test_records_hold_only_their_fields(name):
+    """Only `WeightedTree` keeps cached tables, and so an instance `__dict__`."""
+    assert not hasattr(RECORDS[name], "__dict__")
+
+
 class TestCachedTables:
     @pytest.mark.parametrize("name", ["m", "adjacency", "weight_of", "_walk", "_rooted"])
     @pytest.mark.parametrize("computed", [True, False], ids=["computed", "fresh"])
