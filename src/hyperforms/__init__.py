@@ -6,39 +6,30 @@ local stable reductions of hyperelliptic equations, and the boundary-stratum
 behaviour of the map to semistable binary forms.  All arithmetic is exact.
 """
 
-from .census import Census, enumerate_stable_trees
-from .central import CentralResult, contract_F_m, find_central, half_weight_edge
-from .covers import (
-    CoverModel,
-    StableHyperellipticModel,
-    branch_count,
-    build_cover,
-    edge_is_ramified,
-    stable_model,
-)
-from .forms import BinaryFormClass, GitClass, classify, moduli_dimension
-from .reduction import (
-    BlowupChain,
-    ExponentVector,
-    ReductionOutput,
-    blowup_chain,
-    reduce,
-)
-from .strata import StratumLabel, classify_stratum, f_g_exponents, image_dimension
-from .trees import (
-    CanonicalCode,
-    InvalidTreeError,
-    InvariantError,
-    StabilityReport,
-    UnstableTreeError,
-    WeightedTree,
-    canonical_code,
-    complementary_subtree_weights,
-    isomorphic,
-    path_tree,
-    star_tree,
-    tree,
-    validate_stable,
-)
+from importlib import import_module
 
+# Each public name's defining submodule, imported on the name's first access (PEP 562).
+_MODULE = {name: module for module, names in {
+    "census": "Census enumerate_stable_trees",
+    "central": "CentralResult contract_F_m find_central half_weight_edge",
+    "covers": "CoverModel StableHyperellipticModel branch_count build_cover edge_is_ramified "
+              "stable_model",
+    "forms": "BinaryFormClass GitClass classify moduli_dimension",
+    "reduction": "BlowupChain ExponentVector ReductionOutput blowup_chain reduce",
+    "strata": "StratumLabel classify_stratum f_g_exponents image_dimension",
+    "trees": "CanonicalCode InvalidTreeError InvariantError StabilityReport UnstableTreeError "
+             "WeightedTree canonical_code complementary_subtree_weights isomorphic path_tree "
+             "star_tree tree validate_stable",
+}.items() for name in names.split()}
+__all__ = sorted(_MODULE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(import_module("." + _MODULE[name], __name__), name))
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -27,9 +27,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from .strata import _label
-from .trees import CanonicalCode, WeightedTree, checked_make, is_int, rooted_code
-
-DEFAULT_BOUND = 10
+from .trees import DEFAULT_BOUND, CanonicalCode, WeightedTree, checked_make, is_int, rooted_code
 
 
 class Census(namedtuple("Census", "m classes stratum_counts")):

@@ -11,13 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .forms import BinaryFormClass
-from .trees import (
-    WeightedTree,
-    check,
-    checked_make,
-    complementary_subtree_weights,
-    require_stable,
-)
+from .trees import WeightedTree, check, checked_make, complementary_subtree_weights, require_stable
 
 
 class CentralResult(namedtuple("CentralResult", "vertex edge")):

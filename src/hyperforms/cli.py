@@ -10,12 +10,8 @@ import argparse
 import json
 import sys
 
-from . import census as census_mod
-from .central import contract_F_m, find_central
-from .covers import build_cover, stable_model
-from .reduction import ExponentVector, blowup_chain, reduce as reduce_equation
-from .strata import classify_stratum, f_g_exponents, image_dimension
-from .trees import WeightedTree, decode, validate_stable
+# Only `trees` here: each command's function imports its own layers when it runs.
+from .trees import DEFAULT_BOUND, WeightedTree, decode, validate_stable
 
 
 class InputError(ValueError):
@@ -29,6 +25,8 @@ def _read_input(path: str) -> str:
             with open(path, encoding="utf-8") as fh:
                 return fh.read()
         stdin = sys.stdin
+        if stdin is None:  # the interpreter started with fd 0 closed
+            raise OSError("stdin is closed")
         return stdin.buffer.read().decode("utf-8") if hasattr(stdin, "buffer") else stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read input: {exc}") from exc
@@ -42,15 +40,32 @@ def _stability(t, args) -> dict:
     }
 
 
+def _central(t, args) -> dict:
+    from .central import find_central
+    return find_central(t).to_dict()
+
+
+def _contract(t, args) -> dict:
+    from .central import contract_F_m
+    return contract_F_m(t).to_dict()
+
+
 def _cover(t, args):
+    from .covers import build_cover, stable_model
     cover = build_cover(t)
     if args.format == "dot":
         return cover.to_dot()
     return {**cover.to_dict(), "stable_model": stable_model(cover).to_dict()}
 
 
+def _exponents(doc):
+    from .reduction import ExponentVector
+    return ExponentVector.from_dict(doc)
+
+
 def _reduce(vector, args) -> dict:
-    out = reduce_equation(vector).to_dict()
+    from .reduction import blowup_chain, reduce
+    out = reduce(vector).to_dict()
     if args.chain:
         out["chains"] = [blowup_chain(n).to_dict() for n in vector.all_multiplicities() if n >= 2]
     return out
@@ -58,6 +73,7 @@ def _reduce(vector, args) -> dict:
 
 def _classified(t):
     """The tree's stratum label and its image dimension (None if no formula)."""
+    from .strata import classify_stratum, image_dimension
     label = classify_stratum(t)
     try:
         return label, image_dimension(label, (t.m - 2) // 2)
@@ -71,12 +87,14 @@ def _stratum(t, args) -> dict:
 
 
 def _map(t, args) -> dict:
+    from .strata import f_g_exponents
     label, dim = _classified(t)
     return {"label": str(label), **f_g_exponents(t).to_dict(), "image_dimension": dim}
 
 
 def _enumerate(_, args):
-    result = census_mod.enumerate_stable_trees(args.m, bound=args.bound)
+    from .census import enumerate_stable_trees
+    result = enumerate_stable_trees(args.m, bound=args.bound)
     if args.format == "count":
         return str(len(result))
     if args.format == "dot":
@@ -85,27 +103,24 @@ def _enumerate(_, args):
 
 
 INPUT = ("--input", dict(default="-", help="input path, or - for stdin"))
+TREE = WeightedTree.from_dict
 
 # One row per subcommand, all run alike by `main`: (help, builder of the input object
 # or None to read no input, function of (that object, args) -> document or text, options)
 COMMANDS = {
-    "stability": ("check the stability condition", WeightedTree.from_dict, _stability, [INPUT]),
-    "central": ("locate the central vertex or semistable edge", WeightedTree.from_dict,
-                lambda t, args: find_central(t).to_dict(), [INPUT]),
-    "contract": ("contract branches to a binary-form class", WeightedTree.from_dict,
-                 lambda t, args: contract_F_m(t).to_dict(), [INPUT]),
-    "cover": ("build the admissible double cover and its stable model", WeightedTree.from_dict,
-              _cover, [INPUT, ("--format", dict(choices=("json", "dot"), default="json"))]),
-    "reduce": ("local stable reduction of a hyperelliptic equation", ExponentVector.from_dict,
-               _reduce,
+    "stability": ("check the stability condition", TREE, _stability, [INPUT]),
+    "central": ("locate the central vertex or semistable edge", TREE, _central, [INPUT]),
+    "contract": ("contract branches to a binary-form class", TREE, _contract, [INPUT]),
+    "cover": ("build the admissible double cover and its stable model", TREE, _cover,
+              [INPUT, ("--format", dict(choices=("json", "dot"), default="json"))]),
+    "reduce": ("local stable reduction of a hyperelliptic equation", _exponents, _reduce,
                [INPUT, ("--chain", dict(action="store_true",
                                         help="also emit blow-up multiplicity chains"))]),
-    "stratum": ("classify the boundary stratum", WeightedTree.from_dict, _stratum, [INPUT]),
-    "map": ("evaluate the map to binary forms with image dimension", WeightedTree.from_dict,
-            _map, [INPUT]),
+    "stratum": ("classify the boundary stratum", TREE, _stratum, [INPUT]),
+    "map": ("evaluate the map to binary forms with image dimension", TREE, _map, [INPUT]),
     "enumerate": ("census of stable weighted-tree classes", None, _enumerate, [
         ("--m", dict(type=int, required=True, help="total weight")),
-        ("--bound", dict(type=int, default=census_mod.DEFAULT_BOUND)),
+        ("--bound", dict(type=int, default=DEFAULT_BOUND)),
         ("--format", dict(choices=("json", "dot", "count"), default="json")),
     ]),
 }

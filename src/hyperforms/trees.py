@@ -13,6 +13,8 @@ from collections import deque, namedtuple
 from functools import cached_property
 from itertools import chain, islice
 
+DEFAULT_BOUND = 10  # the census's default cap on m; here so the CLI parser need not load it
+
 
 class InvalidTreeError(ValueError):
     """The input does not describe a weighted tree."""

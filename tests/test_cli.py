@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hyperforms import WeightedTree, canonical_code, cli, path_tree
+from hyperforms import WeightedTree, canonical_code, covers, path_tree
 from hyperforms.cli import build_parser, main
 from hyperforms.trees import check
 from conftest import checkout_env, over_long_integer
@@ -535,6 +535,20 @@ class TestErrors:
         assert main(["central"]) == 0
         assert capsys.readouterr().out == GOLDEN_TREES[(3, 5)][("central",)]
 
+    def test_no_stdin_exits_2(self, capsys, monkeypatch):
+        """An interpreter started with fd 0 closed has `sys.stdin` set to None."""
+        monkeypatch.setattr(sys, "stdin", None)
+        assert main(["central"]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": "cannot read input: stdin is closed"}
+
+    def test_closed_stdin_exits_2(self):
+        code = ("import os, sys; os.close(0); "
+                "os.execv(sys.executable, [sys.executable, '-m', 'hyperforms.cli', 'central'])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=checkout_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert proc.stdout == '{"error": "cannot read input: stdin is closed"}\n'
+
     def test_bad_reduce_input_exits_2(self, run):
         status, out = run(["reduce"], stdin=json.dumps({"exponents": [3, 1]}))
         assert status == 2
@@ -543,7 +557,7 @@ class TestErrors:
         def broken(t):
             check(False, "arithmetic genus mismatch")
 
-        monkeypatch.setattr(cli, "build_cover", broken)
+        monkeypatch.setattr(covers, "build_cover", broken)
         status, out = run(["cover"], stdin=tree_doc(3, 3))
         assert status == 1
         assert json.loads(out) == {
