@@ -36,17 +36,6 @@ class CentralResult(namedtuple("CentralResult", "vertex edge")):
         return {"kind": "central_vertex", "vertex": self.vertex}
 
 
-def half_weight_edge(t: WeightedTree) -> tuple[int, int] | None:
-    """The edge splitting the total weight as (m/2, m/2), if any."""
-    m = t.m
-    if m % 2:
-        return None
-    for a, b in t.edges:
-        if 2 * t.side_weight((a, b), toward=a) == m:
-            return (a, b)
-    return None
-
-
 def is_central(t: WeightedTree, v: int) -> bool:
     """Direct test of the definition: every complementary subtree < m/2."""
     return all(2 * w < t.m for w in complementary_subtree_weights(t, v))
@@ -82,6 +71,6 @@ def contract_F_m(t: WeightedTree) -> BinaryFormClass:
         return BinaryFormClass.semistable()
     v = result.vertex
     mults = complementary_subtree_weights(t, v) + [1] * t.weight(v)
-    form = BinaryFormClass.from_multiplicities(mults)
+    form = BinaryFormClass(mults)
     check(form.degree == t.m, "contracted form degree differs from m")
     return form

@@ -75,26 +75,12 @@ class CoverModel(namedtuple("CoverModel", "components nodes g")):
         return "\n".join(lines)
 
 
-def edge_is_ramified(t: WeightedTree, edge: tuple[int, int]) -> bool:
-    """An edge is ramified iff the subtree weight on either side is odd."""
-    a, b = edge
-    return t.side_weight(edge, toward=a) % 2 == 1
-
-
-def branch_count(t: WeightedTree, v: int) -> int:
-    """Marks on v plus incident ramified edges; always even for even m."""
-    return t.weight(v) + sum(
-        1 for u in t.neighbors(v) if edge_is_ramified(t, (v, u))
-    )
-
-
 def build_cover(t: WeightedTree) -> CoverModel:
     """Construct the admissible double cover of a stable even-weight tree.
 
     Each edge's parity is read once from the tree's rooted table: the edge is
     ramified iff the weight below its lower end is odd, and a ramified edge
-    adds one branch point at each end.  `edge_is_ramified` and `branch_count`
-    state the same rules edge by edge.
+    adds one branch point at each end.
     """
     g = require_even(t)
     parent, below = t._rooted
@@ -154,10 +140,6 @@ class StableHyperellipticModel(namedtuple("StableHyperellipticModel", "component
     @property
     def arithmetic_genus(self) -> int:
         return arithmetic_genus([genus for _, genus in self.components], len(self.nodes))
-
-    def special_points(self, cid: int) -> int:
-        """Node branches on the component; a self-node counts twice."""
-        return sum((a == cid) + (b == cid) for a, b in self.nodes)
 
     def to_dict(self) -> dict:
         special = Counter(chain.from_iterable(self.nodes))

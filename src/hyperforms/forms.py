@@ -49,21 +49,12 @@ class BinaryFormClass(namedtuple("BinaryFormClass", "multiplicities semistable_p
     _make = classmethod(checked_make)
 
     @classmethod
-    def from_multiplicities(cls, mults) -> "BinaryFormClass":
-        return cls(tuple(mults))
-
-    @classmethod
     def semistable(cls) -> "BinaryFormClass":
         return cls(semistable_point=True)
 
     @property
     def degree(self) -> int:
         return sum(self.multiplicities)
-
-    @property
-    def roots(self) -> tuple[tuple[str, int], ...]:
-        """Synthetic labeled roots (labels are fresh opaque tokens)."""
-        return tuple((f"p{i}", n) for i, n in enumerate(self.multiplicities))
 
     def to_dict(self) -> dict:
         if self.semistable_point:

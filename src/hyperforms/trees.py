@@ -395,7 +395,3 @@ def canonical_code(t: WeightedTree) -> CanonicalCode:
         rooted_code(weight[a], below_a + [rooted_code(weight[b], below_b)]),
         rooted_code(weight[b], below_b + [rooted_code(weight[a], below_a)]),
     )
-
-
-def isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
-    return canonical_code(t1) == canonical_code(t2)

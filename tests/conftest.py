@@ -12,11 +12,58 @@ from pathlib import Path
 
 import pytest
 
-from hyperforms import WeightedTree, build_cover, canonical_code, find_central, validate_stable
+from hyperforms import (
+    CentralResult,
+    ExponentVector,
+    WeightedTree,
+    build_cover,
+    canonical_code,
+    contract_F_m,
+    find_central,
+    reduce,
+    stable_model,
+    star_tree,
+    validate_stable,
+)
 from hyperforms.census import Census, _make_census
+from hyperforms.central import is_central
 from hyperforms.covers import CoverModel, StableHyperellipticModel, arithmetic_genus
-from hyperforms.reduction import attachment_points, tail_genus
+from hyperforms.reduction import ReductionOutput, attachment_points, tail_genus
 from hyperforms.trees import CanonicalCode, bfs, tree
+
+
+# -- the paper's definitions, one edge or vertex at a time ----------------
+
+def half_weight_edge(t: WeightedTree) -> tuple[int, int] | None:
+    """The edge splitting the total weight as (m/2, m/2), if any."""
+    for a, b in t.edges:
+        if 2 * t.side_weight((a, b), toward=a) == t.m:
+            return (a, b)
+    return None
+
+
+def central_by_definition(t: WeightedTree) -> CentralResult:
+    """The half-weight edge if there is one, else the one vertex `is_central` accepts."""
+    edge = half_weight_edge(t)
+    if edge is not None:
+        return CentralResult(edge=edge)
+    (v,) = [v for v in t.ids if is_central(t, v)]
+    return CentralResult(vertex=v)
+
+
+def edge_is_ramified(t: WeightedTree, edge: tuple[int, int]) -> bool:
+    """An edge is ramified iff the subtree weight on either side is odd."""
+    return t.side_weight(edge, toward=edge[0]) % 2 == 1
+
+
+def branch_count(t: WeightedTree, v: int) -> int:
+    """Marks on v plus incident ramified edges; always even for even m."""
+    return t.weight(v) + sum(edge_is_ramified(t, (v, u)) for u in t.neighbors(v))
+
+
+def special_points(model: StableHyperellipticModel, cid: int) -> int:
+    """Node branches on the component; a self-node counts twice."""
+    return sum((a == cid) + (b == cid) for a, b in model.nodes)
 
 
 def brute_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
@@ -284,28 +331,23 @@ def relabeled(t: WeightedTree, seed: int) -> WeightedTree:
     )
 
 
-def subcover_genus(t: WeightedTree, central_vertex: int, branch_root: int) -> int:
-    """Arithmetic genus of the part of the double cover over one branch."""
-    cover = build_cover(t)
-    sub_vertices = set(bfs(t.adjacency, branch_root, cut=central_vertex)[0])
-    comps = [c for c in cover.components if c.base_vertex in sub_vertices]
-    ids = {c.id for c in comps}
-    internal = [
-        n for n in cover.nodes if n.components[0] in ids and n.components[1] in ids
-    ]
-    # The subcover must be connected for the genus formula below.
-    reach = {comps[0].id}
-    frontier = [comps[0].id]
-    while frontier:
-        x = frontier.pop()
-        for n in internal:
-            a, b = n.components
-            for y in (a, b):
-                if x in (a, b) and y not in reach:
-                    reach.add(y)
-                    frontier.append(y)
-    assert reach == ids, "branch subcover is disconnected"
-    return sum(c.genus for c in comps) + len(internal) - len(comps) + 1
+def branch_subcover(t: WeightedTree, cover: CoverModel, v: int, u: int) -> tuple[int, int, bool]:
+    """The part of `cover` over the branch of `t` at `v` through its neighbour
+    `u`: its arithmetic genus, the number of nodes joining it to the rest of
+    the cover, and whether it is connected."""
+    base = set(bfs(t.adjacency, u, cut=v)[0])
+    genus = {c.id: c.genus for c in cover.components if c.base_vertex in base}
+    adj: dict[int, list[int]] = {cid: [] for cid in genus}
+    internal = crossing = 0
+    for a, b in (node.components for node in cover.nodes):
+        if a in genus and b in genus:
+            adj[a].append(b)
+            adj[b].append(a)
+            internal += 1
+        else:
+            crossing += a in genus or b in genus
+    connected = len(bfs(adj, next(iter(genus)))[0]) == len(genus)
+    return arithmetic_genus(list(genus.values()), internal), crossing, connected
 
 
 def check_branch_identity(t: WeightedTree) -> int:
@@ -321,19 +363,9 @@ def check_branch_identity(t: WeightedTree) -> int:
     cover = build_cover(t)
     for u in t.neighbors(v):
         n = t.side_weight((v, u), toward=u)
-        base = set(bfs(t.adjacency, u, cut=v)[0])
-        genus = {c.id: c.genus for c in cover.components if c.base_vertex in base}
-        adj: dict[int, list[int]] = {cid: [] for cid in genus}
-        internal = crossing = 0
-        for a, b in (node.components for node in cover.nodes):
-            if a in genus and b in genus:
-                adj[a].append(b)
-                adj[b].append(a)
-                internal += 1
-            else:
-                crossing += a in genus or b in genus
-        assert len(bfs(adj, next(iter(genus)))[0]) == len(genus), (t, u, "disconnected")
-        assert arithmetic_genus(list(genus.values()), internal) == tail_genus(n), (t, u)
+        genus, crossing, connected = branch_subcover(t, cover, v, u)
+        assert connected, (t, u, "disconnected")
+        assert genus == tail_genus(n), (t, u)
         assert crossing == attachment_points(n), (t, u)
     return len(t.neighbors(v))
 
@@ -344,12 +376,54 @@ def reconstructed_exponents(t: WeightedTree):
     if result.is_semistable_edge:
         return None
     v = result.vertex
+    cover = build_cover(t)
     mults = [1] * t.weight(v)
     for u in t.neighbors(v):
-        h = subcover_genus(t, v, u)
+        h, _, connected = branch_subcover(t, cover, v, u)
+        assert connected, "branch subcover is disconnected"
         w = t.side_weight((v, u), toward=u)
         mults.append(2 * h + 1 if w % 2 else 2 * h + 2)
     return sorted(mults, reverse=True)
+
+
+def model_shape(model: StableHyperellipticModel) -> tuple[list[int], int]:
+    """Sorted component genera and node count of a stable model."""
+    return sorted(genus for _, genus in model.components), len(model.nodes)
+
+
+def reduced_shape(out: ReductionOutput) -> tuple[list[int], int]:
+    """Sorted component genera and node count of `reduce`'s curve."""
+    genera = [0, 0] if out.central_split else [out.central_genus]
+    return sorted(genera + [tail.genus for tail in out.tails]), out.node_count
+
+
+def square_partitions(max_m: int):
+    """Every partition of 2g+2 <= `max_m`, with g >= 2 and no part above g,
+    as a descending tuple: the stable forms with distinct roots of those
+    multiplicities, up to coordinate change."""
+
+    def parts(total: int, top: int):
+        if total == 0:
+            yield ()
+            return
+        for first in range(min(total, top), 0, -1):
+            for rest in parts(total - first, first):
+                yield (first, *rest)
+
+    for m in range(6, max_m + 1, 2):
+        yield from parts(m, m // 2 - 1)
+
+
+def check_exponent_square(p: tuple[int, ...]) -> None:
+    """The square from the exponent side: the star with one leaf of weight n
+    per part n >= 2 and a centre carrying the simple roots is stable, is
+    centred at the centre, contracts back to `p`, and its cover's stable
+    model has the component genera and node count of `reduce(p)`."""
+    t = star_tree(p.count(1), *[n for n in p if n >= 2])
+    assert validate_stable(t).stable, p
+    assert find_central(t) == CentralResult(vertex=0), p
+    assert contract_F_m(t).multiplicities == p, p
+    assert model_shape(stable_model(build_cover(t))) == reduced_shape(reduce(ExponentVector(p))), p
 
 
 def two_vertex_tree(j: int, m: int) -> WeightedTree:

@@ -14,16 +14,18 @@ from hyperforms import (
     enumerate_stable_trees,
     f_g_exponents,
     find_central,
-    half_weight_edge,
     image_dimension,
     stable_model,
 )
 from hyperforms.central import is_central
-from hyperforms.covers import RAMIFIED, edge_is_ramified, branch_count
+from hyperforms.covers import RAMIFIED
 from hyperforms.reduction import ExponentVector, blowup_chain, reduce
 from hyperforms.strata import DELTA, SEMISTABLE_IMAGE, XI, delta, xi
 from conftest import (
+    branch_count,
     brute_force_census,
+    edge_is_ramified,
+    half_weight_edge,
     leaf_strip_cover,
     reconstructed_exponents,
     two_vertex_tree,

@@ -8,7 +8,6 @@ from hyperforms import (
     contract_F_m,
     enumerate_stable_trees,
     find_central,
-    half_weight_edge,
     path_tree,
     star_tree,
     tree,
@@ -16,16 +15,7 @@ from hyperforms import (
 from hyperforms.central import is_central
 from hyperforms.forms import BinaryFormClass, GitClass, classify
 
-from conftest import random_stable_tree, relabeled
-
-
-def central_by_definition(t: WeightedTree) -> CentralResult:
-    """The half-weight edge if there is one, else the one vertex `is_central` accepts."""
-    edge = half_weight_edge(t)
-    if edge is not None:
-        return CentralResult(edge=edge)
-    (v,) = [v for v in t.ids if is_central(t, v)]
-    return CentralResult(vertex=v)
+from conftest import central_by_definition, half_weight_edge, random_stable_tree, relabeled
 
 
 class TestCentralResult:

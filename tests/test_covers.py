@@ -4,12 +4,15 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import hyperforms
 from hyperforms import (
     build_cover,
     canonical_code,
+    contract_F_m,
     enumerate_stable_trees,
+    find_central,
     path_tree,
     stable_model,
     star_tree,
@@ -23,15 +26,19 @@ from hyperforms.covers import (
     CoverNode,
     StableHyperellipticModel,
     arithmetic_genus,
-    branch_count,
-    edge_is_ramified,
 )
 from conftest import (
+    branch_count,
+    central_by_definition,
     check_branch_identity,
+    edge_is_ramified,
     fixpoint_stable_model,
     leaf_strip_cover,
+    model_shape,
     permutation_model_code,
     random_stable_tree,
+    relabeled,
+    special_points,
 )
 
 
@@ -135,7 +142,7 @@ class TestBuildCover:
 
 
 class TestCoverIdentities:
-    """The one-pass cover against the per-edge rules it replaces."""
+    """The one-pass cover against the per-edge rules in `conftest`."""
 
     @staticmethod
     def check_identities(t):
@@ -158,6 +165,22 @@ class TestCoverIdentities:
         cover = self.check_identities(random_stable_tree(seed, n=n, extra=seed))
         assert stable_model(cover) == fixpoint_stable_model(cover)
 
+    # The model's canonical code is left out: its cost is factorial in the
+    # number of same-genus components.
+    @given(st.integers(0, 2**32), st.integers(1, 16), st.integers(0, 6))
+    def test_random_trees_property(self, seed, n, extra):
+        t = random_stable_tree(seed, n, extra)
+        copy = relabeled(t, seed)
+        covers = [self.check_identities(u) for u in (t, copy)]
+        models = [stable_model(cover) for cover in covers]
+        for u, cover, model in zip((t, copy), covers, models):
+            assert find_central(u) == central_by_definition(u)
+            assert model == fixpoint_stable_model(cover)
+        check_branch_identity(t)
+        assert contract_F_m(copy) == contract_F_m(t)
+        first, second = (sorted(c.genus for c in cover.components) for cover in covers)
+        assert first == second
+        assert model_shape(models[0]) == model_shape(models[1])
 
 class TestStableModel:
     def test_xi0_contraction(self):
@@ -179,7 +202,7 @@ class TestStableModel:
         assert sorted(genus for _, genus in model.components) == [0, 0, 1]
         for cid, genus in model.components:
             if genus == 0:
-                assert model.special_points(cid) >= 3
+                assert special_points(model, cid) >= 3
 
     @pytest.mark.parametrize("m", range(4, 11, 2))
     def test_stability_and_genus_preserved(self, m):
@@ -188,7 +211,7 @@ class TestStableModel:
             assert model.arithmetic_genus == (m - 2) // 2
             for cid, genus in model.components:
                 if genus == 0 and len(model.components) > 1:
-                    assert model.special_points(cid) >= 3, (t, model)
+                    assert special_points(model, cid) >= 3, (t, model)
 
     @pytest.mark.parametrize("m", range(4, 11, 2))
     def test_agrees_with_fixpoint_oracle(self, m):
@@ -241,7 +264,7 @@ class TestModelCanonicalCode:
     def test_special_points_match_to_dict(self):
         model = stable_model(build_cover(star_tree(0, 2, 2, 4)))
         counts = {c["id"]: c["special_points"] for c in model.to_dict()["components"]}
-        assert counts == {cid: model.special_points(cid) for cid, _ in model.components}
+        assert counts == {cid: special_points(model, cid) for cid, _ in model.components}
         assert sum(counts.values()) == 2 * len(model.nodes)
 
 
@@ -287,7 +310,7 @@ def random_model(seed: int) -> StableHyperellipticModel:
 
 
 def degrees(model: StableHyperellipticModel) -> list[int]:
-    return sorted(model.special_points(cid) for cid, _ in model.components)
+    return sorted(special_points(model, cid) for cid, _ in model.components)
 
 
 A, B = 0, 1
@@ -363,7 +386,7 @@ class TestStableModelOffThePipeline:
         # No contraction changes a kept component's node branches.
         ends = Counter(cid for node in cover.nodes for cid in node.components)
         for cid, _ in model.components:
-            assert model.special_points(cid) == ends[cid]
+            assert special_points(model, cid) == ends[cid]
         return model
 
     @pytest.mark.parametrize("seed", range(3))

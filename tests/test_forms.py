@@ -6,25 +6,21 @@ from hyperforms import BinaryFormClass, GitClass, classify, moduli_dimension
 
 class TestBinaryFormClass:
     def test_multiplicities_sorted(self):
-        f = BinaryFormClass.from_multiplicities([1, 3, 2])
+        f = BinaryFormClass([1, 3, 2])
         assert f.multiplicities == (3, 2, 1)
         assert f.degree == 6
 
-    def test_roots_have_distinct_labels(self):
-        labels = [label for label, _ in BinaryFormClass.from_multiplicities([2, 2, 2]).roots]
-        assert len(set(labels)) == 3
-
     def test_equality_is_multiset_equality(self):
-        assert BinaryFormClass.from_multiplicities([2, 1, 3]) == BinaryFormClass.from_multiplicities([3, 2, 1])
-        assert BinaryFormClass.from_multiplicities([2, 2]) != BinaryFormClass.from_multiplicities([3, 1])
+        assert BinaryFormClass([2, 1, 3]) == BinaryFormClass([3, 2, 1])
+        assert BinaryFormClass([2, 2]) != BinaryFormClass([3, 1])
 
     def test_semistable_point_is_single_value(self):
         assert BinaryFormClass.semistable() == BinaryFormClass.semistable()
-        assert BinaryFormClass.semistable() != BinaryFormClass.from_multiplicities([3, 3])
+        assert BinaryFormClass.semistable() != BinaryFormClass([3, 3])
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            BinaryFormClass.from_multiplicities([2, 0])
+            BinaryFormClass([2, 0])
 
     def test_rejects_semistable_point_with_roots(self):
         with pytest.raises(ValueError, match="^the semistable point carries no roots$"):
@@ -72,7 +68,7 @@ class TestBinaryFormClass:
             BinaryFormClass(multiplicities=(bad, 3))
 
     def test_json_round_trip(self):
-        f = BinaryFormClass.from_multiplicities([3, 1, 1, 1])
+        f = BinaryFormClass([3, 1, 1, 1])
         assert BinaryFormClass.from_dict(f.to_dict()) == f
         s = BinaryFormClass.semistable()
         assert BinaryFormClass.from_dict(s.to_dict()) == s
@@ -80,27 +76,27 @@ class TestBinaryFormClass:
 
 class TestClassify:
     def test_simple_roots_stable(self):
-        assert classify(BinaryFormClass.from_multiplicities([1] * 6)) == GitClass.STABLE
+        assert classify(BinaryFormClass([1] * 6)) == GitClass.STABLE
 
     def test_half_degree_strictly_semistable(self):
-        assert classify(BinaryFormClass.from_multiplicities([3, 3])) == GitClass.STRICTLY_SEMISTABLE
+        assert classify(BinaryFormClass([3, 3])) == GitClass.STRICTLY_SEMISTABLE
 
     def test_above_half_unstable(self):
         # odd degree: 5 > 7/2, and no strictly semistable forms exist
-        assert classify(BinaryFormClass.from_multiplicities([5, 1, 1])) == GitClass.UNSTABLE
+        assert classify(BinaryFormClass([5, 1, 1])) == GitClass.UNSTABLE
 
     def test_semistable_point_convention(self):
         assert classify(BinaryFormClass.semistable()) == GitClass.STRICTLY_SEMISTABLE
 
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=8))
     def test_invariant_under_permutation(self, mults):
-        f1 = BinaryFormClass.from_multiplicities(mults)
-        f2 = BinaryFormClass.from_multiplicities(list(reversed(mults)))
+        f1 = BinaryFormClass(mults)
+        f2 = BinaryFormClass(list(reversed(mults)))
         assert classify(f1) == classify(f2)
 
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=8))
     def test_odd_degree_never_strictly_semistable(self, mults):
-        f = BinaryFormClass.from_multiplicities(mults)
+        f = BinaryFormClass(mults)
         if f.degree % 2:
             assert classify(f) != GitClass.STRICTLY_SEMISTABLE
 

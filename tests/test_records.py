@@ -20,7 +20,7 @@ from hyperforms import (
     tree,
     validate_stable,
 )
-from conftest import run_python
+from conftest import run_python, special_points
 
 
 def sample_records() -> dict:
@@ -82,10 +82,10 @@ class TestCachedTables:
 
     def test_model_table_cannot_be_overwritten(self):
         model = stable_model(build_cover(path_tree(3, 5)))
-        points = [model.special_points(cid) for cid, _ in model.components]
+        points = [special_points(model, cid) for cid, _ in model.components]
         with pytest.raises(AttributeError):
             model._special = None
-        assert [model.special_points(cid) for cid, _ in model.components] == points
+        assert [special_points(model, cid) for cid, _ in model.components] == points
 
     def test_tables_still_cached(self):
         t = path_tree(3, 5)

@@ -12,6 +12,7 @@ from hyperforms import (
     reduce,
     stable_model,
 )
+from conftest import check_exponent_square, model_shape, reduced_shape, square_partitions
 
 
 def compositions(total, max_part=None):
@@ -180,10 +181,13 @@ class TestDepthOneIdentity:
             if v is None or any(t.degree(u) > 1 for u in t.neighbors(v)):
                 continue
             red = reduce(ExponentVector(contract_F_m(t).multiplicities))
-            model = stable_model(build_cover(t))
-            genera = [0, 0] if red.central_split else [red.central_genus]
-            genera += [tail.genus for tail in red.tails]
-            assert sorted(genera) == sorted(genus for _, genus in model.components), t
-            assert red.node_count == len(model.nodes), t
+            assert model_shape(stable_model(build_cover(t))) == reduced_shape(red), t
             checked += 1
         assert checked == count
+
+    def test_star_of_every_partition_up_to_20(self):
+        # The square read from the exponent side, one step wider in CI (2g+2 <= 30).
+        forms = list(square_partitions(20))
+        for p in forms:
+            check_exponent_square(p)
+        assert len(forms) == 1114
