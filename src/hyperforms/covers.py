@@ -38,13 +38,13 @@ class CoverModel(namedtuple("CoverModel", "components nodes g")):
         return arithmetic_genus([c.genus for c in self.components], len(self.nodes))
 
     def is_connected(self) -> bool:
-        adj: dict[int, list[int]] = {c.id: [] for c in self.components}
+        index = {c.id: i for i, c in enumerate(self.components)}
+        adj: list[list[int]] = [[] for _ in self.components]
         for node in self.nodes:
             a, b = node.components
-            adj[a].append(b)
-            adj[b].append(a)
-        order, _ = bfs(adj, self.components[0].id)
-        return len(order) == len(self.components)
+            adj[index[a]].append(index[b])
+            adj[index[b]].append(index[a])
+        return connected(adj)
 
     def to_dict(self) -> dict:
         return {
@@ -75,55 +75,69 @@ class CoverModel(namedtuple("CoverModel", "components nodes g")):
         return "\n".join(lines)
 
 
+def connected(adj: list[list[int]]) -> bool:
+    """Whether the graph on positions 0..len(adj)-1 with adjacency `adj` is
+    connected: one `bfs` from position 0."""
+    order, _ = bfs(adj, 0)
+    return len(order) == len(adj)
+
+
 def build_cover(t: WeightedTree) -> CoverModel:
     """Construct the admissible double cover of a stable even-weight tree.
 
     Each edge's parity is read once from the tree's rooted table: the edge is
     ramified iff the weight below its lower end is odd, and a ramified edge
-    adds one branch point at each end.
+    adds one branch point at each end.  The cover graph's adjacency is built
+    with its nodes, for the one connectivity walk.
     """
     g = require_even(t)
     parent, below = t._rooted
     branch = dict(t.weight_of)
-    ramified: list[bool] = []
+    ramified: list[int] = []
     for a, b in t.edges:
-        odd = below[a if parent[a] == b else b] % 2 == 1
+        odd = below[a if parent[a] == b else b] & 1
         ramified.append(odd)
         if odd:
             branch[a] += 1
             branch[b] += 1
 
+    check(all(bc % 2 == 0 for bc in branch.values()), "branch count must be even")
+    new = tuple.__new__  # records built as `_grown` builds trees: no per-field call
     components: list[CoverComponent] = []
-    over: dict[int, list[int]] = {}  # base vertex -> component ids
+    # Base vertex -> (first, last) component over it: sheets 0 and 1 over an
+    # unbranched vertex, the one component twice over a branched one.
+    over: dict[int, tuple[int, int]] = {}
+    cid = 0
     for v, bc in branch.items():
-        check(bc % 2 == 0, "branch count must be even")
-        cid = len(components)
-        if bc > 0:
-            components.append(CoverComponent(cid, v, None, bc, bc // 2 - 1))
-            over[v] = [cid]
+        if bc:
+            components.append(new(CoverComponent, (cid, v, None, bc, bc // 2 - 1)))
+            over[v] = (cid, cid)
+            cid += 1
         else:
-            components.append(CoverComponent(cid, v, 0, 0, 0))
-            components.append(CoverComponent(cid + 1, v, 1, 0, 0))
-            over[v] = [cid, cid + 1]
+            components.append(new(CoverComponent, (cid, v, 0, 0, 0)))
+            components.append(new(CoverComponent, (cid + 1, v, 1, 0, 0)))
+            over[v] = (cid, cid + 1)
+            cid += 2
 
     # Split nodes over an unbranched vertex go one to each sheet; between two
-    # unbranched vertices the sheets are matched index-to-index.  Index 0 is
-    # sheet 0 and index -1 sheet 1, or the one component over a branched vertex.
+    # unbranched vertices the sheets are matched first-to-first, last-to-last.
     nodes: list[CoverNode] = []
+    adj: list[list[int]] = [[] for _ in components]  # component ids are positions
     for edge, odd in zip(t.edges, ramified):
-        oa, ob = over[edge[0]], over[edge[1]]
+        (a, a1), (b, b1) = over[edge[0]], over[edge[1]]
+        adj[a].append(b)
+        adj[b].append(a)
         if odd:
-            check(
-                len(oa) == 1 and len(ob) == 1,
-                "ramified node over an unbranched vertex",
-            )
-            nodes.append(CoverNode(edge, RAMIFIED, (oa[0], ob[0])))
+            check(a == a1 and b == b1, "ramified node over an unbranched vertex")
+            nodes.append(new(CoverNode, (edge, RAMIFIED, (a, b))))
         else:
-            nodes.append(CoverNode(edge, SPLIT, (oa[0], ob[0])))
-            nodes.append(CoverNode(edge, SPLIT, (oa[-1], ob[-1])))
+            adj[a1].append(b1)
+            adj[b1].append(a1)
+            nodes.append(new(CoverNode, (edge, SPLIT, (a, b))))
+            nodes.append(new(CoverNode, (edge, SPLIT, (a1, b1))))
 
+    check(connected(adj), "admissible double cover must be connected")
     cover = CoverModel(tuple(components), tuple(nodes), g)
-    check(cover.is_connected(), "admissible double cover must be connected")
     check(cover.arithmetic_genus == g, "arithmetic genus mismatch")
     return cover
 
@@ -185,25 +199,30 @@ def stable_model(c: CoverModel) -> StableHyperellipticModel:
     links: dict[int, dict[int, int]] = {cid: {} for cid in genus}
     for node in c.nodes:
         a, b = node.components
-        links[a][b] = links[a].get(b, 0) + 1
-        links[b][a] = links[b].get(a, 0) + 1
+        ends_a, ends_b = links[a], links[b]
+        ends_a[b] = ends_a.get(b, 0) + 1
+        ends_b[a] = ends_b.get(a, 0) + 1
 
-    for cid in list(genus):
+    for cid, g in list(genus.items()):
+        ends = links[cid]
         # Two attachments, both to other components: contract.
-        if genus[cid] == 0 and cid not in links[cid] and sum(links[cid].values()) == 2:
-            n1, n2 = [n for n, mult in links.pop(cid).items() for _ in range(mult)]
-            del genus[cid]
+        if g == 0 and cid not in ends and sum(ends.values()) == 2:
+            del genus[cid], links[cid]
+            # Two neighbours, or one met twice.
+            n1, n2 = ends if len(ends) == 2 else (*ends, *ends)
             for x, y in ((n1, n2), (n2, n1)):
-                links[x][cid] -= 1
-                links[x][y] = links[x].get(y, 0) + 1
+                ends_x = links[x]
+                ends_x.pop(cid, None)  # every node to `cid` goes with it
+                ends_x[y] = ends_x.get(y, 0) + 1
 
-    nodes = sorted(
-        (a, b)
-        for a, ends in links.items()
-        for b, mult in ends.items()
-        if a <= b  # counts to a contracted component are zero
-        for _ in range(mult if a < b else mult // 2)
-    )
+    nodes: list[tuple[int, int]] = []
+    for a, ends in links.items():
+        for b, mult in ends.items():
+            if a < b:
+                nodes += [(a, b)] * mult
+            elif a == b:  # a self-node is counted at both of its branches
+                nodes += [(a, a)] * (mult // 2)
+    nodes.sort()
     model = StableHyperellipticModel(
         components=tuple(sorted(genus.items())),
         nodes=tuple(nodes),

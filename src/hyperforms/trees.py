@@ -11,7 +11,8 @@ import json
 from bisect import bisect
 from collections import deque, namedtuple
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, starmap
+from operator import eq, itemgetter
 
 DEFAULT_BOUND = 10  # the census's default cap on m; here so the CLI parser need not load it
 
@@ -64,7 +65,8 @@ def bfs(adj, root: int, cut: int | None = None) -> tuple[list[int], dict]:
     """Breadth-first order from `root` and each reached vertex's parent.
 
     The walk never enters `cut`; the root's parent is None.  Every graph walk
-    in the package goes through here.
+    in the package goes through here, the cover's connectivity walk included
+    (`covers.connected`, over lists indexed by component id).
     """
     parent: dict = {root: None}
     order = [root]
@@ -95,29 +97,46 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
     """
 
     def __new__(cls, vertices, edges):
-        for x in chain.from_iterable((*vertices, *edges)):
-            if not is_int(x):
-                raise InvalidTreeError(f"ids and weights must be integers, got {x!r}")
-        verts = tuple(sorted((v, w) for v, w in vertices))
-        ids = [v for v, _ in verts]
-        if not ids:
+        # Bulk checks first; the per-item loops run only to name the first offender.
+        try:
+            typed = {*map(type, chain.from_iterable(vertices)),
+                     *map(type, chain.from_iterable(edges))} <= {int}
+        except TypeError:  # an item that is not a pair
+            typed = False
+        if not typed:
+            try:
+                for x in chain.from_iterable((*vertices, *edges)):
+                    if not is_int(x):
+                        raise InvalidTreeError(f"ids and weights must be integers, got {x!r}")
+            except TypeError:  # reached an item that is not a pair: reported as such below
+                pass
+        try:
+            verts = tuple(sorted(map(tuple, vertices)))
+            weight_of = dict(verts)
+        except (TypeError, ValueError):
+            raise InvalidTreeError("each vertex must be an (id, weight) pair") from None
+        if not verts:
             raise InvalidTreeError("tree has no vertices")
-        if len(set(ids)) != len(ids):
+        if len(weight_of) != len(verts):
             raise InvalidTreeError("vertex ids are not distinct")
-        if any(w < 0 for _, w in verts):
+        if min(weight_of.values()) < 0:
             raise InvalidTreeError("negative vertex weight")
-        idset = set(ids)
-        edges = tuple(sorted(tuple(sorted((a, b))) for a, b in edges))
-        for a, b in edges:
-            if a == b:
-                raise InvalidTreeError(f"self-loop at vertex {a}")
-            if a not in idset or b not in idset:
-                raise InvalidTreeError(f"edge ({a},{b}) uses unknown vertex")
+        try:
+            edges = tuple(sorted([(a, b) if a < b else (b, a) for a, b in edges]))
+        except (TypeError, ValueError):
+            raise InvalidTreeError("each edge must be an array of two vertex ids") from None
+        if any(starmap(eq, edges)) or not weight_of.keys() >= set(chain.from_iterable(edges)):
+            for a, b in edges:
+                if a == b:
+                    raise InvalidTreeError(f"self-loop at vertex {a}")
+                if a not in weight_of or b not in weight_of:
+                    raise InvalidTreeError(f"edge ({a},{b}) uses unknown vertex")
         if len(set(edges)) != len(edges):
             raise InvalidTreeError("repeated edge")
         if len(edges) != len(verts) - 1:
             raise InvalidTreeError("edge count does not match a tree")
         self = tuple.__new__(cls, (verts, edges))
+        self.__dict__["weight_of"] = weight_of  # the `cached_property` table, filled here
         if len(self._walk[0]) != len(verts):
             raise InvalidTreeError("graph is disconnected")
         return self
@@ -215,13 +234,15 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         vertices = json_array(doc, "vertices", InvalidTreeError)
         edges = json_array(doc, "edges", InvalidTreeError, required=False)
         try:
-            vertices = tuple((v["id"], v["weight"]) for v in vertices)
+            vertices = tuple(map(itemgetter("id", "weight"), vertices))
         except (KeyError, TypeError) as exc:
             raise InvalidTreeError("each vertex must be an object with an id and a weight") from exc
-        try:
-            edges = tuple((a, b) for a, b in edges)
-        except (TypeError, ValueError) as exc:
-            raise InvalidTreeError("each edge must be an array of two vertex ids") from exc
+        try:  # the constructor checks this too, but after the ids and weights
+            pairs = set(map(len, edges)) <= {2}
+        except TypeError:  # an edge that is not an array
+            pairs = False
+        if not pairs:
+            raise InvalidTreeError("each edge must be an array of two vertex ids")
         tree = cls(vertices, edges)
         m = doc.get("m", tree.m)
         if not is_int(m):

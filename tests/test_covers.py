@@ -182,6 +182,39 @@ class TestCoverIdentities:
         assert first == second
         assert model_shape(models[0]) == model_shape(models[1])
 
+
+def big_path():
+    """1,000 vertices, weight 2 at both ends and 1 inside."""
+    return path_tree(2, *[1] * 998, 2)
+
+
+def big_star():
+    """A weight-0 centre and 499 leaves of weight 2."""
+    return star_tree(0, *[2] * 499)
+
+
+class TestLargeShapes:
+    """Both layers against their oracles on trees of hundreds of vertices, where
+    the model contracts: the path's 1,000 components to 998, the star's 501 to 2."""
+
+    @pytest.mark.parametrize("relabel_seed", [None, 0, 1])
+    @pytest.mark.parametrize(
+        "shape, components, kept", [(big_path, 1000, 998), (big_star, 501, 2)], ids=["path", "star"]
+    )
+    def test_agrees_with_oracles(self, shape, components, kept, relabel_seed):
+        t = shape()
+        if relabel_seed is not None:
+            t = relabeled(t, relabel_seed)
+        cover = build_cover(t)
+        ramified, branch = leaf_strip_cover(t)
+        assert ramified == {n.base_edge for n in cover.nodes if n.kind == RAMIFIED}
+        assert branch == {c.base_vertex: c.branch_count for c in cover.components}
+        model = stable_model(cover)
+        assert model == fixpoint_stable_model(cover)
+        assert (len(cover.components), len(model.components)) == (components, kept)
+        assert model_shape(model) == model_shape(stable_model(build_cover(shape())))
+
+
 class TestStableModel:
     def test_xi0_contraction(self):
         # the rational component over the 2-marked side is contracted to a self-node

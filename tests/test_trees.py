@@ -1,4 +1,5 @@
 import ast
+import re
 from itertools import chain
 from pathlib import Path
 
@@ -86,6 +87,64 @@ class TestStructure:
         t = random_stable_tree(seed, n)  # shuffled ids
         assert all(list(ns) == sorted(ns) for ns in t.adjacency.values())
         assert t.adjacency == WeightedTree(t.vertices[::-1], t.edges[::-1]).adjacency
+
+    @pytest.mark.parametrize(
+        "vertices, edges, error",
+        [
+            (((0, 1, 2), (1, 3)), ((0, 1),), "each vertex must be an (id, weight) pair"),
+            (((0,), (1, 3)), ((0, 1),), "each vertex must be an (id, weight) pair"),
+            ((0, 1), (), "each vertex must be an (id, weight) pair"),
+            (((0, 2), (1, 2)), ((0,),), "each edge must be an array of two vertex ids"),
+            (((0, 2), (1, 2)), ((0, 1, 1),), "each edge must be an array of two vertex ids"),
+            (((0, 2), (1, 2)), (0,), "each edge must be an array of two vertex ids"),
+        ],
+        ids=["vertex-of-3", "vertex-of-1", "vertex-not-a-pair",
+             "edge-of-1", "edge-of-3", "edge-not-a-pair"],
+    )
+    def test_rejects_items_that_are_not_pairs(self, vertices, edges, error):
+        with pytest.raises(InvalidTreeError, match=f"^{re.escape(error)}$"):
+            WeightedTree(vertices, edges)
+
+
+class Id(int):
+    """An `int` subclass: a JSON integer to `is_int`."""
+
+
+class TestErrorPrecedence:
+    """The bulk checks report the same first error as checking item by item."""
+
+    @pytest.mark.parametrize(
+        "vertices, edges, error",
+        [
+            # the first token that is not an integer, vertices before edges
+            (((0, 2), (1, 2), (2, True)), ((0, 1), (1, 2)),
+             "ids and weights must be integers, got True"),
+            (((0, 2), (1, 2.0)), ((0, 1),), "ids and weights must be integers, got 2.0"),
+            (((0, 2), (1, 2)), ((0, 1), (1, True)), "ids and weights must be integers, got True"),
+            (((0, 2), (1, 2.5)), ((0, True),), "ids and weights must be integers, got 2.5"),
+            (((0, 2), (1, 2)), ((0, 1.0), (True, 1)), "ids and weights must be integers, got 1.0"),
+            # a token that is not an integer comes before a malformed item after it
+            (((0, 2), (1, 2.5, 0)), ((0, 1),), "ids and weights must be integers, got 2.5"),
+            # self-loops and unknown ids: the first edge in sorted order decides
+            (((0, 2), (1, 2), (2, 2)), ((0, 1), (1, 1), (5, 2)), "self-loop at vertex 1"),
+            (((0, 2), (1, 2), (2, 2)), ((2, 2), (9, 0)), "edge (0,9) uses unknown vertex"),
+            (((0, 2), (1, 2), (2, 2)), ((2, 1), (1, 1), (0, 0)), "self-loop at vertex 0"),
+            # duplicate ids are named before a negative weight
+            (((0, -1), (0, 2)), (), "vertex ids are not distinct"),
+            (((0, 2), (1, -1), (1, 3)), ((0, 1),), "vertex ids are not distinct"),
+            (((0, -1), (1, 2)), ((0, 7),), "negative vertex weight"),
+        ],
+    )
+    def test_first_error_wins(self, vertices, edges, error):
+        with pytest.raises(InvalidTreeError, match=f"^{re.escape(error)}$"):
+            WeightedTree(vertices, edges)
+
+    def test_int_subclass_is_accepted(self):
+        t = WeightedTree(((Id(1), 2), (Id(0), Id(2))), ((Id(1), 0),))
+        plain = WeightedTree(((0, 2), (1, 2)), ((0, 1),))
+        assert t == plain
+        assert t.weight_of == plain.weight_of and list(t.weight_of) == [0, 1]
+        assert canonical_code(t) == canonical_code(plain)
 
 
 class TestOneWalk:
@@ -395,6 +454,13 @@ class TestSerialization:
              "each edge must be an array of two vertex ids"),
             ({"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}], "edges": [1]},
              "each edge must be an array of two vertex ids"),
+            # edge shapes are checked before the tokens, duplicate ids before loops
+            ({"vertices": [{"id": 0, "weight": 2.5}], "edges": [[0]]},
+             "each edge must be an array of two vertex ids"),
+            ({"vertices": [{"id": 0, "weight": 2}], "edges": ["ab"]},
+             "ids and weights must be integers, got 'a'"),
+            ({"vertices": [{"id": 0, "weight": 2}, {"id": 0, "weight": -1}], "edges": [[0, 0]]},
+             "vertex ids are not distinct"),
         ],
     )
     def test_from_dict_names_the_broken_field(self, doc, error):
