@@ -14,9 +14,18 @@ table.  A class's canonical code is then a short walk from its root toward
 the tree's centre, stepping into the deepest child tail while that lowers the
 eccentricity; no tree is walked or peeled for its code.
 
-Each tree is grown with ids in build order, every vertex after its parent,
-through the trusted `WeightedTree._grown`: it is correct by construction, so
+Each tree is grown from one queue of tail indices, breadth first: vertex
+j + 1 is the j-th queue entry, and a vertex's child tails join the queue's end
+with the next ids.  So every parent precedes its child and the parents never
+decrease, the one contract the trusted `WeightedTree._grown` checks.  Under
+it the edges (parent, child) come out in ascending order, already the sorted
+normal form, so they are not sorted.  The tree is correct by construction, so
 it is not validated again, and its adjacency is built only if a caller asks.
+
+A stratum label depends only on a tree's shape: its vertex count and, with
+two vertices, the smaller weight.  So the census counts its classes per shape
+and labels each shape once, through `strata`'s own rule.
+
 The test suite checks the census against an independent Pruefer-sequence
 oracle, checks every code against `canonical_code`, and pins every tree to
 the checked constructor.
@@ -146,23 +155,42 @@ def _build(a: int, kids: tuple[int, ...], tails: list[Tail]) -> WeightedTree:
     in build order.  A half-weight class hangs its second tail first, so the
     half-weight edge is (0, 1)."""
     weights = [a]
-    parent: list[int | None] = [None]
-    pending = [(0, i) for i in kids]
-    for up, i in pending:  # the list grows while it is read
-        v = len(weights)
+    parent: list[int | None] = [None, *[0] * len(kids)]
+    queue = list(kids)  # tail indices: vertex j + 1 is queue[j]
+    for v, i in enumerate(queue, 1):  # the list grows while it is read
         b, below = tails[i]
         weights.append(b)
-        parent.append(up)
-        pending += [(v, k) for k in below]
+        if below:  # most vertices are leaves: skip the empty extends
+            parent += [v] * len(below)
+            queue += below
     return WeightedTree._grown(weights, parent)
+
+
+def _shape(t: WeightedTree) -> tuple[int, int | None]:
+    """All a stratum label depends on: the vertex count and, with two
+    vertices, the smaller weight."""
+    vs = t.vertices
+    return (2, min(vs[0][1], vs[1][1])) if len(vs) == 2 else (len(vs), None)
+
+
+def _stratum_counts(trees: list[WeightedTree], g: int) -> tuple[tuple[str, int], ...]:
+    """(label, count) pairs of stable trees of weight 2g+2, in label order:
+    trees are counted per shape, and each shape is labelled once."""
+    shapes = list(map(_shape, trees))
+    one_of = dict(zip(shapes, trees))  # a tree of each shape
+    counts = Counter()
+    for shape, k in Counter(shapes).items():
+        counts[str(_label(one_of[shape], g))] += k
+    return tuple(sorted(counts.items()))
 
 
 def _make_census(m: int, classes) -> Census:
     """Census from (code, stable tree) pairs with distinct codes, in code order."""
+    # Keyed: bare pairs would sort the same, but each comparison would scan
+    # the two codes twice, once for equality and once for order.
     ordered = tuple(sorted(classes, key=lambda pair: pair[0]))
     if m % 2 == 0 and m >= 4:
-        counts = Counter(str(_label(t, (m - 2) // 2)) for _, t in ordered)
-        stratum_counts = tuple(sorted(counts.items()))
+        stratum_counts = _stratum_counts([t for _, t in ordered], (m - 2) // 2)
     else:
         stratum_counts = ()
     return Census(m=m, classes=ordered, stratum_counts=stratum_counts)

@@ -12,7 +12,7 @@ from bisect import bisect
 from collections import deque, namedtuple
 from functools import cached_property
 from itertools import chain, islice, starmap
-from operator import eq, itemgetter
+from operator import eq, itemgetter, le, lt
 
 DEFAULT_BOUND = 10  # the census's default cap on m; here so the CLI parser need not load it
 
@@ -146,20 +146,24 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
 
     @classmethod
     def _grown(cls, weights: list[int], parent: list[int | None]) -> "WeightedTree":
-        """Tree on ids 0..n-1 grown from root 0, each vertex below `parent[v] < v`.
+        """Tree on ids 0..n-1 grown breadth first from root 0.
 
         Trusted path for trees correct by construction (the census): it skips
-        the checks of `__new__` but builds `vertices` and `edges` in the
-        normal form they produce.  `adjacency` is built from `edges` on first
-        use, like every other cached table.  `parent[0]` is unused.
+        the checks of `__new__` and checks only that the parents are breadth
+        first: every parent precedes its child (`parent[v] < v`, so the ids
+        form a tree) and the parents never decrease, starting from 0.  Then
+        the edges (parent[v], v) come out in ascending order, already the
+        sorted normal form of `__new__`, so they are not sorted.  `adjacency`
+        is built from `edges` on first use, like every other cached table.
+        `parent[0]` is unused.
         """
         n = len(weights)
         up = parent[1:]
         check(
-            len(parent) == n and all(0 <= p < v for v, p in enumerate(up, 1)),
-            "grown tree: every parent id must precede its child's",
+            len(parent) == n and all(map(lt, up, range(1, n))) and all(map(le, chain((0,), up), up)),
+            "grown tree: parents must be breadth first, each before its child and never decreasing",
         )
-        return tuple.__new__(cls, (tuple(enumerate(weights)), tuple(sorted(zip(up, range(1, n))))))
+        return tuple.__new__(cls, (tuple(enumerate(weights)), tuple(zip(up, range(1, n)))))
 
     @cached_property
     def weight_of(self) -> dict[int, int]:

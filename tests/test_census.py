@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 from collections import Counter
 
@@ -92,6 +94,46 @@ class TestEnumerate:
         b = enumerate_stable_trees(7)
         assert a.codes == b.codes
         assert [t.to_dict() for t in a.trees] == [t.to_dict() for t in b.trees]
+
+
+# sha256 of the census's JSON document (`json.dumps(to_dict(), sort_keys=True)`)
+# and of its DOT text (the trees' `to_dot()` joined by newlines, as `enumerate
+# --format dot` prints it), for m = 3..13.  Any change to the class order, a
+# tree's ids, weights or edges, or the stratum counts changes a digest.
+CENSUS_DIGESTS = {
+    3: ("f7c3b45ff4e46b980351ec04229528ad5cda9252006f844ef0b65272041216a9",
+        "3ea5ef8bbe630ec60ff2b3170161ad11e5fb4f6159eab2e90d49fe11ba8d2129"),
+    4: ("43a72efd3ff60c63e4094c9e89e13f0b3f241fc7ad6f7a8176a3cda70546820e",
+        "d8298377c4a0f0d6cc4609122f03963dc449723e2fb06d214565d6e4398d6e6b"),
+    5: ("4239963699cf988758e084362174880e1d6a81143cd3a965b442513e61cc735a",
+        "01d26790aaa306ff53f3f52786093385f91fdf0d75b983855dc3fdbc12a8942c"),
+    6: ("1ea78950c0de6b7146c9997aed1d335718e99c6017983e9eb4d0b5d3afd33ce8",
+        "8720f0648bdc36b89398f75c9c0beaea0c2d2d80277166216a64b2ba88b0d988"),
+    7: ("1eb793bc52bb7627f93264d3e417bd06439bcdda276d6ed828b462e4270490ca",
+        "1bcbb461cc04de8d7930650227b27093447ffc0c2574874a4a11ad20d171501a"),
+    8: ("6df5816803363a7044c94ac354dfd9c7f402fe304d0b9ae1ad47605e31eeb2ad",
+        "c1c9f952fe34b8860c79fcdc47eb33ed36ba1aa7046964799acc5b3562e43f5b"),
+    9: ("d07b3b161774e89c04e41f3238858f545432377a7de92d621f2c03d2ae67d676",
+        "c6d58f0c9797b56672b2a8ff3d8b2d1ad3944803fb908854e5828aa0215f8dd9"),
+    10: ("2a4235d9b54f4d9e940634832066f304c069c66738417c970bbf53e4e662a1aa",
+        "b2693c94cf41bb7859bd0543f90dd148744530c120e30694b802e180bece77c2"),
+    11: ("f817dec5c7c5302f46c9b90ae899bda439ccf336de79af86e290b6647ba168a8",
+        "37a66e563c2b4451ee88b4f04ec26748534093c67b477ed12d94d6ebc5f7a69b"),
+    12: ("3a67e2c0f75a2c97d254ee062ff854e5f4042dc5ab88ca9bfaa4cf97472ef69b",
+        "b1f4c81ae5e2c7632b1c2570408553ee860dce79bee151583685a31f1367c0b8"),
+    13: ("1a07609e304342aa6b798cf67ddbb3d8246925b60544003d894b9ca171814465",
+        "f63e9d1c3975ba37c42a48de33cf8441c803c1a51ded1552e470cca4d5157a0d"),
+}
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("m", sorted(CENSUS_DIGESTS))
+    def test_census_documents_unchanged(self, m):
+        census = enumerate_stable_trees(m, bound=13)
+        doc = json.dumps(census.to_dict(), sort_keys=True)
+        dot = "\n".join(t.to_dot() for t in census.trees)
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (doc, dot))
+        assert digests == CENSUS_DIGESTS[m]
 
 
 class TestDualGenerators:

@@ -394,6 +394,11 @@ class TestGrownTree:
         with pytest.raises(InvariantError):
             WeightedTree._grown(weights, parent)
 
+    def test_rejects_parents_not_breadth_first(self):
+        # a valid tree, 0-1, 1-2 and 0-3, but vertex 3 is the root's child after 1's
+        with pytest.raises(InvariantError):
+            WeightedTree._grown([2, 1, 2, 2], [None, 0, 1, 0])
+
 
 class TestComplementaryWeights:
     def test_star_center(self):
