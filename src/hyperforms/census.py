@@ -17,10 +17,13 @@ eccentricity; no tree is walked or peeled for its code.
 Each tree is grown from one queue of tail indices, breadth first: vertex
 j + 1 is the j-th queue entry, and a vertex's child tails join the queue's end
 with the next ids.  So every parent precedes its child and the parents never
-decrease, the one contract the trusted `WeightedTree._grown` checks.  Under
+decrease, the contract the trusted `WeightedTree._grown` checks.  Under
 it the edges (parent, child) come out in ascending order, already the sorted
 normal form, so they are not sorted.  The tree is correct by construction, so
 it is not validated again, and its adjacency is built only if a caller asks.
+A tree's (id, weight) and (parent, child) pairs come from one table per census,
+`pair_table(m)`, about 1.5 m^2 pairs, so the trees share them and no tree
+allocates a pair of its own.
 
 A stratum label depends only on a tree's shape: its vertex count and, with
 two vertices, the smaller weight.  So the census counts its classes per shape
@@ -36,7 +39,9 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from .strata import _label
-from .trees import DEFAULT_BOUND, CanonicalCode, WeightedTree, checked_make, is_int, rooted_code
+from .trees import (
+    DEFAULT_BOUND, CanonicalCode, PairTable, WeightedTree, checked_make, is_int, pair_table, rooted_code,
+)
 
 
 class Census(namedtuple("Census", "m classes stratum_counts")):
@@ -147,13 +152,14 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
     if m % 2 == 0:  # half-weight classes
         half = range(first[m // 2], len(tails))
         roots += [(tails[i][0], (j, *tails[i][1])) for i in half for j in half if i <= j]
-    return [(centre_code(a, kids), _build(a, kids, tails)) for a, kids in roots]
+    pairs = pair_table(m)  # every class's vertex and edge pairs, built once
+    return [(centre_code(a, kids), _build(a, kids, tails, pairs)) for a, kids in roots]
 
 
-def _build(a: int, kids: tuple[int, ...], tails: list[Tail]) -> WeightedTree:
+def _build(a: int, kids: tuple[int, ...], tails: list[Tail], pairs: PairTable) -> WeightedTree:
     """The root of weight `a` as id 0, then its child tails breadth first, ids
     in build order.  A half-weight class hangs its second tail first, so the
-    half-weight edge is (0, 1)."""
+    half-weight edge is (0, 1).  Its pairs come from the census's `pairs`."""
     weights = [a]
     parent: list[int | None] = [None, *[0] * len(kids)]
     queue = list(kids)  # tail indices: vertex j + 1 is queue[j]
@@ -163,7 +169,7 @@ def _build(a: int, kids: tuple[int, ...], tails: list[Tail]) -> WeightedTree:
         if below:  # most vertices are leaves: skip the empty extends
             parent += [v] * len(below)
             queue += below
-    return WeightedTree._grown(weights, parent)
+    return WeightedTree._grown(weights, parent, pairs)
 
 
 def _shape(t: WeightedTree) -> tuple[int, int | None]:

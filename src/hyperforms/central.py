@@ -36,9 +36,18 @@ class CentralResult(namedtuple("CentralResult", "vertex edge")):
         return {"kind": "central_vertex", "vertex": self.vertex}
 
 
-def is_central(t: WeightedTree, v: int) -> bool:
-    """Direct test of the definition: every complementary subtree < m/2."""
-    return all(2 * w < t.m for w in complementary_subtree_weights(t, v))
+def _central(t: WeightedTree) -> tuple[CentralResult, list[int]]:
+    """`find_central`, with the side weights at the central vertex that its
+    check computed (none for the half-weight edge)."""
+    require_stable(t)
+    m = t.m
+    parent, below = t._rooted
+    v = min((u for u in below if 2 * below[u] >= m), key=below.__getitem__)
+    if 2 * below[v] == m:
+        return CentralResult(edge=tuple(sorted((parent[v], v)))), []
+    sides = complementary_subtree_weights(t, v)
+    check(all(2 * w < m for w in sides), "central vertex has a side weighing at least m/2")
+    return CentralResult(vertex=v), sides
 
 
 def find_central(t: WeightedTree) -> CentralResult:
@@ -49,14 +58,7 @@ def find_central(t: WeightedTree) -> CentralResult:
     `v`'s subtree weighs exactly m/2, the edge above `v` is the half-weight
     edge; otherwise every side at `v` weighs less than m/2 and `v` is central.
     """
-    require_stable(t)
-    m = t.m
-    parent, below = t._rooted
-    v = min((u for u in below if 2 * below[u] >= m), key=below.__getitem__)
-    if 2 * below[v] == m:
-        return CentralResult(edge=tuple(sorted((parent[v], v))))
-    check(is_central(t, v), "central vertex has a side weighing at least m/2")
-    return CentralResult(vertex=v)
+    return _central(t)[0]
 
 
 def contract_F_m(t: WeightedTree) -> BinaryFormClass:
@@ -66,11 +68,10 @@ def contract_F_m(t: WeightedTree) -> BinaryFormClass:
     each marked point on the central component becomes a simple root.  A tree
     with a half-weight edge maps to the semistable point.
     """
-    result = find_central(t)
+    result, sides = _central(t)
     if result.is_semistable_edge:
         return BinaryFormClass.semistable()
-    v = result.vertex
-    mults = complementary_subtree_weights(t, v) + [1] * t.weight(v)
+    mults = sides + [1] * t.weight(result.vertex)
     form = BinaryFormClass(mults)
     check(form.degree == t.m, "contracted form degree differs from m")
     return form

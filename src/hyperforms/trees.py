@@ -12,7 +12,7 @@ from bisect import bisect
 from collections import deque, namedtuple
 from functools import cached_property
 from itertools import chain, islice, starmap
-from operator import eq, itemgetter, le, lt
+from operator import eq, getitem, itemgetter, le, lt
 
 DEFAULT_BOUND = 10  # the census's default cap on m; here so the CLI parser need not load it
 
@@ -89,6 +89,20 @@ def read_only(self, name, *value):
     raise AttributeError(f"cannot assign to or delete {name!r}: {type(self).__name__} is immutable")
 
 
+PairTable = tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]
+
+
+def pair_table(m: int) -> PairTable:
+    """The vertex and edge pairs of trees with at most m + 1 vertices and
+    weights at most m, each built once: row v of the first list holds the
+    vertex pairs (v, w) for w = 0..m, and row c - 1 of the second the edge
+    pairs (p, c) for p < c, c = 1..m.  About 1.5 m^2 pairs in all."""
+    return (
+        [[(v, w) for w in range(m + 1)] for v in range(m + 1)],
+        [[(p, c) for p in range(c)] for c in range(1, m + 1)],
+    )
+
+
 class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
     """Weighted tree: vertices are (id, weight) pairs, edges unordered id pairs.
 
@@ -145,7 +159,7 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
     __setattr__ = __delattr__ = read_only
 
     @classmethod
-    def _grown(cls, weights: list[int], parent: list[int | None]) -> "WeightedTree":
+    def _grown(cls, weights: list[int], parent: list[int | None], pairs: PairTable) -> "WeightedTree":
         """Tree on ids 0..n-1 grown breadth first from root 0.
 
         Trusted path for trees correct by construction (the census): it skips
@@ -156,6 +170,10 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         sorted normal form of `__new__`, so they are not sorted.  `adjacency`
         is built from `edges` on first use, like every other cached table.
         `parent[0]` is unused.
+
+        The vertex pairs (v, weights[v]) and edge pairs (parent[v], v) are
+        looked up in `pairs`, a `pair_table` shared by every tree of one
+        census, so no pair is allocated per tree.
         """
         n = len(weights)
         up = parent[1:]
@@ -163,7 +181,10 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
             len(parent) == n and all(map(lt, up, range(1, n))) and all(map(le, chain((0,), up), up)),
             "grown tree: parents must be breadth first, each before its child and never decreasing",
         )
-        return tuple.__new__(cls, (tuple(enumerate(weights)), tuple(zip(up, range(1, n)))))
+        vertex_rows, edge_rows = pairs
+        check(n <= len(vertex_rows), "grown tree: more vertices than its pair table has rows")
+        vertices = tuple(map(getitem, vertex_rows, weights))
+        return tuple.__new__(cls, (vertices, tuple(map(getitem, edge_rows, up))))
 
     @cached_property
     def weight_of(self) -> dict[int, int]:

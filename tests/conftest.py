@@ -26,13 +26,17 @@ from hyperforms import (
     validate_stable,
 )
 from hyperforms.census import Census, _make_census
-from hyperforms.central import is_central
 from hyperforms.covers import CoverModel, StableHyperellipticModel, arithmetic_genus
 from hyperforms.reduction import ReductionOutput, attachment_points, tail_genus
-from hyperforms.trees import CanonicalCode, bfs, tree
+from hyperforms.trees import CanonicalCode, bfs, complementary_subtree_weights, tree
 
 
 # -- the paper's definitions, one edge or vertex at a time ----------------
+
+def is_central(t: WeightedTree, v: int) -> bool:
+    """Direct test of the definition: every complementary subtree < m/2."""
+    return all(2 * w < t.m for w in complementary_subtree_weights(t, v))
+
 
 def half_weight_edge(t: WeightedTree) -> tuple[int, int] | None:
     """The edge splitting the total weight as (m/2, m/2), if any."""

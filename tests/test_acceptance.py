@@ -17,7 +17,6 @@ from hyperforms import (
     image_dimension,
     stable_model,
 )
-from hyperforms.central import is_central
 from hyperforms.covers import RAMIFIED
 from hyperforms.reduction import ExponentVector, blowup_chain, reduce
 from hyperforms.strata import DELTA, SEMISTABLE_IMAGE, XI, delta, xi
@@ -26,6 +25,7 @@ from conftest import (
     brute_force_census,
     edge_is_ramified,
     half_weight_edge,
+    is_central,
     leaf_strip_cover,
     reconstructed_exponents,
     two_vertex_tree,

@@ -98,7 +98,7 @@ class TestEnumerate:
 
 # sha256 of the census's JSON document (`json.dumps(to_dict(), sort_keys=True)`)
 # and of its DOT text (the trees' `to_dot()` joined by newlines, as `enumerate
-# --format dot` prints it), for m = 3..13.  Any change to the class order, a
+# --format dot` prints it), for m = 3..14.  Any change to the class order, a
 # tree's ids, weights or edges, or the stratum counts changes a digest.
 CENSUS_DIGESTS = {
     3: ("f7c3b45ff4e46b980351ec04229528ad5cda9252006f844ef0b65272041216a9",
@@ -123,13 +123,15 @@ CENSUS_DIGESTS = {
         "b1f4c81ae5e2c7632b1c2570408553ee860dce79bee151583685a31f1367c0b8"),
     13: ("1a07609e304342aa6b798cf67ddbb3d8246925b60544003d894b9ca171814465",
         "f63e9d1c3975ba37c42a48de33cf8441c803c1a51ded1552e470cca4d5157a0d"),
+    14: ("a505798816a998792789ebeaf6a613740e4628527c44eb82afa08a1222fd3d80",
+        "ed23c4b08ae91fe277afb3d319bedaef2b05f7b10bf73662eaf0326668881f01"),
 }
 
 
 class TestByteIdentity:
     @pytest.mark.parametrize("m", sorted(CENSUS_DIGESTS))
     def test_census_documents_unchanged(self, m):
-        census = enumerate_stable_trees(m, bound=13)
+        census = enumerate_stable_trees(m, bound=14)
         doc = json.dumps(census.to_dict(), sort_keys=True)
         dot = "\n".join(t.to_dot() for t in census.trees)
         digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (doc, dot))
@@ -164,6 +166,12 @@ class TestCentralGenerator:
             assert t.vertices == checked.vertices
             assert t.edges == checked.edges
             assert t.adjacency == checked.adjacency
+
+    def test_trees_share_their_pairs(self):
+        # one object per distinct (id, weight) and per distinct (parent, child) pair
+        trees = enumerate_stable_trees(12, bound=12).trees
+        for pairs in ([p for t in trees for p in t.vertices], [p for t in trees for p in t.edges]):
+            assert len({id(p) for p in pairs}) == len(set(pairs))
 
     @pytest.mark.parametrize("m", range(3, 15))
     def test_rooted_at_central_vertex_or_edge(self, m):

@@ -1,10 +1,12 @@
 import pytest
 
+import hyperforms.central as central_mod
 from hyperforms import (
     CentralResult,
     InvariantError,
     UnstableTreeError,
     WeightedTree,
+    complementary_subtree_weights,
     contract_F_m,
     enumerate_stable_trees,
     find_central,
@@ -12,10 +14,9 @@ from hyperforms import (
     star_tree,
     tree,
 )
-from hyperforms.central import is_central
 from hyperforms.forms import BinaryFormClass, GitClass, classify
 
-from conftest import central_by_definition, half_weight_edge, random_stable_tree, relabeled
+from conftest import central_by_definition, half_weight_edge, is_central, random_stable_tree, relabeled
 
 
 class TestCentralResult:
@@ -123,6 +124,27 @@ class TestContract:
 
     def test_smooth_form(self):
         assert contract_F_m(tree({0: 7})).multiplicities == (1,) * 7
+
+    @pytest.mark.parametrize(
+        "t,form",
+        [
+            (path_tree(3, 5), BinaryFormClass([3, 1, 1, 1, 1, 1])),
+            (star_tree(1, 2, 2, 2), BinaryFormClass([2, 2, 2, 1])),
+            (tree({0: 7}), BinaryFormClass([1] * 7)),
+            (path_tree(2, 2), BinaryFormClass.semistable()),
+        ],
+        ids=["two-vertices", "star", "one-vertex", "half-weight-edge"],
+    )
+    def test_side_weights_computed_once(self, t, form, monkeypatch):
+        calls = []
+
+        def counted(t, v):
+            calls.append(v)
+            return complementary_subtree_weights(t, v)
+
+        monkeypatch.setattr(central_mod, "complementary_subtree_weights", counted)
+        assert contract_F_m(t) == form
+        assert len(calls) == (0 if form.semistable_point else 1)
 
     @pytest.mark.parametrize("m", range(4, 11, 2))
     def test_semistable_iff_half_edge_and_stable_otherwise(self, m):

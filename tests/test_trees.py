@@ -19,7 +19,7 @@ from hyperforms import (
     tree,
     validate_stable,
 )
-from hyperforms.trees import bfs
+from hyperforms.trees import bfs, pair_table
 from conftest import (
     brute_isomorphic,
     over_long_integer,
@@ -172,7 +172,7 @@ class TestOneWalk:
         assert walks == [0]
 
     def test_grown_tree_walks_on_first_use(self, walks):
-        t = WeightedTree._grown([0, 2, 2, 2], [None, 0, 0, 0])
+        t = WeightedTree._grown([0, 2, 2, 2], [None, 0, 0, 0], pair_table(6))
         assert walks == []
         assert t.side_weight((0, 3), toward=3) == 2
         assert walks == [0]
@@ -392,12 +392,17 @@ class TestGrownTree:
     )
     def test_rejects_parent_not_before_child(self, weights, parent):
         with pytest.raises(InvariantError):
-            WeightedTree._grown(weights, parent)
+            WeightedTree._grown(weights, parent, pair_table(6))
 
     def test_rejects_parents_not_breadth_first(self):
         # a valid tree, 0-1, 1-2 and 0-3, but vertex 3 is the root's child after 1's
         with pytest.raises(InvariantError):
-            WeightedTree._grown([2, 1, 2, 2], [None, 0, 1, 0])
+            WeightedTree._grown([2, 1, 2, 2], [None, 0, 1, 0], pair_table(6))
+
+    def test_rejects_tree_larger_than_its_pair_table(self):
+        # breadth first, but four vertices against the three rows of pair_table(2)
+        with pytest.raises(InvariantError):
+            WeightedTree._grown([2, 0, 2, 2], [None, 0, 1, 1], pair_table(2))
 
 
 class TestComplementaryWeights:
