@@ -12,7 +12,10 @@ exactly once: there is no stability filter and no dedup pass.
 Each tail's rooted code and height are computed once, when it joins the
 table.  A class's canonical code is then a short walk from its root toward
 the tree's centre, stepping into the deepest child tail while that lowers the
-eccentricity; no tree is walked or peeled for its code.
+eccentricity; no tree is walked or peeled for its code.  A class with two
+centres has two candidate codes, one rooted at each, and every code opens with
+(-1, its root weight): so the candidate with the smaller root weight wins, and
+it alone is built.  Only equal root weights build both and keep the smaller.
 
 Each tree is grown from one queue of tail indices, breadth first: vertex
 j + 1 is the j-th queue entry, and a vertex's child tails join the queue's end
@@ -124,23 +127,27 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
         up: list[CanonicalCode] = []
         up_depth = 0  # depth of `up` seen from the current vertex
         while kids:
-            deep = max(kids, key=height.__getitem__)
-            rest = list(kids)
-            rest.remove(deep)
-            d1 = height[deep] + 1
-            d2 = max([height[k] + 1 for k in rest] + [up_depth])
+            hs = list(map(height.__getitem__, kids))
+            top = max(hs)
+            j = hs.index(top)  # the first deepest child
+            hs[j] = up_depth - 1  # now max(hs) + 1 is the depth of what is left behind
+            d1, d2 = top + 1, max(hs) + 1
             if d1 <= d2:  # the current vertex is the one centre
                 break
-            left = rooted_code(a, [code[k] for k in rest] + up)
-            if d1 == d2 + 1:  # two centres: the current vertex and `deep`
-                b, below = tails[deep]
-                return min(
-                    rooted_code(a, [code[k] for k in kids] + up),
-                    rooted_code(b, [code[k] for k in below] + [left]),
-                )
+            b, below = tails[kids[j]]
+            # Two centres, the current vertex and the deep child: each code
+            # opens with (-1, its root weight), so a lighter root wins outright.
+            if d1 == d2 + 1 and a < b:
+                break
+            left = rooted_code(a, [*map(code.__getitem__, kids[:j] + kids[j + 1:]), *up])
+            if d1 == d2 + 1:
+                deep_code = rooted_code(b, [*map(code.__getitem__, below), left])
+                if b < a:
+                    return deep_code
+                return min(deep_code, rooted_code(a, [*map(code.__getitem__, kids), *up]))
             up, up_depth = [left], d2 + 1
-            a, kids = tails[deep]
-        return rooted_code(a, [code[k] for k in kids] + up)
+            a, kids = b, below
+        return rooted_code(a, [*map(code.__getitem__, kids), *up])
 
     light = first.get((m + 1) // 2, len(tails))  # tails weighing < m/2
     roots = [

@@ -12,7 +12,7 @@ from bisect import bisect
 from collections import deque, namedtuple
 from functools import cached_property
 from itertools import chain, islice, starmap
-from operator import eq, getitem, itemgetter, le, lt
+from operator import eq, getitem, itemgetter
 
 DEFAULT_BOUND = 10  # the census's default cap on m; here so the CLI parser need not load it
 
@@ -174,17 +174,24 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         The vertex pairs (v, weights[v]) and edge pairs (parent[v], v) are
         looked up in `pairs`, a `pair_table` shared by every tree of one
         census, so no pair is allocated per tree.
+
+        Each half of the contract costs one C-level pass.  "Never decreasing,
+        from 0" is `up == sorted(up)` with a first parent of at least 0, so
+        every parent is at least 0.  "Each before its child" is the edge
+        lookup itself: row v - 1 holds (p, v) for 0 <= p < v alone, so a
+        parent p >= v raises `IndexError`, reported as the same breach.
         """
         n = len(weights)
         up = parent[1:]
-        check(
-            len(parent) == n and all(map(lt, up, range(1, n))) and all(map(le, chain((0,), up), up)),
-            "grown tree: parents must be breadth first, each before its child and never decreasing",
-        )
+        breadth_first = "grown tree: parents must be breadth first, each before its child and never decreasing"
+        check(len(parent) == n and up == sorted(up) and (not up or up[0] >= 0), breadth_first)
         vertex_rows, edge_rows = pairs
         check(n <= len(vertex_rows), "grown tree: more vertices than its pair table has rows")
-        vertices = tuple(map(getitem, vertex_rows, weights))
-        return tuple.__new__(cls, (vertices, tuple(map(getitem, edge_rows, up))))
+        try:
+            edges = tuple(map(getitem, edge_rows, up))
+        except IndexError:
+            raise InvariantError(breadth_first) from None
+        return tuple.__new__(cls, (tuple(map(getitem, vertex_rows, weights)), edges))
 
     @cached_property
     def weight_of(self) -> dict[int, int]:
@@ -217,6 +224,12 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         for v in order[:0:-1]:  # children before parents, root excluded
             below[parent[v]] += below[v]
         return parent, below
+
+    @cached_property
+    def _stability(self) -> "StabilityReport":
+        """`validate_stable`'s report, kept so that one scan serves every layer
+        that requires a stable tree."""
+        return validate_stable(self)
 
     @property
     def ids(self) -> tuple[int, ...]:
@@ -335,7 +348,7 @@ def validate_stable(t: WeightedTree) -> StabilityReport:
 
 
 def require_stable(t: WeightedTree) -> WeightedTree:
-    report = validate_stable(t)
+    report = t._stability  # scanned once per tree
     if not report.stable:
         raise UnstableTreeError(
             "tree is not stable; violations at vertices "

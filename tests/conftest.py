@@ -8,6 +8,7 @@ import subprocess
 import sys
 from collections import Counter, defaultdict
 from itertools import chain, permutations, product
+from operator import le, lt
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,13 @@ def tree_centers(t: WeightedTree) -> list[int]:
         path.append(parent[path[-1]])
     k = len(path)
     return sorted(path[(k - 1) // 2 : k // 2 + 1])
+
+
+def breadth_first_parents(parent: list[int | None]) -> bool:
+    """`WeightedTree._grown`'s contract, stated directly: every parent
+    precedes its child, and the parents never decrease, starting from 0."""
+    up = parent[1:]
+    return all(map(lt, up, range(1, len(parent)))) and all(map(le, chain((0,), up), up))
 
 
 def walk_canonical_code(t: WeightedTree) -> CanonicalCode:

@@ -89,6 +89,20 @@ class TestEnumerate:
         deepest = max(walk_depth(t) for t in census.trees)
         assert deepest == (0 if m < 4 else 1 if m < 9 else 2 if m < 13 else 3)
 
+    def test_two_centre_classes_reach_every_branch(self):
+        # Two centres are adjacent, and census ids are breadth first, so the
+        # lower id u is the vertex the walk stands on and v its deep child.
+        # The walk keeps u's code if u is lighter, builds only v's if v is
+        # lighter, and builds both on a tie: every branch must occur.
+        orders = set()
+        for m in range(3, 13):
+            for t in enumerate_stable_trees(m, bound=12).trees:
+                centres = tree_centers(t)
+                if len(centres) == 2:
+                    wu, wv = map(t.weight, centres)
+                    orders.add((wu > wv) - (wu < wv))
+        assert orders == {-1, 0, 1}
+
     def test_deterministic(self):
         a = enumerate_stable_trees(7)
         b = enumerate_stable_trees(7)

@@ -10,10 +10,16 @@ import hyperforms.trees as trees_mod
 from hyperforms import (
     InvalidTreeError,
     InvariantError,
+    UnstableTreeError,
     WeightedTree,
+    build_cover,
     canonical_code,
+    classify_stratum,
     complementary_subtree_weights,
+    contract_F_m,
     enumerate_stable_trees,
+    f_g_exponents,
+    find_central,
     path_tree,
     star_tree,
     tree,
@@ -21,6 +27,7 @@ from hyperforms import (
 )
 from hyperforms.trees import bfs, pair_table
 from conftest import (
+    breadth_first_parents,
     brute_isomorphic,
     over_long_integer,
     random_stable_tree,
@@ -196,6 +203,34 @@ class TestStability:
 
     def test_weight_0_degree_2_unstable(self):
         assert not validate_stable(path_tree(2, 0, 2)).stable
+
+    LAYERS = (find_central, contract_F_m, build_cover, classify_stratum, f_g_exponents)
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Every tree the stability scan runs on from here on."""
+        scanned = []
+
+        def counted(t):
+            scanned.append(t)
+            return validate_stable(t)
+
+        monkeypatch.setattr(trees_mod, "validate_stable", counted)
+        return scanned
+
+    def test_one_scan_serves_every_layer(self, scans):
+        t = path_tree(3, 2, 3)
+        for layer in self.LAYERS:
+            layer(t)
+        assert scans == [t]
+
+    def test_one_scan_rejects_in_every_layer(self, scans):
+        t = path_tree(1, 5)
+        for layer in self.LAYERS:
+            with pytest.raises(UnstableTreeError) as err:
+                layer(t)
+            assert str(err.value) == "tree is not stable; violations at vertices 0 (weight 1, degree 1)"
+        assert scans == [t]
 
 
 class TestCanonicalCode:
@@ -384,6 +419,18 @@ class TestLeafPeelingCode:
         assert canonical_code(caterpillar(k)) == expected
 
 
+@st.composite
+def short_grown_trees(draw):
+    """(weights, parent) on 1..8 vertices: `None` first, then parents in -2..8.
+    Vertex v's parent is drawn from 0..v-1, from -2..v or from -2..8, so
+    breadth-first lists and each kind of near miss are all common."""
+    n = draw(st.integers(1, 8))
+    parent = [None]
+    for v in range(1, n):
+        parent.append(draw(st.integers(0, v - 1) | st.integers(-2, v) | st.integers(-2, 8)))
+    return draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)), parent
+
+
 class TestGrownTree:
     @pytest.mark.parametrize(
         "weights,parent",
@@ -403,6 +450,28 @@ class TestGrownTree:
         # breadth first, but four vertices against the three rows of pair_table(2)
         with pytest.raises(InvariantError):
             WeightedTree._grown([2, 0, 2, 2], [None, 0, 1, 1], pair_table(2))
+
+    @pytest.mark.parametrize(
+        "weights,parent",
+        [([2, 1, 2], [None, -1, 0]), ([2, 1, 2, 2], [None, 0, 2, 1])],
+        ids=["negative-first-parent", "decreasing"],
+    )
+    def test_rejects_with_the_contract_message(self, weights, parent):
+        with pytest.raises(InvariantError, match="^grown tree: parents must be breadth first"):
+            WeightedTree._grown(weights, parent, pair_table(6))
+
+    @settings(max_examples=300)
+    @given(short_grown_trees())
+    def test_rejects_exactly_what_the_oracle_rejects(self, case):
+        weights, parent = case
+        if not breadth_first_parents(parent):
+            with pytest.raises(InvariantError, match="^grown tree: parents must be breadth first"):
+                WeightedTree._grown(weights, parent, pair_table(8))
+            return
+        t = WeightedTree._grown(weights, parent, pair_table(8))
+        assert t == WeightedTree(t.vertices, t.edges)
+        assert t.vertices == tuple(enumerate(weights))
+        assert t.edges == tuple(zip(parent[1:], range(1, len(parent))))
 
 
 class TestComplementaryWeights:
