@@ -80,6 +80,21 @@ class Census(namedtuple("Census", "m classes stratum_counts")):
 Tail = tuple[int, tuple[int, ...]]  # root weight, child tails as table indices
 
 
+def _forests(weight: list[int], memo: dict, total: int, hi: int) -> list[tuple[int, ...]]:
+    """Multisets of tails among the first `hi` weighing `total` together, as
+    non-increasing index tuples; tail i weighs `weight[i]`, and `memo` keeps
+    each answer for the rest of one census.  A module function, not a closure
+    over itself, so a census leaves no reference cycle behind."""
+    if (total, hi) not in memo:
+        found = [()] if total == 0 else []
+        for i in range(hi):
+            if weight[i] > total:
+                break
+            found += [(i, *rest) for rest in _forests(weight, memo, total - weight[i], i + 1)]
+        memo[total, hi] = found
+    return memo[total, hi]
+
+
 def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
     """Every stable class of weight m with its code, built once around its
     central vertex or edge.
@@ -97,23 +112,12 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
     code: list[CanonicalCode] = []  # code[i] encodes tails[i] rooted at its root
     height: list[int] = []  # height[i] is the depth of tails[i] below its root
     first: dict[int, int] = {}  # weight -> index of its first tail
-    memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-    def forests(total: int, hi: int) -> list[tuple[int, ...]]:
-        """Multisets of tails among tails[:hi] weighing `total` together."""
-        if (total, hi) not in memo:
-            found = [()] if total == 0 else []
-            for i in range(hi):
-                if weight[i] > total:
-                    break
-                found += [(i, *rest) for rest in forests(total - weight[i], i + 1)]
-            memo[total, hi] = found
-        return memo[total, hi]
+    memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}  # `_forests`' answers
 
     for w in range(2, m // 2 + 1):
         first[w] = len(tails)
         for a in range(w + 1):
-            for kids in forests(w - a, first[w]):
+            for kids in _forests(weight, memo, w - a, first[w]):
                 if a + len(kids) + 1 >= 3:
                     tails.append((a, kids))
                     weight.append(w)
@@ -153,7 +157,7 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
     roots = [
         (c, kids)
         for c in range(m + 1)
-        for kids in forests(m - c, light)
+        for kids in _forests(weight, memo, m - c, light)
         if c + len(kids) >= 3
     ]
     if m % 2 == 0:  # half-weight classes

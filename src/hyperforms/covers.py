@@ -37,15 +37,6 @@ class CoverModel(namedtuple("CoverModel", "components nodes g")):
     def arithmetic_genus(self) -> int:
         return arithmetic_genus([c.genus for c in self.components], len(self.nodes))
 
-    def is_connected(self) -> bool:
-        index = {c.id: i for i, c in enumerate(self.components)}
-        adj: list[list[int]] = [[] for _ in self.components]
-        for node in self.nodes:
-            a, b = node.components
-            adj[index[a]].append(index[b])
-            adj[index[b]].append(index[a])
-        return connected(adj)
-
     def to_dict(self) -> dict:
         return {
             "g": self.g,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .trees import checked_make, is_int, json_array
+from .trees import checked_make, is_int
 
 
 class GitClass(enum.Enum):
@@ -60,11 +60,6 @@ class BinaryFormClass(namedtuple("BinaryFormClass", "multiplicities semistable_p
         if self.semistable_point:
             return {"semistable_point": True}
         return {"multiplicities": list(self.multiplicities)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BinaryFormClass":
-        mults = json_array(doc, "multiplicities", required=False)
-        return cls(mults, doc.get("semistable_point", False))
 
 
 def classify(f: BinaryFormClass) -> GitClass:

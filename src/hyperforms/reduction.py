@@ -77,10 +77,6 @@ class ReductionOutput(namedtuple("ReductionOutput", "central_branch_points centr
     __slots__ = ()
 
     @property
-    def component_count(self) -> int:
-        return (2 if self.central_split else 1) + len(self.tails)
-
-    @property
     def node_count(self) -> int:
         return sum(t.attachment_points for t in self.tails) + self.extra_nodes
 

@@ -241,10 +241,6 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         except KeyError:
             raise InvalidTreeError(f"unknown vertex id {v}") from None
 
-    def degree(self, v: int) -> int:
-        self.weight(v)
-        return len(self.adjacency[v])
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         self.weight(v)
         return self.adjacency[v]
@@ -288,10 +284,6 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         if m != tree.m:
             raise InvalidTreeError(f"declared m={m} but weights sum to {tree.m}")
         return tree
-
-    @classmethod
-    def from_json(cls, text: str) -> "WeightedTree":
-        return cls.from_dict(decode(text, InvalidTreeError))
 
     def to_dict(self) -> dict:
         return {

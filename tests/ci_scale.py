@@ -1,0 +1,149 @@
+"""Scale checks one step past the suite: the m = 15 census documents, the
+m = 16 count under a memory and a time bound, the m = 14 identities, the
+exponent-side square up to 2g+2 = 30, and 10^5-vertex trees through
+`canonical_code` and every tree command.
+
+The name does not match `test_*.py`, so a plain `pytest` run leaves this
+module out; pytest collects it only when it is named on the command line:
+
+    PYTHONPATH=src python -m pytest -q -s tests/ci_scale.py
+
+It takes about 40 s on a shared 2-core VM.  Every time bound is about twice
+the slowest run measured there.
+"""
+
+import hashlib
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from collections import Counter
+
+import pytest
+
+from hyperforms import (
+    CentralResult, canonical_code, classify_stratum, enumerate_stable_trees, find_central, path_tree, tree,
+)
+from conftest import (
+    check_branch_identity, check_exponent_square, checkout_env, random_stable_tree, square_partitions,
+)
+
+N = 10**5
+
+
+def cli(*args: str) -> list[str]:
+    return [sys.executable, "-m", "hyperforms.cli", *args]
+
+
+@pytest.fixture(scope="module")
+def big_trees() -> list:
+    """A path, a caterpillar and a random stable tree, each on 10^5 vertices."""
+    k = N // 2
+    caterpillar = tree({**{i: 1 for i in range(k)}, **{k + i: 2 for i in range(k)}},
+                       [(i, i + 1) for i in range(k - 1)] + [(i, k + i) for i in range(k)])
+    return [("path", path_tree(2, *[1] * (N - 2), 2)), ("caterpillar", caterpillar),
+            ("random", random_stable_tree(1, n=N))]
+
+
+def test_census_count_at_m16_under_a_memory_and_a_time_bound():
+    # measured on a shared 2-core VM (medians of 3): 94 MB and 1.8 s since a two-centre
+    # class builds one candidate code (2.1 s before); 198 MB and 3.5 s when each tree
+    # allocated its own vertex and edge pairs
+    #
+    # `os.wait4` reads this one child's peak RSS; RUSAGE_CHILDREN would read the largest
+    # child this process ever waited for.  Linux starts a child's reading at the peak of
+    # the process that spawns it, so this test runs first, before this process holds a
+    # census, and its messages report that floor.
+    floor_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(cli("enumerate", "--m", "16", "--bound", "16", "--format", "count"),
+                                stdout=subprocess.PIPE, stderr=err, text=True, env=checkout_env())
+        with proc.stdout:
+            stdout = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        stderr = err.read().decode(errors="replace")
+    peak_mb = usage.ru_maxrss / 1024  # KiB on Linux
+    print(f"m = 16 count: exit {proc.returncode} in {wall:.2f} s, peak RSS {peak_mb:.0f} MB,"
+          f" floor {floor_mb:.0f} MB")
+    assert proc.returncode == 0, stderr[-2000:]
+    assert stdout == "92949\n", stdout
+    assert peak_mb < 140, f"peak RSS {peak_mb:.0f} MB, bound 140 MB, floor {floor_mb:.0f} MB"
+    assert wall < 8, f"{wall:.2f} s, bound 8 s"
+
+
+def test_census_codes_roots_and_documents_at_m15():
+    census = enumerate_stable_trees(15, bound=15)
+    codes = census.codes
+    assert len(census) == 31311, len(census)
+    assert all(a < b for a, b in zip(codes, codes[1:])), "codes not strictly increasing"
+    assert all(canonical_code(t) == code for code, t in census.classes), "code mismatch"
+    roots = (CentralResult(vertex=0), CentralResult(edge=(0, 1)))
+    assert all(find_central(t) in roots for t in census.trees), "class not rooted at its centre"
+    # sha256 of `enumerate --m 15 --bound 15` stdout: any change to a class, the class order,
+    # the ids, weights or edges of a tree, or the stratum counts changes a digest
+    digests = {"json": "273cf4b43a1bb941a48d70d6b65ac1dde152ee2655be00475a3bb5362d62e128",
+               "dot": "c0f48a875e12c0604b6d1f01126d97f9a7ccbe86d83f8220a19c8d939976e5d1"}
+    for fmt, digest in digests.items():
+        proc = subprocess.run(cli("enumerate", "--m", "15", "--bound", "15", "--format", fmt),
+                              capture_output=True, env=checkout_env())
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, f"{fmt} document changed"
+
+
+def test_branch_identity_at_the_central_vertex_at_m14():
+    checked = sum(check_branch_identity(t) for t in enumerate_stable_trees(14, bound=14).trees)
+    assert checked == 19696, checked
+    print(f"branch identity on {checked} branches")
+
+
+def test_stratum_counts_against_per_tree_classification_at_m14():
+    census = enumerate_stable_trees(14, bound=14)
+    counts = Counter(str(classify_stratum(t)) for t in census.trees)
+    assert census.stratum_counts == tuple(sorted(counts.items())), census.stratum_counts
+    print(f"stratum counts on {len(census)} classes: {dict(census.stratum_counts)}")
+
+
+def test_exponent_side_square_on_stars_up_to_30():
+    forms = list(square_partitions(30))
+    for p in forms:
+        check_exponent_square(p)
+    assert len(forms) == 13417, len(forms)
+    print(f"exponent-side square on {len(forms)} forms")
+
+
+def test_canonical_codes_at_10_5_vertices_each_under_2_s(big_trees):
+    slow = []
+    for name, t in big_trees:
+        start = time.perf_counter()
+        code = canonical_code(t)
+        wall = time.perf_counter() - start
+        print(f"{name}: {len(t.ids)} vertices coded in {wall:.3f} s")
+        assert len(code) == 3 * N, name
+        slow += [name] * (wall >= 2)
+    assert not slow, f"2 s or more: {slow}"
+
+
+def test_every_tree_command_at_10_5_vertices_under_its_bound(big_trees, tmp_path):
+    # seconds per process: about twice the slowest run measured on a shared 2-core VM
+    # (1.09 s for the small commands, 5.23 s for cover, both on the random tree)
+    bounds = {"stability": 2.5, "central": 2.5, "contract": 2.5,
+              "stratum": 2.5, "map": 2.5, "cover": 10.0}
+    slow = []
+    for name, t in big_trees:
+        path = tmp_path / f"{name}.json"
+        path.write_text(t.to_json(), encoding="utf-8")
+        for cmd, bound in bounds.items():
+            start = time.perf_counter()
+            proc = subprocess.run(cli(cmd, "--input", str(path)), stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE, text=True, env=checkout_env())
+            wall = time.perf_counter() - start
+            print(f"{name} {cmd}: exit {proc.returncode} in {wall:.2f} s")
+            assert proc.returncode == 0, (name, cmd, proc.stderr[-2000:])
+            slow += [f"{name} {cmd}"] * (wall >= bound)
+    assert not slow, f"over the bound: {slow}"

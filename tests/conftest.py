@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import subprocess
@@ -29,7 +30,9 @@ from hyperforms import (
 from hyperforms.census import Census, _make_census
 from hyperforms.covers import CoverModel, StableHyperellipticModel, arithmetic_genus
 from hyperforms.reduction import ReductionOutput, attachment_points, tail_genus
-from hyperforms.trees import CanonicalCode, bfs, complementary_subtree_weights, tree
+from hyperforms.trees import (
+    CanonicalCode, InvalidTreeError, bfs, complementary_subtree_weights, decode, tree,
+)
 
 
 # -- the paper's definitions, one edge or vertex at a time ----------------
@@ -242,6 +245,23 @@ def leaf_strip_cover(t: WeightedTree):
     return ramified, branch
 
 
+def cover_connected(cover: CoverModel) -> bool:
+    """Whether the cover's components form one connected curve: a walk over
+    its nodes by component id, apart from `covers.connected`."""
+    adj: dict[int, set[int]] = {c.id: set() for c in cover.components}
+    for node in cover.nodes:
+        a, b = node.components
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {cover.components[0].id}
+    stack = list(seen)
+    while stack:
+        for w in adj[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) == len(adj)
+
+
 def fixpoint_stable_model(c: CoverModel) -> StableHyperellipticModel:
     """Stable model by contracting one component at a time, rescanning from
     the first component after every contraction until nothing changes."""
@@ -440,6 +460,30 @@ def check_exponent_square(p: tuple[int, ...]) -> None:
 
 def two_vertex_tree(j: int, m: int) -> WeightedTree:
     return tree({0: j, 1: m - j}, [(0, 1)])
+
+
+def cyclic_garbage(work) -> tuple[int, Counter]:
+    """What `work()` leaves reachable only through reference cycles: run with
+    the collector off, then one collection's count and, saved by
+    `DEBUG_SAVEALL`, the types of the objects it found."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        work()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        found = gc.collect()
+        return found, Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def tree_from_json(text: str) -> WeightedTree:
+    """A tree from JSON text, read as the CLI reads it: `decode`, then `from_dict`."""
+    return WeightedTree.from_dict(decode(text, InvalidTreeError))
 
 
 def checkout_env() -> dict:

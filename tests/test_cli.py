@@ -9,7 +9,7 @@ import pytest
 from hyperforms import WeightedTree, canonical_code, covers, path_tree
 from hyperforms.cli import build_parser, main
 from hyperforms.trees import check
-from conftest import checkout_env, over_long_integer
+from conftest import checkout_env, over_long_integer, tree_from_json
 
 
 @pytest.fixture
@@ -583,4 +583,4 @@ class TestErrors:
         doc = json.loads(out)
         for d in doc["classes"]:
             t = WeightedTree.from_dict(d)
-            assert canonical_code(WeightedTree.from_json(t.to_json())) == canonical_code(t)
+            assert canonical_code(tree_from_json(t.to_json())) == canonical_code(t)

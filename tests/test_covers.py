@@ -31,6 +31,7 @@ from conftest import (
     branch_count,
     central_by_definition,
     check_branch_identity,
+    cover_connected,
     edge_is_ramified,
     fixpoint_stable_model,
     leaf_strip_cover,
@@ -117,7 +118,7 @@ class TestBuildCover:
         for t in enumerate_stable_trees(m).trees:
             cover = build_cover(t)
             assert cover.arithmetic_genus == (m - 2) // 2
-            assert cover.is_connected()
+            assert cover_connected(cover)
 
     @pytest.mark.parametrize("m", range(4, 11, 2))
     def test_agrees_with_leaf_stripping_oracle(self, m):
@@ -137,8 +138,14 @@ class TestBuildCover:
     def test_long_path_genus(self):
         t = path_tree(2, *([1] * 9998), 2)
         cover = build_cover(t)
-        assert cover.is_connected()
+        assert cover_connected(cover)
         assert cover.arithmetic_genus == stable_model(cover).arithmetic_genus == (t.m - 2) // 2
+
+    def test_connectivity_oracle_sees_two_curves(self):
+        # The two sheets over one unbranched vertex, with no node between them.
+        sheets = [CoverComponent(i, 0, i, 0, 0) for i in (0, 1)]
+        assert not cover_connected(CoverModel(sheets, [], 1))
+        assert cover_connected(CoverModel(sheets, [CoverNode((0, 1), SPLIT, (0, 1))], 1))
 
 
 class TestCoverIdentities:

@@ -41,37 +41,26 @@ class TestBinaryFormClass:
     )
     def test_rejects_non_boolean_semistable_flag(self, doc):
         with pytest.raises(ValueError, match="^semistable_point must be a boolean, got "):
-            BinaryFormClass.from_dict(doc)
+            BinaryFormClass(**doc)
 
     def test_from_dict_rejects_semistable_point_with_roots(self):
+        # A form document is read by unpacking it into the constructor.
         with pytest.raises(ValueError, match="^the semistable point carries no roots$"):
-            BinaryFormClass.from_dict({"semistable_point": True, "multiplicities": [3, 3]})
+            BinaryFormClass(**{"semistable_point": True, "multiplicities": [3, 3]})
 
-    @pytest.mark.parametrize(
-        "doc, error",
-        [
-            ([3, 3], "input must be a JSON object"),
-            (None, "input must be a JSON object"),
-            ({"multiplicities": 6}, "field 'multiplicities' must be an array"),
-            ({"multiplicities": {"3": 2}}, "field 'multiplicities' must be an array"),
-        ],
-    )
-    def test_from_dict_names_the_broken_field(self, doc, error):
-        with pytest.raises(ValueError, match=f"^{error}$"):
-            BinaryFormClass.from_dict(doc)
-
-    @pytest.mark.parametrize("bad", [2.9, True, "3", None, 3.0])
+    @pytest.mark.parametrize("bad",[2.9, True, "3", None, 3.0])
     def test_rejects_non_integer(self, bad):
-        with pytest.raises(ValueError):
-            BinaryFormClass.from_dict({"multiplicities": [2, bad, 1]})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^multiplicities must be integers, got "):
+            BinaryFormClass([2, bad, 1])
+        with pytest.raises(ValueError, match="^multiplicities must be integers, got "):
             BinaryFormClass(multiplicities=(bad, 3))
 
     def test_json_round_trip(self):
+        # `to_dict`'s keys are the constructor's parameters.
         f = BinaryFormClass([3, 1, 1, 1])
-        assert BinaryFormClass.from_dict(f.to_dict()) == f
+        assert BinaryFormClass(**f.to_dict()) == f
         s = BinaryFormClass.semistable()
-        assert BinaryFormClass.from_dict(s.to_dict()) == s
+        assert BinaryFormClass(**s.to_dict()) == s
 
 
 class TestClassify:

@@ -10,6 +10,7 @@ from hyperforms import (
     WeightedTree,
     blowup_chain,
     build_cover,
+    canonical_code,
     classify_stratum,
     contract_F_m,
     enumerate_stable_trees,
@@ -20,7 +21,7 @@ from hyperforms import (
     tree,
     validate_stable,
 )
-from conftest import run_python, special_points
+from conftest import cyclic_garbage, random_stable_tree, run_python, special_points
 
 
 def sample_records() -> dict:
@@ -145,6 +146,26 @@ class TestTupleBehaviour:
     def test_repr_names_the_fields(self):
         assert repr(path_tree(3, 5)) == "WeightedTree(vertices=((0, 3), (1, 5)), edges=((0, 1),))"
         assert repr(find_central(path_tree(3, 5))) == "CentralResult(vertex=1, edge=None)"
+
+
+class TestNoReferenceCycles:
+    """The library's layers create no reference cycles, so a caller may run
+    them with the cyclic collector off and still free everything."""
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_census(self, m):
+        assert cyclic_garbage(lambda: enumerate_stable_trees(m, bound=12).to_dict()) == (0, {})
+
+    def test_tree_cover_model_and_code(self):
+        doc = random_stable_tree(seed=1, n=1000).to_dict()
+
+        def pipeline():
+            t = WeightedTree.from_dict(doc)
+            cover = build_cover(t)
+            model = stable_model(cover)
+            cover.to_dict(), model.to_dict(), canonical_code(t)
+
+        assert cyclic_garbage(pipeline) == (0, {})
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

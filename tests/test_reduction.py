@@ -103,8 +103,7 @@ class TestReduce:
     def test_all_even_splits_central(self):
         # no branch points survive: the central fiber is two genus-0 sheets
         out = reduce(ExponentVector((4, 2)))
-        assert out.central_split
-        assert out.component_count == 3
+        assert out.central_split and len(out.tails) == 1  # two sheets and one tail
         assert out.arithmetic_genus == 2
 
     def test_infinity_treated_as_root(self):
@@ -178,7 +177,7 @@ class TestDepthOneIdentity:
         checked = 0
         for t in enumerate_stable_trees(m, bound=14).trees:
             v = find_central(t).vertex
-            if v is None or any(t.degree(u) > 1 for u in t.neighbors(v)):
+            if v is None or any(len(t.neighbors(u)) > 1 for u in t.neighbors(v)):
                 continue
             red = reduce(ExponentVector(contract_F_m(t).multiplicities))
             assert model_shape(stable_model(build_cover(t))) == reduced_shape(red), t

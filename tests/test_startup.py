@@ -30,7 +30,9 @@ EXPORTS = {
 REMOVED = {"central": ["half_weight_edge"], "covers": ["branch_count", "edge_is_ramified"],
            "trees": ["isomorphic"]}
 REMOVED_METHODS = [("BinaryFormClass", "roots"), ("BinaryFormClass", "from_multiplicities"),
-                   ("StableHyperellipticModel", "special_points")]
+                   ("StableHyperellipticModel", "special_points"), ("WeightedTree", "degree"),
+                   ("WeightedTree", "from_json"), ("CoverModel", "is_connected"),
+                   ("ReductionOutput", "component_count"), ("BinaryFormClass", "from_dict")]
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 CENTRAL = {"trees", "forms", "central"}

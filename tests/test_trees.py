@@ -33,6 +33,7 @@ from conftest import (
     random_stable_tree,
     relabeled,
     run_python,
+    tree_from_json,
     walk_canonical_code,
 )
 
@@ -78,16 +79,16 @@ class TestStructure:
     def test_from_json_rejects_invalid_json(self):
         msg = r"^invalid JSON: Expecting value: line 1 column 1 \(char 0\)$"
         with pytest.raises(InvalidTreeError, match=msg):
-            WeightedTree.from_json("not json")
+            tree_from_json("not json")
 
     def test_from_json_rejects_too_deeply_nested_json(self):
         with pytest.raises(InvalidTreeError, match="^invalid JSON: .*recursion"):
-            WeightedTree.from_json("[" * 100_000 + "]" * 100_000)
+            tree_from_json("[" * 100_000 + "]" * 100_000)
 
     def test_from_json_rejects_over_long_integer(self):
         doc = '{"vertices": [{"id": 0, "weight": %s}], "edges": []}' % over_long_integer()
         with pytest.raises(InvalidTreeError, match="^invalid JSON: "):
-            WeightedTree.from_json(doc)
+            tree_from_json(doc)
 
     @pytest.mark.parametrize("seed,n", [(1, 7), (2, 40), (3, 300)])
     def test_adjacency_sorted_without_resorting(self, seed, n):
@@ -506,7 +507,7 @@ class TestComplementaryWeights:
 class TestSerialization:
     def test_json_round_trip(self):
         t = star_tree(0, 2, 2, 4)
-        again = WeightedTree.from_json(t.to_json())
+        again = tree_from_json(t.to_json())
         assert canonical_code(again) == canonical_code(t)
 
     def test_m_is_optional_and_checked(self):
