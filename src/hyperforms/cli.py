@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 for schema violations or precondition failures,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -143,16 +144,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _, build, run, _ = COMMANDS[args.command]
+    # The library makes no reference cycles, so the cyclic collector would only
+    # rescan live data: read, compute and emit run without it, and the caller's
+    # setting comes back afterwards.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        obj = None
-        if build is not None:
-            obj = build(decode(_read_input(args.input), InputError))
-        out, status = run(obj, args), 0
-    except ValueError as exc:  # InputError and the tree errors included
-        out, status = {"error": str(exc)}, 2
-    except AssertionError as exc:
-        out, status = {"error": f"internal inconsistency: {exc}"}, 1
-    print(out if isinstance(out, str) else json.dumps(out, sort_keys=True))
+        try:
+            obj = None
+            if build is not None:
+                obj = build(decode(_read_input(args.input), InputError))
+            out, status = run(obj, args), 0
+        except ValueError as exc:  # InputError and the tree errors included
+            out, status = {"error": str(exc)}, 2
+        except AssertionError as exc:
+            out, status = {"error": f"internal inconsistency: {exc}"}, 1
+        print(out if isinstance(out, str) else json.dumps(out, sort_keys=True))
+    finally:
+        if collecting:
+            gc.enable()
     return status
 
 

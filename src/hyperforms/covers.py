@@ -41,13 +41,10 @@ class CoverModel(namedtuple("CoverModel", "components nodes g")):
         return {
             "g": self.g,
             "components": [c._asdict() for c in self.components],
+            # `json.dumps` writes the node's own tuples as arrays: no copies.
             "nodes": [
-                {
-                    "edge": list(n.base_edge),
-                    "kind": n.kind,
-                    "components": list(n.components),
-                }
-                for n in self.nodes
+                {"edge": edge, "kind": kind, "components": ends}
+                for edge, kind, ends in self.nodes
             ],
         }
 
@@ -161,17 +158,24 @@ class StableHyperellipticModel(namedtuple("StableHyperellipticModel", "component
         """Isomorphism invariant: minimal relabeling over genus-preserving maps.
 
         Position i holds the i-th component by genus, target[i]; a relabeling
-        permutes the positions within every run of equal genera.
+        permutes the positions within every run of equal genera.  The runs are
+        laid out shortest first, so the permutations of the longest come last
+        and are streamed: `product` holds only those of the shorter runs.
         """
         ranked = sorted(self.components, key=lambda c: c[1])
         target = tuple(genus for _, genus in ranked)
-        pos = {cid: i for i, (cid, _) in enumerate(ranked)}
-        ends = [(pos[a], pos[b]) for a, b in self.nodes]
-        runs = [permutations(run) for _, run in groupby(range(len(target)), target.__getitem__)]
+        runs = sorted((tuple(run) for _, run in groupby(range(len(target)), target.__getitem__)),
+                      key=len) or [()]
+        # A relabeling's `slot[index[cid]]` is the position it gives component cid.
+        index = {ranked[p][0]: i for i, p in enumerate(chain(*runs))}
+        ends = [(index[a], index[b]) for a, b in self.nodes]
+        longest = runs.pop()
         return target, min(
             tuple(sorted((slot[a], slot[b]) if slot[a] <= slot[b] else (slot[b], slot[a])
                          for a, b in ends))
-            for slot in (list(chain(*perms)) for perms in product(*runs))
+            for perms in product(*map(permutations, runs))
+            for last in permutations(longest)
+            for slot in [list(chain(*perms, last))]
         )
 
 

@@ -1,14 +1,15 @@
 """Scale checks one step past the suite: the m = 15 census documents, the
 m = 16 count under a memory and a time bound, the m = 14 identities, the
-exponent-side square up to 2g+2 = 30, and 10^5-vertex trees through
-`canonical_code` and every tree command.
+exponent-side square up to 2g+2 = 30, a stable model with 9! relabelings
+under a memory bound, and 10^5-vertex trees through `canonical_code` and
+every tree command.
 
 The name does not match `test_*.py`, so a plain `pytest` run leaves this
 module out; pytest collects it only when it is named on the command line:
 
     PYTHONPATH=src python -m pytest -q -s tests/ci_scale.py
 
-It takes about 40 s on a shared 2-core VM.  Every time bound is about twice
+It takes about 45 s on a shared 2-core VM.  Every time bound is about twice
 the slowest run measured there.
 """
 
@@ -24,10 +25,12 @@ from collections import Counter
 import pytest
 
 from hyperforms import (
-    CentralResult, canonical_code, classify_stratum, enumerate_stable_trees, find_central, path_tree, tree,
+    CentralResult, build_cover, canonical_code, classify_stratum, enumerate_stable_trees, find_central,
+    path_tree, stable_model, star_tree, tree,
 )
 from conftest import (
-    check_branch_identity, check_exponent_square, checkout_env, random_stable_tree, square_partitions,
+    check_branch_identity, check_exponent_square, checkout_env, random_stable_tree, relabeled,
+    square_partitions, traced_peak,
 )
 
 N = 10**5
@@ -117,6 +120,20 @@ def test_exponent_side_square_on_stars_up_to_30():
     print(f"exponent-side square on {len(forms)} forms")
 
 
+def test_model_code_of_nine_same_genus_components_under_1_mb():
+    # nine genus-1 tails around a genus-4 centre: 9! relabelings, which take 44 MB
+    # when every permutation is held at once and a few KB when they are streamed
+    star = star_tree(1, *[3] * 9)
+    model = stable_model(build_cover(star))
+    start = time.perf_counter()
+    code, peak = traced_peak(model.canonical_code)
+    print(f"9! relabelings coded in {time.perf_counter() - start:.2f} s (traced),"
+          f" peak {peak / 1e6:.3f} MB")
+    assert peak < 10**6, f"{peak} bytes held while coding, bound 1 MB"
+    for seed in range(3):
+        assert stable_model(build_cover(relabeled(star, seed))).canonical_code() == code, seed
+
+
 def test_canonical_codes_at_10_5_vertices_each_under_2_s(big_trees):
     slow = []
     for name, t in big_trees:
@@ -135,15 +152,20 @@ def test_every_tree_command_at_10_5_vertices_under_its_bound(big_trees, tmp_path
     bounds = {"stability": 2.5, "central": 2.5, "contract": 2.5,
               "stratum": 2.5, "map": 2.5, "cover": 10.0}
     slow = []
+    # sha256 of the three `cover` documents in turn: any change to a byte of one changes it
+    covers, out = hashlib.sha256(), tmp_path / "cover.out"
     for name, t in big_trees:
         path = tmp_path / f"{name}.json"
         path.write_text(t.to_json(), encoding="utf-8")
         for cmd, bound in bounds.items():
-            start = time.perf_counter()
-            proc = subprocess.run(cli(cmd, "--input", str(path)), stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.PIPE, text=True, env=checkout_env())
-            wall = time.perf_counter() - start
+            with open(out if cmd == "cover" else os.devnull, "wb") as stdout:
+                start = time.perf_counter()
+                proc = subprocess.run(cli(cmd, "--input", str(path)), stdout=stdout,
+                                      stderr=subprocess.PIPE, text=True, env=checkout_env())
+                wall = time.perf_counter() - start
             print(f"{name} {cmd}: exit {proc.returncode} in {wall:.2f} s")
             assert proc.returncode == 0, (name, cmd, proc.stderr[-2000:])
             slow += [f"{name} {cmd}"] * (wall >= bound)
+        covers.update(out.read_bytes())
     assert not slow, f"over the bound: {slow}"
+    assert covers.hexdigest() == "e5fd0fc9bc7211e20130b2900e995a33591589a5ae79a77c6398bc61305d7741"

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter, defaultdict
 from itertools import chain, permutations, product
 from operator import le, lt
@@ -479,6 +480,16 @@ def cyclic_garbage(work) -> tuple[int, Counter]:
         gc.garbage.clear()
         if enabled:
             gc.enable()
+
+
+def traced_peak(work):
+    """`work()`'s result and the peak bytes `tracemalloc` saw it hold."""
+    tracemalloc.start()
+    try:
+        result = work()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tree_from_json(text: str) -> WeightedTree:

@@ -1,4 +1,6 @@
 import argparse
+import gc
+import hashlib
 import io
 import json
 import subprocess
@@ -6,10 +8,10 @@ import sys
 
 import pytest
 
-from hyperforms import WeightedTree, canonical_code, covers, path_tree
-from hyperforms.cli import build_parser, main
+from hyperforms import WeightedTree, canonical_code, covers, enumerate_stable_trees, path_tree
+from hyperforms.cli import COMMANDS, build_parser, main
 from hyperforms.trees import check
-from conftest import checkout_env, over_long_integer, tree_from_json
+from conftest import checkout_env, over_long_integer, random_stable_tree, tree_from_json
 
 
 @pytest.fixture
@@ -192,6 +194,19 @@ class TestGolden:
     @pytest.mark.parametrize("fmt", list(GOLDEN_ENUMERATE))
     def test_enumerate(self, run, fmt):
         assert run(["enumerate", "--m", "5", "--format", fmt]) == (0, GOLDEN_ENUMERATE[fmt])
+
+    def test_cover_documents_digest(self):
+        # sha256 of the `cover` JSON, as `main` builds and emits it, of every even class
+        # with m <= 12 and eight random trees of 300 vertices: any change to a byte of
+        # a cover or stable-model document changes it
+        cover, args = COMMANDS["cover"][2], argparse.Namespace(format="json")
+        trees = [t for m in range(4, 13, 2) for t in enumerate_stable_trees(m, bound=12).trees]
+        trees += [random_stable_tree(seed, n=300, extra=seed) for seed in range(8)]
+        digest = hashlib.sha256()
+        for t in trees:
+            digest.update(json.dumps(cover(t, args), sort_keys=True).encode() + b"\n")
+        assert len(trees) == 1589
+        assert digest.hexdigest() == "232088348c7af57a3dbe516379f47a72dd72f0658844ea43ded5a041ec56bd9f"
 
 
 class TestParserSurface:
@@ -584,3 +599,51 @@ class TestErrors:
         for d in doc["classes"]:
             t = WeightedTree.from_dict(d)
             assert canonical_code(tree_from_json(t.to_json())) == canonical_code(t)
+
+
+class TestCollector:
+    """`main` runs read, compute and emit with the cyclic collector off, and
+    leaves it as the caller had it, on success and on every error path."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def prior(self, request):
+        enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if enabled else gc.disable)()
+
+    def test_off_while_the_command_runs(self, run, monkeypatch, prior):
+        seen, real = [], covers.build_cover
+
+        def spy(t):
+            seen.append(gc.isenabled())
+            return real(t)
+
+        monkeypatch.setattr(covers, "build_cover", spy)
+        assert run(["cover"], stdin=tree_doc(3, 5)) == (0, GOLDEN_TREES[3, 5][("cover",)])
+        assert seen == [False]
+        assert gc.isenabled() is prior
+
+    @pytest.mark.parametrize("argv, stdin, status", [
+        (["stability"], tree_doc(3, 5), 0),
+        (["stability"], "[1, 2]", 2),
+        (["stability"], "{", 2),
+        (["enumerate", "--m", "2"], None, 2),
+    ])
+    def test_restored_after_a_document(self, run, prior, argv, stdin, status):
+        assert run(argv, stdin=stdin)[0] == status
+        assert gc.isenabled() is prior
+
+    def test_restored_after_an_invariant_failure(self, run, monkeypatch, prior):
+        monkeypatch.setattr(covers, "build_cover", lambda t: check(False, "arithmetic genus mismatch"))
+        assert run(["cover"], stdin=tree_doc(3, 3))[0] == 1
+        assert gc.isenabled() is prior
+
+    def test_restored_when_an_exception_escapes(self, run, monkeypatch, prior):
+        def broken(t):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(covers, "build_cover", broken)
+        with pytest.raises(RuntimeError, match="boom"):
+            run(["cover"], stdin=tree_doc(3, 3))
+        assert gc.isenabled() is prior

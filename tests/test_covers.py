@@ -40,6 +40,7 @@ from conftest import (
     random_stable_tree,
     relabeled,
     special_points,
+    traced_peak,
 )
 
 
@@ -295,11 +296,15 @@ class TestModelCanonicalCode:
         model = stable_model(build_cover(random_stable_tree(seed, n=8, extra=12)))
         assert model.canonical_code() == permutation_model_code(model)
 
-    def test_seven_same_genus_components(self):
-        # seven genus-1 tails around a genus-3 centre: 7! relabelings
-        model = stable_model(build_cover(star_tree(1, *[3] * 7)))
-        assert sorted(genus for _, genus in model.components) == [1] * 7 + [3]
-        assert model.canonical_code() == permutation_model_code(model)
+    @pytest.mark.parametrize("leaves", [7, 8])
+    def test_same_genus_components(self, leaves):
+        # k genus-1 tails around a genus-k//2 centre: k! relabelings, which take 4.4 MB
+        # at k = 8 when every permutation is held at once and a few KB when streamed
+        model = stable_model(build_cover(star_tree(2 - leaves % 2, *[3] * leaves)))
+        assert sorted(genus for _, genus in model.components) == [1] * leaves + [leaves // 2]
+        code, peak = traced_peak(model.canonical_code)
+        assert code == permutation_model_code(model)
+        assert peak < 10**6, f"{peak} bytes held while coding"
 
     def test_special_points_match_to_dict(self):
         model = stable_model(build_cover(star_tree(0, 2, 2, 4)))
