@@ -28,9 +28,8 @@ A tree's (id, weight) and (parent, child) pairs come from one table per census,
 `pair_table(m)`, about 1.5 m^2 pairs, so the trees share them and no tree
 allocates a pair of its own.
 
-A stratum label depends only on a tree's shape: its vertex count and, with
-two vertices, the smaller weight.  So the census counts its classes per shape
-and labels each shape once, through `strata`'s own rule.
+The stratum counts come from `strata.count_strata`, which labels each shape
+of tree once.
 
 The test suite checks the census against an independent Pruefer-sequence
 oracle, checks every code against `canonical_code`, and pins every tree to
@@ -39,9 +38,9 @@ the checked constructor.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 
-from .strata import _label
+from .strata import count_strata
 from .trees import (
     DEFAULT_BOUND, CanonicalCode, PairTable, WeightedTree, checked_make, is_int, pair_table, rooted_code,
 )
@@ -183,31 +182,13 @@ def _build(a: int, kids: tuple[int, ...], tails: list[Tail], pairs: PairTable) -
     return WeightedTree._grown(weights, parent, pairs)
 
 
-def _shape(t: WeightedTree) -> tuple[int, int | None]:
-    """All a stratum label depends on: the vertex count and, with two
-    vertices, the smaller weight."""
-    vs = t.vertices
-    return (2, min(vs[0][1], vs[1][1])) if len(vs) == 2 else (len(vs), None)
-
-
-def _stratum_counts(trees: list[WeightedTree], g: int) -> tuple[tuple[str, int], ...]:
-    """(label, count) pairs of stable trees of weight 2g+2, in label order:
-    trees are counted per shape, and each shape is labelled once."""
-    shapes = list(map(_shape, trees))
-    one_of = dict(zip(shapes, trees))  # a tree of each shape
-    counts = Counter()
-    for shape, k in Counter(shapes).items():
-        counts[str(_label(one_of[shape], g))] += k
-    return tuple(sorted(counts.items()))
-
-
 def _make_census(m: int, classes) -> Census:
     """Census from (code, stable tree) pairs with distinct codes, in code order."""
     # Keyed: bare pairs would sort the same, but each comparison would scan
     # the two codes twice, once for equality and once for order.
     ordered = tuple(sorted(classes, key=lambda pair: pair[0]))
     if m % 2 == 0 and m >= 4:
-        stratum_counts = _stratum_counts([t for _, t in ordered], (m - 2) // 2)
+        stratum_counts = count_strata([t for _, t in ordered], (m - 2) // 2)
     else:
         stratum_counts = ()
     return Census(m=m, classes=ordered, stratum_counts=stratum_counts)

@@ -71,7 +71,7 @@ def contract_F_m(t: WeightedTree) -> BinaryFormClass:
     result, sides = _central(t)
     if result.is_semistable_edge:
         return BinaryFormClass.semistable()
-    mults = sides + [1] * t.weight(result.vertex)
+    mults = sides + [1] * t.weight_of[result.vertex]
     form = BinaryFormClass(mults)
     check(form.degree == t.m, "contracted form degree differs from m")
     return form

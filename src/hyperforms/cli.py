@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 for schema violations or precondition failures,
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import sys
@@ -127,6 +128,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built on the first `main` call, not at import, and once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperforms",

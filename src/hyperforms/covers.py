@@ -12,16 +12,10 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from itertools import chain, groupby, permutations, product
 
-from .trees import WeightedTree, bfs, check, require_even
+from .trees import WeightedTree, arithmetic_genus, bfs, check, require_even
 
 RAMIFIED = "ramified"
 SPLIT = "split"
-
-
-def arithmetic_genus(genera: list[int], nodes: int) -> int:
-    """p_a = sum(g) + delta - c + 1 of a connected nodal curve: its c
-    components have geometric genera `genera`, and it has delta = `nodes`."""
-    return sum(genera) + nodes - len(genera) + 1
 
 
 # `sheet` is 0/1 for the two sheets over an unbranched vertex, else None.

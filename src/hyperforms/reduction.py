@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .covers import arithmetic_genus
-from .trees import check, checked_make, is_int, json_array
+from .trees import arithmetic_genus, check, checked_make, is_int, json_array
 
 
 class ExponentVector(namedtuple("ExponentVector", "exponents at_infinity")):

@@ -7,7 +7,7 @@ point.  Deeper strata (three or more vertices) only get their codimension.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .central import contract_F_m
 from .forms import BinaryFormClass
@@ -76,6 +76,22 @@ def _label(t: WeightedTree, g: int) -> StratumLabel:
     if j == g + 1:
         return StratumLabel(SEMISTABLE_IMAGE, underlying=label)
     return label
+
+
+def count_strata(trees: list[WeightedTree], g: int) -> tuple[tuple[str, int], ...]:
+    """(label, count) pairs of stable trees of weight 2g+2, in label order.
+
+    A label depends only on a tree's shape: its vertex count and, with two
+    vertices, the smaller weight.  So trees are counted per shape, and each
+    shape is labelled once.
+    """
+    shapes = [(len(vs), min(vs[0][1], vs[1][1]) if len(vs) == 2 else None)
+              for vs in (t.vertices for t in trees)]
+    one_of = dict(zip(shapes, trees))  # a tree of each shape
+    counts = Counter()
+    for shape, k in Counter(shapes).items():
+        counts[str(_label(one_of[shape], g))] += k
+    return tuple(sorted(counts.items()))
 
 
 def f_g_exponents(t: WeightedTree) -> BinaryFormClass:

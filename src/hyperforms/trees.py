@@ -61,21 +61,28 @@ def decode(text: str, error: type[ValueError]):
 CanonicalCode = tuple[int, ...]
 
 
-def bfs(adj, root: int, cut: int | None = None) -> tuple[list[int], dict]:
+def bfs(adj, root: int) -> tuple[list[int], dict]:
     """Breadth-first order from `root` and each reached vertex's parent.
 
-    The walk never enters `cut`; the root's parent is None.  Every graph walk
-    in the package goes through here, the cover's connectivity walk included
-    (`covers.connected`, over lists indexed by component id).
+    The root's parent is None.  Every graph walk in the package goes through
+    here, the cover's connectivity walk included (`covers.connected`, over
+    lists indexed by component id).
     """
     parent: dict = {root: None}
     order = [root]
     for u in order:  # the list grows while it is read, so it is the queue
         for w in adj[u]:
-            if w != cut and w not in parent:
+            if w not in parent:
                 parent[w] = u
                 order.append(w)
     return order, parent
+
+
+def arithmetic_genus(genera: list[int], nodes: int) -> int:
+    """p_a = sum(g) + delta - c + 1 of a connected nodal curve: its c
+    components have geometric genera `genera`, and it has delta = `nodes`.
+    Here, in the layer both `covers` and `reduction` load, so `reduce` need not load `covers`."""
+    return sum(genera) + nodes - len(genera) + 1
 
 
 def checked_make(cls, fields):
@@ -235,31 +242,11 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
     def ids(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.vertices)
 
-    def weight(self, v: int) -> int:
+    def neighbors(self, v: int) -> tuple[int, ...]:
         try:
-            return self.weight_of[v]
+            return self.adjacency[v]
         except KeyError:
             raise InvalidTreeError(f"unknown vertex id {v}") from None
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self.weight(v)
-        return self.adjacency[v]
-
-    def side_weight(self, edge: tuple[int, int], toward: int) -> int:
-        """Total weight of the component on the `toward` side of `edge`."""
-        a, b = edge
-        if toward == a:
-            away = b
-        elif toward == b:
-            away = a
-        else:
-            raise InvalidTreeError(f"vertex {toward} not an endpoint of {edge}")
-        parent, below = self._rooted
-        if parent.get(toward) == away:
-            return below[toward]
-        if parent.get(away) == toward:
-            return self.m - below[away]
-        raise InvalidTreeError(f"{edge} is not an edge of the tree")
 
     # -- serialization ----------------------------------------------------
 
@@ -361,8 +348,15 @@ def require_even(t: WeightedTree) -> int:
 
 
 def complementary_subtree_weights(t: WeightedTree, v: int) -> list[int]:
-    """Weights of the subtrees hanging off each edge at `v`, sorted."""
-    return sorted(t.side_weight((v, u), toward=u) for u in t.neighbors(v))
+    """Weights of the subtrees hanging off each edge at `v`, sorted.
+
+    Read off the rooted table: a child's side weighs its subtree, and the
+    parent's side weighs the rest of the tree.
+    """
+    neighbors = t.neighbors(v)
+    parent, below = t._rooted
+    up, rest = parent[v], t.m - below[v]
+    return sorted(rest if u == up else below[u] for u in neighbors)
 
 
 # -- canonical encoding ---------------------------------------------------

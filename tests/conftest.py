@@ -31,12 +31,41 @@ from hyperforms import (
 from hyperforms.census import Census, _make_census
 from hyperforms.covers import CoverModel, StableHyperellipticModel, arithmetic_genus
 from hyperforms.reduction import ReductionOutput, attachment_points, tail_genus
-from hyperforms.trees import (
-    CanonicalCode, InvalidTreeError, bfs, complementary_subtree_weights, decode, tree,
-)
+from hyperforms.trees import CanonicalCode, InvalidTreeError, complementary_subtree_weights, decode, tree
 
 
 # -- the paper's definitions, one edge or vertex at a time ----------------
+
+def walk(adj, root: int, cut: int | None = None) -> tuple[list[int], dict]:
+    """Breadth-first order from `root` and each reached vertex's parent,
+    never entering `cut`: the oracles' own walk, apart from `trees.bfs`."""
+    parent: dict = {root: None}
+    order = [root]
+    for u in order:
+        for w in adj[u]:
+            if w != cut and w not in parent:
+                parent[w] = u
+                order.append(w)
+    return order, parent
+
+
+def side_weight(t: WeightedTree, edge: tuple[int, int], toward: int) -> int:
+    """Total weight of the component on the `toward` side of `edge`, read off
+    the rooted table, so that a check at every edge stays linear."""
+    a, b = edge
+    if toward == a:
+        away = b
+    elif toward == b:
+        away = a
+    else:
+        raise InvalidTreeError(f"vertex {toward} not an endpoint of {edge}")
+    parent, below = t._rooted
+    if parent.get(toward) == away:
+        return below[toward]
+    if parent.get(away) == toward:
+        return t.m - below[away]
+    raise InvalidTreeError(f"{edge} is not an edge of the tree")
+
 
 def is_central(t: WeightedTree, v: int) -> bool:
     """Direct test of the definition: every complementary subtree < m/2."""
@@ -46,7 +75,7 @@ def is_central(t: WeightedTree, v: int) -> bool:
 def half_weight_edge(t: WeightedTree) -> tuple[int, int] | None:
     """The edge splitting the total weight as (m/2, m/2), if any."""
     for a, b in t.edges:
-        if 2 * t.side_weight((a, b), toward=a) == t.m:
+        if 2 * side_weight(t, (a, b), toward=a) == t.m:
             return (a, b)
     return None
 
@@ -62,12 +91,12 @@ def central_by_definition(t: WeightedTree) -> CentralResult:
 
 def edge_is_ramified(t: WeightedTree, edge: tuple[int, int]) -> bool:
     """An edge is ramified iff the subtree weight on either side is odd."""
-    return t.side_weight(edge, toward=edge[0]) % 2 == 1
+    return side_weight(t, edge, toward=edge[0]) % 2 == 1
 
 
 def branch_count(t: WeightedTree, v: int) -> int:
     """Marks on v plus incident ramified edges; always even for even m."""
-    return t.weight(v) + sum(edge_is_ramified(t, (v, u)) for u in t.neighbors(v))
+    return t.weight_of[v] + sum(edge_is_ramified(t, (v, u)) for u in t.neighbors(v))
 
 
 def special_points(model: StableHyperellipticModel, cid: int) -> int:
@@ -84,7 +113,7 @@ def brute_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
     edges1 = set(t1.edges)
     for perm in permutations(t2.ids):
         mapping = dict(zip(t1.ids, perm))
-        if any(t1.weight(v) != t2.weight(mapping[v]) for v in t1.ids):
+        if any(t1.weight_of[v] != t2.weight_of[mapping[v]] for v in t1.ids):
             continue
         mapped = {tuple(sorted((mapping[a], mapping[b]))) for a, b in edges1}
         if mapped == set(t2.edges):
@@ -95,8 +124,8 @@ def brute_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
 def tree_centers(t: WeightedTree) -> list[int]:
     """The one or two centers of the tree, as the middle of a longest path
     found by two walks."""
-    far = bfs(t.adjacency, t.vertices[0][0])[0][-1]
-    order, parent = bfs(t.adjacency, far)
+    far = walk(t.adjacency, t.vertices[0][0])[0][-1]
+    order, parent = walk(t.adjacency, far)
     path = [order[-1]]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
@@ -119,7 +148,7 @@ def walk_canonical_code(t: WeightedTree) -> CanonicalCode:
         return (-1, t.weight_of[v], *chain.from_iterable(sorted(kids)), -2)
 
     def subtree_codes(root: int, cut: int | None = None) -> list[CanonicalCode]:
-        order, parent = bfs(t.adjacency, root, cut)
+        order, parent = walk(t.adjacency, root, cut)
         kids: dict[int, list[CanonicalCode]] = {root: []}
         for v in order[:0:-1]:  # children before parents, root excluded
             kids.setdefault(parent[v], []).append(node_code(v, kids.pop(v, ())))
@@ -368,7 +397,7 @@ def branch_subcover(t: WeightedTree, cover: CoverModel, v: int, u: int) -> tuple
     """The part of `cover` over the branch of `t` at `v` through its neighbour
     `u`: its arithmetic genus, the number of nodes joining it to the rest of
     the cover, and whether it is connected."""
-    base = set(bfs(t.adjacency, u, cut=v)[0])
+    base = set(walk(t.adjacency, u, cut=v)[0])
     genus = {c.id: c.genus for c in cover.components if c.base_vertex in base}
     adj: dict[int, list[int]] = {cid: [] for cid in genus}
     internal = crossing = 0
@@ -379,7 +408,7 @@ def branch_subcover(t: WeightedTree, cover: CoverModel, v: int, u: int) -> tuple
             internal += 1
         else:
             crossing += a in genus or b in genus
-    connected = len(bfs(adj, next(iter(genus)))[0]) == len(genus)
+    connected = len(walk(adj, next(iter(genus)))[0]) == len(genus)
     return arithmetic_genus(list(genus.values()), internal), crossing, connected
 
 
@@ -395,7 +424,7 @@ def check_branch_identity(t: WeightedTree) -> int:
     v = central.vertex
     cover = build_cover(t)
     for u in t.neighbors(v):
-        n = t.side_weight((v, u), toward=u)
+        n = side_weight(t, (v, u), toward=u)
         genus, crossing, connected = branch_subcover(t, cover, v, u)
         assert connected, (t, u, "disconnected")
         assert genus == tail_genus(n), (t, u)
@@ -410,11 +439,11 @@ def reconstructed_exponents(t: WeightedTree):
         return None
     v = result.vertex
     cover = build_cover(t)
-    mults = [1] * t.weight(v)
+    mults = [1] * t.weight_of[v]
     for u in t.neighbors(v):
         h, _, connected = branch_subcover(t, cover, v, u)
         assert connected, "branch subcover is disconnected"
-        w = t.side_weight((v, u), toward=u)
+        w = side_weight(t, (v, u), toward=u)
         mults.append(2 * h + 1 if w % 2 else 2 * h + 2)
     return sorted(mults, reverse=True)
 

@@ -99,7 +99,7 @@ class TestEnumerate:
             for t in enumerate_stable_trees(m, bound=12).trees:
                 centres = tree_centers(t)
                 if len(centres) == 2:
-                    wu, wv = map(t.weight, centres)
+                    wu, wv = map(t.weight_of.__getitem__, centres)
                     orders.add((wu > wv) - (wu < wv))
         assert orders == {-1, 0, 1}
 

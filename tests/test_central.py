@@ -5,7 +5,6 @@ from hyperforms import (
     CentralResult,
     InvariantError,
     UnstableTreeError,
-    WeightedTree,
     complementary_subtree_weights,
     contract_F_m,
     enumerate_stable_trees,
@@ -16,7 +15,9 @@ from hyperforms import (
 )
 from hyperforms.forms import BinaryFormClass, GitClass, classify
 
-from conftest import central_by_definition, half_weight_edge, is_central, random_stable_tree, relabeled
+from conftest import (
+    central_by_definition, half_weight_edge, is_central, random_stable_tree, relabeled, side_weight,
+)
 
 
 class TestCentralResult:
@@ -54,7 +55,8 @@ class TestFindCentral:
 
     def test_two_heavy_sides_raise_invariant_error(self, monkeypatch):
         # Every side weighing m makes all three neighbours of the centre heavy.
-        monkeypatch.setattr(WeightedTree, "side_weight", lambda self, edge, toward: self.m)
+        monkeypatch.setattr(central_mod, "complementary_subtree_weights",
+                            lambda t, v: [t.m] * len(t.neighbors(v)))
         with pytest.raises(InvariantError, match="central vertex has a side weighing at least m/2"):
             find_central(star_tree(0, 3, 3, 3))
 
@@ -71,7 +73,7 @@ class TestFindCentral:
     def test_half_weight_edge_unique(self, m):
         for t in enumerate_stable_trees(m).trees:
             halves = [
-                e for e in t.edges if 2 * t.side_weight(e, toward=e[0]) == m
+                e for e in t.edges if 2 * side_weight(t, e, toward=e[0]) == m
             ]
             assert len(halves) <= 1
             result = find_central(t)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import hyperforms.central as central_mod
 from hyperforms import WeightedTree, canonical_code, covers, enumerate_stable_trees, path_tree
 from hyperforms.cli import COMMANDS, build_parser, main
 from hyperforms.trees import check
@@ -241,6 +242,17 @@ class TestParserSurface:
         }
         assert list(surface) == list(self.EXPECTED)
         assert surface == self.EXPECTED
+
+    def test_two_main_calls_build_one_parser(self, run):
+        build_parser.cache_clear()
+        assert run(["enumerate", "--m", "8", "--format", "count"]) == (0, "32\n")
+        assert run(["stability"], stdin=tree_doc(3, 3))[0] == 0
+        assert build_parser.cache_info().misses == 1
+
+    def test_reused_parser_keeps_no_options(self, run):
+        # `cover --format dot`, then plain `cover`: the second call gets the default JSON.
+        assert run(["cover", "--format", "dot"], stdin=tree_doc(3, 3))[1].startswith("graph ")
+        assert "stable_model" in json.loads(run(["cover"], stdin=tree_doc(3, 3))[1])
 
 
 class TestSubcommands:
@@ -580,7 +592,8 @@ class TestErrors:
         }
 
     def test_central_walk_invariant_failure_exits_1(self, run, monkeypatch):
-        monkeypatch.setattr(WeightedTree, "side_weight", lambda self, edge, toward: self.m)
+        monkeypatch.setattr(central_mod, "complementary_subtree_weights",
+                            lambda t, v: [t.m] * len(t.neighbors(v)))
         star = tree_doc(0, 3, 3, 3, edges=[[0, 1], [0, 2], [0, 3]])
         status, out = run(["central"], stdin=star)
         assert status == 1

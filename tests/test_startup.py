@@ -3,6 +3,7 @@ command loads only the layers it runs.  Each check runs in a fresh interpreter,
 since this test process has imported every module."""
 
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import hyperforms
 from hyperforms import path_tree
+from hyperforms.trees import bfs
 from conftest import checkout_env, run_python
 
 # Every public name, by its defining submodule.
@@ -32,7 +34,8 @@ REMOVED = {"central": ["half_weight_edge"], "covers": ["branch_count", "edge_is_
 REMOVED_METHODS = [("BinaryFormClass", "roots"), ("BinaryFormClass", "from_multiplicities"),
                    ("StableHyperellipticModel", "special_points"), ("WeightedTree", "degree"),
                    ("WeightedTree", "from_json"), ("CoverModel", "is_connected"),
-                   ("ReductionOutput", "component_count"), ("BinaryFormClass", "from_dict")]
+                   ("ReductionOutput", "component_count"), ("BinaryFormClass", "from_dict"),
+                   ("WeightedTree", "side_weight"), ("WeightedTree", "weight")]
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 CENTRAL = {"trees", "forms", "central"}
@@ -47,7 +50,7 @@ COMMANDS = [
     (["cover"], TREE_DOC, {"trees", "covers"}),
     (["stratum"], TREE_DOC, STRATA),
     (["map"], TREE_DOC, STRATA),
-    (["reduce", "--chain"], REDUCE_DOC, {"trees", "covers", "reduction"}),
+    (["reduce", "--chain"], REDUCE_DOC, {"trees", "reduction"}),
     (["enumerate", "--m", "8"], "", STRATA | {"census"}),
 ]
 
@@ -103,6 +106,10 @@ def test_removed_name_is_gone(module, name):
 @pytest.mark.parametrize("record, name", REMOVED_METHODS, ids=[n for _, n in REMOVED_METHODS])
 def test_removed_method_is_gone(record, name):
     assert not hasattr(getattr(hyperforms, record), name)
+
+
+def test_bfs_takes_no_cut():
+    assert list(inspect.signature(bfs).parameters) == ["adj", "root"]
 
 
 def test_star_import_binds_every_export():

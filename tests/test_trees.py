@@ -33,6 +33,7 @@ from conftest import (
     random_stable_tree,
     relabeled,
     run_python,
+    side_weight,
     tree_from_json,
     walk_canonical_code,
 )
@@ -161,9 +162,9 @@ class TestOneWalk:
         """Root of every `bfs` the tree layer runs from here on."""
         roots = []
 
-        def counted(adj, root, cut=None):
+        def counted(adj, root):
             roots.append(root)
-            return bfs(adj, root, cut)
+            return bfs(adj, root)
 
         monkeypatch.setattr(trees_mod, "bfs", counted)
         return roots
@@ -175,14 +176,14 @@ class TestOneWalk:
                 "edges": [[0, 1], [1, 2], [2, 3]],
             }
         )
-        assert t.side_weight((1, 2), toward=2) == 3
-        assert t.side_weight((0, 1), toward=0) == 2
+        assert complementary_subtree_weights(t, 1) == [2, 3]
+        assert complementary_subtree_weights(t, 2) == [2, 3]
         assert walks == [0]
 
     def test_grown_tree_walks_on_first_use(self, walks):
         t = WeightedTree._grown([0, 2, 2, 2], [None, 0, 0, 0], pair_table(6))
         assert walks == []
-        assert t.side_weight((0, 3), toward=3) == 2
+        assert complementary_subtree_weights(t, 3) == [4]
         assert walks == [0]
 
 
@@ -486,22 +487,54 @@ class TestComplementaryWeights:
         assert complementary_subtree_weights(tree({0: 5}), 0) == []
 
     def test_unknown_vertex(self):
-        with pytest.raises(InvalidTreeError):
+        with pytest.raises(InvalidTreeError, match="^unknown vertex id 3$"):
             complementary_subtree_weights(tree({0: 5}), 3)
 
-    def test_side_weight_rejects_vertex_off_the_edge(self):
-        with pytest.raises(InvalidTreeError, match=r"^vertex 5 not an endpoint of \(0, 1\)$"):
-            path_tree(2, 1, 1, 2).side_weight((0, 1), toward=5)
+    # Rooted at vertex 0, these vertices have a parent, whose side weighs the rest.
+    @pytest.mark.parametrize(
+        "t, v, sides",
+        [
+            (path_tree(2, 1, 2), 1, [2, 2]),
+            (path_tree(2, 1, 2), 2, [3]),
+            (path_tree(2, 1, 1, 2), 2, [2, 3]),
+            (star_tree(0, 2, 2, 2), 3, [4]),
+            (tree({0: 2, 1: 1, 2: 3, 3: 2}, [(0, 1), (1, 2), (1, 3)]), 1, [2, 2, 3]),
+        ],
+        ids=["path-middle", "path-end", "path-inner", "star-leaf", "branch-vertex"],
+    )
+    def test_non_root_vertex(self, t, v, sides):
+        assert complementary_subtree_weights(t, v) == sides
 
-    def test_side_weight_rejects_non_edge(self):
-        with pytest.raises(InvalidTreeError):
-            path_tree(2, 1, 1, 2).side_weight((0, 2), toward=0)
+    @staticmethod
+    def by_oracle(t, v):
+        return sorted(side_weight(t, (v, u), toward=u) for u in t.neighbors(v))
+
+    def test_matches_oracle_on_every_class_to_10(self):
+        checked = 0
+        for m in range(3, 11):
+            for t in enumerate_stable_trees(m).trees:
+                for v in t.ids:
+                    assert complementary_subtree_weights(t, v) == self.by_oracle(t, v), (t, v)
+                    checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_oracle_on_relabeled_random_trees(self, seed):
+        t = relabeled(random_stable_tree(seed, n=300, extra=seed), seed)
+        for v in t.ids:
+            assert complementary_subtree_weights(t, v) == self.by_oracle(t, v), (t, v)
+
+    @pytest.mark.parametrize("k", [3, 4, 50])
+    def test_matches_oracle_on_stars(self, k):
+        for t in (star_tree(0, *[2] * k), relabeled(star_tree(1, *range(2, k + 2)), k)):
+            for v in t.ids:
+                assert complementary_subtree_weights(t, v) == self.by_oracle(t, v), (t, v)
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_weights_sum_to_m(self, m):
         for t in enumerate_stable_trees(m).trees:
             for v in t.ids:
-                assert t.weight(v) + sum(complementary_subtree_weights(t, v)) == m
+                assert t.weight_of[v] + sum(complementary_subtree_weights(t, v)) == m
 
 
 class TestSerialization:
