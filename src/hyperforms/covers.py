@@ -155,22 +155,30 @@ class StableHyperellipticModel(namedtuple("StableHyperellipticModel", "component
         permutes the positions within every run of equal genera.  The runs are
         laid out shortest first, so the permutations of the longest come last
         and are streamed: `product` holds only those of the shorter runs.
+
+        A relabeling is scored as the sorted list of its nodes, each coded as
+        the int `lo * k + hi` for positions lo <= hi < k, the component count.
+        These lists order as the sorted tuples of `(lo, hi)` pairs do, so the
+        least one is decoded once, with `divmod`, into the code's node pairs.
+        The time is still the product of the runs' factorials.
         """
         ranked = sorted(self.components, key=lambda c: c[1])
         target = tuple(genus for _, genus in ranked)
-        runs = sorted((tuple(run) for _, run in groupby(range(len(target)), target.__getitem__)),
+        k = len(target)
+        runs = sorted((tuple(run) for _, run in groupby(range(k), target.__getitem__)),
                       key=len) or [()]
         # A relabeling's `slot[index[cid]]` is the position it gives component cid.
         index = {ranked[p][0]: i for i, p in enumerate(chain(*runs))}
         ends = [(index[a], index[b]) for a, b in self.nodes]
         longest = runs.pop()
-        return target, min(
-            tuple(sorted((slot[a], slot[b]) if slot[a] <= slot[b] else (slot[b], slot[a])
-                         for a, b in ends))
+        best = min(
+            sorted(slot[a] * k + slot[b] if slot[a] <= slot[b] else slot[b] * k + slot[a]
+                   for a, b in ends)
             for perms in product(*map(permutations, runs))
             for last in permutations(longest)
             for slot in [list(chain(*perms, last))]
         )
+        return target, tuple(divmod(node, k) for node in best)
 
 
 def stable_model(c: CoverModel) -> StableHyperellipticModel:

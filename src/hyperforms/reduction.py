@@ -20,9 +20,11 @@ class ExponentVector(namedtuple("ExponentVector", "exponents at_infinity")):
 
     def __new__(cls, exponents, at_infinity: int = 0):
         exps = tuple(exponents)
-        for n in (*exps, at_infinity):
+        for n in exps:
             if not is_int(n):
                 raise ValueError(f"exponents must be integers, got {n!r}")
+        if not is_int(at_infinity):
+            raise ValueError(f"field 'at_infinity' must be an integer, got {at_infinity!r}")
         if not exps:
             raise ValueError("need at least one finite root")
         if any(n < 1 for n in exps):

@@ -195,3 +195,10 @@ def test_criterion_9_injectivity_m10():
     codes = {stable_model(build_cover(t)).canonical_code() for _, t in classes}
     assert len(classes) == len(codes) == 190
     report(9, "tree -> stable-model map injective on the 190 classes at m = 10")
+
+
+def test_criterion_9_injectivity_m12():
+    classes = enumerate_stable_trees(12, bound=12).classes
+    codes = {stable_model(build_cover(t)).canonical_code() for _, t in classes}
+    assert len(classes) == len(codes) == 1350
+    report(9, "tree -> stable-model map injective on the 1,350 classes at m = 12")

@@ -442,12 +442,17 @@ class TestErrors:
             {"exponents": [3.5, 1, 1, 1]},
             {"exponents": ["3", 1, 1, 1]},
             {"exponents": [3, 1, 1], "at_infinity": True},
+            {"exponents": [3, 3], "at_infinity": None},
         ],
     )
     def test_non_integer_exponent_exits_2(self, run, doc):
         status, out = run(["reduce"], stdin=json.dumps(doc))
         assert status == 2
-        assert "must be integers" in json.loads(out)["error"]
+        if "at_infinity" in doc:
+            error = f"field 'at_infinity' must be an integer, got {doc['at_infinity']!r}"
+        else:
+            error = f"exponents must be integers, got {doc['exponents'][0]!r}"
+        assert json.loads(out) == {"error": error}
 
     @pytest.mark.parametrize("command", ["central", "reduce"])
     def test_invalid_json_exits_2(self, run, command):

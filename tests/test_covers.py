@@ -307,6 +307,21 @@ class TestModelCanonicalCode:
         assert code == permutation_model_code(model)
         assert peak < 10**6, f"{peak} bytes held while coding"
 
+    def test_nodes_at_the_last_position(self):
+        # Twelve distinct genera allow one relabeling, so this is cheap.  The last
+        # position k - 1 meets position 0 and itself: coding a node to an int in
+        # a base below k mixes these up with other pairs.
+        k = 12
+        genus = {cid: 5 * cid % k for cid in range(k)}
+        by_genus = sorted(genus, key=genus.get)
+        pairs = [(by_genus[0], by_genus[-1]), (by_genus[-1], by_genus[-1])]
+        pairs += [(cid, cid + 1) for cid in range(k - 1)]
+        model = hand_model(genus, pairs)
+        target, nodes = code = model.canonical_code()
+        assert target == tuple(range(k))
+        assert (0, k - 1) in nodes and (k - 1, k - 1) in nodes
+        assert code == permutation_model_code(model)
+
     def test_special_points_match_to_dict(self):
         model = stable_model(build_cover(star_tree(0, 2, 2, 4)))
         counts = {c["id"]: c["special_points"] for c in model.to_dict()["components"]}

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import pytest
@@ -52,6 +53,12 @@ class TestExponentVector:
             ValueError, match="^multiplicity at infinity must be non-negative$"
         ):
             ExponentVector((3, 3, 1), at_infinity=-1)
+
+    @pytest.mark.parametrize("at_infinity", [None, 1.0, "1", True])
+    def test_non_integer_at_infinity_names_its_field(self, at_infinity):
+        error = f"field 'at_infinity' must be an integer, got {at_infinity!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            ExponentVector((3, 3), at_infinity=at_infinity)
 
     @pytest.mark.parametrize(
         "doc, error",
