@@ -57,13 +57,6 @@ class CoverModel(namedtuple("CoverModel", "components nodes g")):
         return "\n".join(lines)
 
 
-def connected(adj: list[list[int]]) -> bool:
-    """Whether the graph on positions 0..len(adj)-1 with adjacency `adj` is
-    connected: one `bfs` from position 0."""
-    order, _ = bfs(adj, 0)
-    return len(order) == len(adj)
-
-
 def build_cover(t: WeightedTree) -> CoverModel:
     """Construct the admissible double cover of a stable even-weight tree.
 
@@ -118,7 +111,7 @@ def build_cover(t: WeightedTree) -> CoverModel:
             nodes.append(new(CoverNode, (edge, SPLIT, (a, b))))
             nodes.append(new(CoverNode, (edge, SPLIT, (a1, b1))))
 
-    check(connected(adj), "admissible double cover must be connected")
+    check(len(bfs(adj, 0)[0]) == len(adj), "admissible double cover must be connected")
     cover = CoverModel(tuple(components), tuple(nodes), g)
     check(cover.arithmetic_genus == g, "arithmetic genus mismatch")
     return cover

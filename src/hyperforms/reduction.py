@@ -61,13 +61,8 @@ class ExponentVector(namedtuple("ExponentVector", "exponents at_infinity")):
         return cls(tuple(json_array(doc, "exponents")), doc.get("at_infinity", 0))
 
 
-class Tail(namedtuple("Tail", "source_index exponent genus attachment_points equation")):
-    """A blown-down root; `source_index` is its position in all_multiplicities()."""
-
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return self._asdict()  # the field names are the keys
+# A blown-down root; `source_index` is its position in all_multiplicities().
+Tail = namedtuple("Tail", "source_index exponent genus attachment_points equation")
 
 
 class ReductionOutput(namedtuple("ReductionOutput", "central_branch_points central_genus "
@@ -94,7 +89,7 @@ class ReductionOutput(namedtuple("ReductionOutput", "central_branch_points centr
                 "genus": self.central_genus,
                 "split": self.central_split,
             },
-            "tails": [t.to_dict() for t in self.tails],
+            "tails": [t._asdict() for t in self.tails],  # the field names are the keys
             "extra_nodes": self.extra_nodes,
             "arithmetic_genus": self.arithmetic_genus,
             "git_unstable_input": self.git_unstable_input,

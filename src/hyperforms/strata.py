@@ -1,7 +1,7 @@
 """Boundary strata of the stable hyperelliptic moduli and the map to forms.
 
-Two-vertex trees are the divisorial strata: smaller weight j odd gives a
-delta stratum, j even a xi stratum, and j = g+1 lands on the semistable
+Two-vertex trees are the divisorial strata: smaller weight j odd gives
+delta_i, j even xi_i, with i = (j-1)//2, and j = g+1 lands on the semistable
 point.  Deeper strata (three or more vertices) only get their codimension.
 """
 
@@ -11,7 +11,7 @@ from collections import Counter, namedtuple
 
 from .central import contract_F_m
 from .forms import BinaryFormClass
-from .trees import WeightedTree, require_even
+from .trees import WeightedTree, check, require_even
 
 INTERIOR = "interior"
 DELTA = "delta"
@@ -45,34 +45,29 @@ class StratumLabel(namedtuple("StratumLabel", "kind index codimension underlying
         return self.kind
 
 
-def delta(i: int, g: int) -> StratumLabel:
-    if not 1 <= i <= g // 2:
-        raise ValueError(f"delta index must satisfy 1 <= i <= {g // 2}, got {i}")
-    return StratumLabel(DELTA, index=i)
-
-
-def xi(i: int, g: int) -> StratumLabel:
-    if not 0 <= i <= (g - 1) // 2:
-        raise ValueError(f"xi index must satisfy 0 <= i <= {(g - 1) // 2}, got {i}")
-    return StratumLabel(XI, index=i)
-
-
 def classify_stratum(t: WeightedTree) -> StratumLabel:
     """Boundary stratum of the stable tree inside the hyperelliptic moduli."""
-    return _label(t, require_even(t))
+    return _label(_shape(t), require_even(t))
 
 
-def _label(t: WeightedTree, g: int) -> StratumLabel:
-    """Stratum of `t`, which the caller knows to be stable of weight 2g+2."""
-    n = len(t.vertices)
+def _shape(t: WeightedTree) -> tuple[int, int | None]:
+    """Vertex count and, with two vertices, the smaller weight: all that a
+    stable tree's stratum depends on."""
+    vs = t.vertices
+    return len(vs), (min(vs[0][1], vs[1][1]) if len(vs) == 2 else None)
+
+
+def _label(shape: tuple[int, int | None], g: int) -> StratumLabel:
+    """Stratum of a stable tree of weight 2g+2 with this `_shape`."""
+    n, j = shape
     if n == 1:
         return StratumLabel(INTERIOR)
     if n > 2:
-        return StratumLabel(DEEPER, codimension=len(t.edges))
-    (_, w1), (_, w2) = t.vertices
-    j = min(w1, w2)
-    # Unordered marks identify weight splits (j, m-j) and (m-j, j).
-    label = delta((j - 1) // 2, g) if j % 2 else xi((j - 2) // 2, g)
+        return StratumLabel(DEEPER, codimension=n - 1)  # the edge count of a tree
+    # Unordered marks identify weight splits (j, m-j) and (m-j, j), and each
+    # end of a stable edge carries at least two marks.
+    check(2 <= j <= g + 1, f"two-vertex split of {2 * g + 2} has smaller weight {j}")
+    label = StratumLabel(DELTA if j % 2 else XI, index=(j - 1) // 2)
     if j == g + 1:
         return StratumLabel(SEMISTABLE_IMAGE, underlying=label)
     return label
@@ -81,16 +76,11 @@ def _label(t: WeightedTree, g: int) -> StratumLabel:
 def count_strata(trees: list[WeightedTree], g: int) -> tuple[tuple[str, int], ...]:
     """(label, count) pairs of stable trees of weight 2g+2, in label order.
 
-    A label depends only on a tree's shape: its vertex count and, with two
-    vertices, the smaller weight.  So trees are counted per shape, and each
-    shape is labelled once.
+    Trees are counted per `_shape`, and each shape is labelled once.
     """
-    shapes = [(len(vs), min(vs[0][1], vs[1][1]) if len(vs) == 2 else None)
-              for vs in (t.vertices for t in trees)]
-    one_of = dict(zip(shapes, trees))  # a tree of each shape
     counts = Counter()
-    for shape, k in Counter(shapes).items():
-        counts[str(_label(one_of[shape], g))] += k
+    for shape, k in Counter(map(_shape, trees)).items():
+        counts[str(_label(shape, g))] += k
     return tuple(sorted(counts.items()))
 
 

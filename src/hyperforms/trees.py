@@ -64,9 +64,10 @@ CanonicalCode = tuple[int, ...]
 def bfs(adj, root: int) -> tuple[list[int], dict]:
     """Breadth-first order from `root` and each reached vertex's parent.
 
-    The root's parent is None.  Every graph walk in the package goes through
-    here, the cover's connectivity walk included (`covers.connected`, over
-    lists indexed by component id).
+    The root's parent is None.  Two walks go through here: a tree's one walk,
+    which roots its side-weight table, and `build_cover`'s connectivity check,
+    over lists indexed by component id.  The other traversals have their own
+    loops: `canonical_code` peels leaves, and the census walks its tails.
     """
     parent: dict = {root: None}
     order = [root]

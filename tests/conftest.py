@@ -31,7 +31,7 @@ from hyperforms import (
 from hyperforms.census import Census, _make_census
 from hyperforms.covers import CoverModel, StableHyperellipticModel, arithmetic_genus
 from hyperforms.reduction import ReductionOutput, attachment_points, tail_genus
-from hyperforms.trees import CanonicalCode, InvalidTreeError, complementary_subtree_weights, decode, tree
+from hyperforms.trees import CanonicalCode, InvalidTreeError, decode, tree
 
 
 # -- the paper's definitions, one edge or vertex at a time ----------------
@@ -49,9 +49,20 @@ def walk(adj, root: int, cut: int | None = None) -> tuple[list[int], dict]:
     return order, parent
 
 
-def side_weight(t: WeightedTree, edge: tuple[int, int], toward: int) -> int:
+def rooted(t: WeightedTree) -> tuple[dict, dict[int, int]]:
+    """Parent and subtree weight of every vertex, rooted at the first id by
+    one `walk`: the oracles' own table, apart from the library's `t._rooted`."""
+    order, parent = walk(t.adjacency, t.vertices[0][0])
+    below = dict(t.weight_of)
+    for v in reversed(order[1:]):  # children before parents
+        below[parent[v]] += below[v]
+    return parent, below
+
+
+def side_weight(t: WeightedTree, edge: tuple[int, int], toward: int, table=None) -> int:
     """Total weight of the component on the `toward` side of `edge`, read off
-    the rooted table, so that a check at every edge stays linear."""
+    `table`, the tree's `rooted` table (one walk when not given), so that a
+    check at every edge can share one walk and stay linear."""
     a, b = edge
     if toward == a:
         away = b
@@ -59,7 +70,7 @@ def side_weight(t: WeightedTree, edge: tuple[int, int], toward: int) -> int:
         away = a
     else:
         raise InvalidTreeError(f"vertex {toward} not an endpoint of {edge}")
-    parent, below = t._rooted
+    parent, below = table or rooted(t)
     if parent.get(toward) == away:
         return below[toward]
     if parent.get(away) == toward:
@@ -67,15 +78,17 @@ def side_weight(t: WeightedTree, edge: tuple[int, int], toward: int) -> int:
     raise InvalidTreeError(f"{edge} is not an edge of the tree")
 
 
-def is_central(t: WeightedTree, v: int) -> bool:
+def is_central(t: WeightedTree, v: int, table=None) -> bool:
     """Direct test of the definition: every complementary subtree < m/2."""
-    return all(2 * w < t.m for w in complementary_subtree_weights(t, v))
+    table = table or rooted(t)
+    return all(2 * side_weight(t, (v, u), u, table) < t.m for u in t.neighbors(v))
 
 
 def half_weight_edge(t: WeightedTree) -> tuple[int, int] | None:
     """The edge splitting the total weight as (m/2, m/2), if any."""
+    table = rooted(t)
     for a, b in t.edges:
-        if 2 * side_weight(t, (a, b), toward=a) == t.m:
+        if 2 * side_weight(t, (a, b), a, table) == t.m:
             return (a, b)
     return None
 
@@ -85,18 +98,20 @@ def central_by_definition(t: WeightedTree) -> CentralResult:
     edge = half_weight_edge(t)
     if edge is not None:
         return CentralResult(edge=edge)
-    (v,) = [v for v in t.ids if is_central(t, v)]
+    table = rooted(t)
+    (v,) = [v for v in t.ids if is_central(t, v, table)]
     return CentralResult(vertex=v)
 
 
-def edge_is_ramified(t: WeightedTree, edge: tuple[int, int]) -> bool:
+def edge_is_ramified(t: WeightedTree, edge: tuple[int, int], table=None) -> bool:
     """An edge is ramified iff the subtree weight on either side is odd."""
-    return side_weight(t, edge, toward=edge[0]) % 2 == 1
+    return side_weight(t, edge, edge[0], table) % 2 == 1
 
 
-def branch_count(t: WeightedTree, v: int) -> int:
+def branch_count(t: WeightedTree, v: int, table=None) -> int:
     """Marks on v plus incident ramified edges; always even for even m."""
-    return t.weight_of[v] + sum(edge_is_ramified(t, (v, u)) for u in t.neighbors(v))
+    table = table or rooted(t)
+    return t.weight_of[v] + sum(edge_is_ramified(t, (v, u), table) for u in t.neighbors(v))
 
 
 def special_points(model: StableHyperellipticModel, cid: int) -> int:
@@ -277,7 +292,7 @@ def leaf_strip_cover(t: WeightedTree):
 
 def cover_connected(cover: CoverModel) -> bool:
     """Whether the cover's components form one connected curve: a walk over
-    its nodes by component id, apart from `covers.connected`."""
+    its nodes by component id, apart from the `bfs` in `build_cover`."""
     adj: dict[int, set[int]] = {c.id: set() for c in cover.components}
     for node in cover.nodes:
         a, b = node.components
@@ -422,9 +437,9 @@ def check_branch_identity(t: WeightedTree) -> int:
     if central.is_semistable_edge:
         return 0
     v = central.vertex
-    cover = build_cover(t)
+    cover, table = build_cover(t), rooted(t)
     for u in t.neighbors(v):
-        n = side_weight(t, (v, u), toward=u)
+        n = side_weight(t, (v, u), u, table)
         genus, crossing, connected = branch_subcover(t, cover, v, u)
         assert connected, (t, u, "disconnected")
         assert genus == tail_genus(n), (t, u)
@@ -438,12 +453,12 @@ def reconstructed_exponents(t: WeightedTree):
     if result.is_semistable_edge:
         return None
     v = result.vertex
-    cover = build_cover(t)
+    cover, table = build_cover(t), rooted(t)
     mults = [1] * t.weight_of[v]
     for u in t.neighbors(v):
         h, _, connected = branch_subcover(t, cover, v, u)
         assert connected, "branch subcover is disconnected"
-        w = side_weight(t, (v, u), toward=u)
+        w = side_weight(t, (v, u), u, table)
         mults.append(2 * h + 1 if w % 2 else 2 * h + 2)
     return sorted(mults, reverse=True)
 
@@ -459,21 +474,22 @@ def reduced_shape(out: ReductionOutput) -> tuple[list[int], int]:
     return sorted(genera + [tail.genus for tail in out.tails]), out.node_count
 
 
+def partitions(total: int, top: int):
+    """Every partition of `total` with no part above `top`, as a descending tuple."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, top), 0, -1):
+        for rest in partitions(total - first, first):
+            yield (first, *rest)
+
+
 def square_partitions(max_m: int):
     """Every partition of 2g+2 <= `max_m`, with g >= 2 and no part above g,
     as a descending tuple: the stable forms with distinct roots of those
     multiplicities, up to coordinate change."""
-
-    def parts(total: int, top: int):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, top), 0, -1):
-            for rest in parts(total - first, first):
-                yield (first, *rest)
-
     for m in range(6, max_m + 1, 2):
-        yield from parts(m, m // 2 - 1)
+        yield from partitions(m, m // 2 - 1)
 
 
 def check_exponent_square(p: tuple[int, ...]) -> None:

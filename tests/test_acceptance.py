@@ -19,7 +19,7 @@ from hyperforms import (
 )
 from hyperforms.covers import RAMIFIED
 from hyperforms.reduction import ExponentVector, blowup_chain, reduce
-from hyperforms.strata import DELTA, SEMISTABLE_IMAGE, XI, delta, xi
+from hyperforms.strata import DELTA, SEMISTABLE_IMAGE, XI, StratumLabel
 from conftest import (
     branch_count,
     brute_force_census,
@@ -152,7 +152,7 @@ def test_criterion_7_image_dimensions():
                 assert image_dimension(label, g) == 0
                 continue
             assert (label.kind, label.index) == (DELTA, i)
-            dim = image_dimension(delta(i, g), g)
+            dim = image_dimension(StratumLabel(DELTA, index=i), g)
             assert dim == 2 * g - 2 * i - 1
             form = f_g_exponents(two_vertex_tree(j, m))
             assert dim == len(form.multiplicities) - 3
@@ -164,7 +164,7 @@ def test_criterion_7_image_dimensions():
                 assert image_dimension(label, g) == 0
                 continue
             assert (label.kind, label.index) == (XI, i)
-            dim = image_dimension(xi(i, g), g)
+            dim = image_dimension(StratumLabel(XI, index=i), g)
             assert dim == 2 * g - 2 * i - 2
             form = f_g_exponents(two_vertex_tree(j, m))
             assert dim == len(form.multiplicities) - 3

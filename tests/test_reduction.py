@@ -12,8 +12,11 @@ from hyperforms import (
     find_central,
     reduce,
     stable_model,
+    star_tree,
 )
-from conftest import check_exponent_square, model_shape, reduced_shape, square_partitions
+from conftest import (
+    check_exponent_square, model_shape, partitions, reduced_shape, square_partitions,
+)
 
 
 def compositions(total, max_part=None):
@@ -90,7 +93,7 @@ class TestReduce:
         (tail,) = out.tails
         assert (tail.exponent, tail.genus, tail.attachment_points) == (3, 1, 1)
         assert tail.equation == "y^2 = z^3 - 1"
-        assert tail.to_dict() == tail._asdict()
+        assert out.to_dict()["tails"] == [tail._asdict()]
         # the odd root stays as a branch point of the central component
         assert (out.central_branch_points, out.central_genus) == (4, 1)
         assert out.arithmetic_genus == 2
@@ -197,6 +200,24 @@ class TestDepthOneIdentity:
         for p in forms:
             check_exponent_square(p)
         assert len(forms) == 1114
+
+    def test_star_of_every_accepted_partition_up_to_20(self):
+        # Every vector `reduce` accepts (no part above 2g) with at least three
+        # distinct roots, so that the star is stable, GIT-unstable ones
+        # included.  Of the 1,470 with 2g+2 <= 20, all but the eight
+        # (2g, 1, 1), recorded by the strict xfails below, give the star's
+        # stable model.
+        checked = 0
+        for m in range(6, 21, 2):
+            g = (m - 2) // 2
+            for p in partitions(m, 2 * g):
+                if len(p) < 3 or p == (2 * g, 1, 1):
+                    continue
+                t = star_tree(p.count(1), *[n for n in p if n >= 2])
+                red = reduce(ExponentVector(p))
+                assert model_shape(stable_model(build_cover(t))) == reduced_shape(red), p
+                checked += 1
+        assert checked == 1462
 
     # Known defect, recorded as a FOUND line in CHANGES.md: on (2g, 1, 1)
     # `reduce` returns a genus-0 centre with only two special points, an

@@ -12,6 +12,7 @@ import pytest
 
 import hyperforms
 from hyperforms import path_tree
+from hyperforms.reduction import Tail
 from hyperforms.trees import bfs
 from conftest import checkout_env, run_python
 
@@ -28,9 +29,11 @@ EXPORTS = {
               "complementary_subtree_weights", "path_tree", "star_tree", "tree",
               "validate_stable"],
 }
-# Restated definitions that left the library for the test oracles in `conftest`.
-REMOVED = {"central": ["half_weight_edge"], "covers": ["branch_count", "edge_is_ramified"],
-           "trees": ["isomorphic"]}
+# Names that left the library: restated definitions, now test oracles in
+# `conftest`, and one-caller helpers folded into their callers.
+REMOVED = {"central": ["half_weight_edge"],
+           "covers": ["branch_count", "edge_is_ramified", "connected"],
+           "strata": ["delta", "xi"], "trees": ["isomorphic"]}
 REMOVED_METHODS = [("BinaryFormClass", "roots"), ("BinaryFormClass", "from_multiplicities"),
                    ("StableHyperellipticModel", "special_points"), ("WeightedTree", "degree"),
                    ("WeightedTree", "from_json"), ("CoverModel", "is_connected"),
@@ -106,6 +109,11 @@ def test_removed_name_is_gone(module, name):
 @pytest.mark.parametrize("record, name", REMOVED_METHODS, ids=[n for _, n in REMOVED_METHODS])
 def test_removed_method_is_gone(record, name):
     assert not hasattr(getattr(hyperforms, record), name)
+
+
+def test_tail_is_a_plain_record():
+    # `ReductionOutput.to_dict` writes each tail's `_asdict()`.
+    assert not hasattr(Tail, "to_dict")
 
 
 def test_bfs_takes_no_cut():

@@ -1,3 +1,7 @@
+import io
+import json
+import sys
+
 import pytest
 
 from hyperforms import (
@@ -9,9 +13,10 @@ from hyperforms import (
     path_tree,
     tree,
 )
-from hyperforms.strata import (
-    DEEPER, DELTA, INTERIOR, SEMISTABLE_IMAGE, XI, StratumLabel, delta, xi,
-)
+import hyperforms.strata as strata_mod
+from hyperforms.cli import main
+from hyperforms.strata import DEEPER, DELTA, INTERIOR, SEMISTABLE_IMAGE, XI, StratumLabel
+from hyperforms.trees import InvariantError
 from conftest import reconstructed_exponents, two_vertex_tree
 
 
@@ -61,16 +66,31 @@ class TestClassifyStratum:
 
 
 class TestLabelIndexRange:
-    @pytest.mark.parametrize("i, g", [(0, 4), (3, 4), (1, 1)])
-    def test_delta_index_out_of_range(self, i, g):
-        with pytest.raises(ValueError, match=rf"^delta index must satisfy 1 <= i <= {g // 2}, got {i}$"):
-            delta(i, g)
+    """A stable two-vertex tree of weight 2g+2 has its smaller weight j in
+    2..g+1, so its delta or xi index (j-1)//2 is in range.  A shape outside
+    that range is a bug, not bad input: `InvariantError`, exit 1."""
+
+    @staticmethod
+    def classify_with_split(monkeypatch, j, g):
+        monkeypatch.setattr(strata_mod, "_shape", lambda t: (2, j))
+        with pytest.raises(InvariantError, match=rf"^two-vertex split of {2 * g + 2} has smaller weight {j}$"):
+            classify_stratum(two_vertex_tree(g + 1, 2 * g + 2))
+
+    @pytest.mark.parametrize("i, g", [(0, 4), (3, 4), (1, 1), (2, 3)])
+    def test_delta_index_out_of_range(self, i, g, monkeypatch):
+        self.classify_with_split(monkeypatch, 2 * i + 1, g)
 
     @pytest.mark.parametrize("i, g", [(-1, 4), (2, 4), (1, 2)])
-    def test_xi_index_out_of_range(self, i, g):
-        bound = (g - 1) // 2
-        with pytest.raises(ValueError, match=rf"^xi index must satisfy 0 <= i <= {bound}, got {i}$"):
-            xi(i, g)
+    def test_xi_index_out_of_range(self, i, g, monkeypatch):
+        self.classify_with_split(monkeypatch, 2 * i + 2, g)
+
+    def test_stratum_command_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(strata_mod, "_shape", lambda t: (2, (t.m - 2) // 2 + 2))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(path_tree(3, 5).to_json()))
+        assert main(["stratum"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "internal inconsistency: two-vertex split of 8 has smaller weight 5"
+        }
 
 
 class TestFgExponents:
