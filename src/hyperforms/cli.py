@@ -74,13 +74,10 @@ def _reduce(vector, args) -> dict:
 
 
 def _classified(t):
-    """The tree's stratum label and its image dimension (None if no formula)."""
+    """The tree's stratum label and its image dimension (None if no closed form)."""
     from .strata import classify_stratum, image_dimension
     label = classify_stratum(t)
-    try:
-        return label, image_dimension(label, (t.m - 2) // 2)
-    except ValueError:
-        return label, None
+    return label, image_dimension(label, (t.m - 2) // 2)
 
 
 def _stratum(t, args) -> dict:

@@ -94,16 +94,15 @@ def f_g_exponents(t: WeightedTree) -> BinaryFormClass:
     return contract_F_m(t)
 
 
-def image_dimension(label: StratumLabel, g: int) -> int:
-    """Dimension of the image of the stratum under the map to binary forms."""
-    if g < 2:
-        raise ValueError(f"need g >= 2, got {g}")
+def image_dimension(label: StratumLabel, g: int) -> int | None:
+    """Dimension of the image of the stratum under the map to binary forms,
+    or None where the paper gives no closed form: a deeper stratum, or g < 2."""
+    if g < 2 or label.kind == DEEPER:
+        return None
     if label.kind == INTERIOR:
         return 2 * g - 1
     if label.kind == SEMISTABLE_IMAGE:
         return 0
     if label.kind == DELTA:
         return 2 * g - 2 * label.index - 1
-    if label.kind == XI:
-        return 2 * g - 2 * label.index - 2
-    raise ValueError(f"no dimension formula for stratum kind '{label.kind}'")
+    return 2 * g - 2 * label.index - 2  # xi_i

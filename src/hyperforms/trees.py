@@ -159,7 +159,7 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
             raise InvalidTreeError("edge count does not match a tree")
         self = tuple.__new__(cls, (verts, edges))
         self.__dict__["weight_of"] = weight_of  # the `cached_property` table, filled here
-        if len(self._walk[0]) != len(verts):
+        if len(self._rooted[0]) != len(verts):  # the walk reached every vertex
             raise InvalidTreeError("graph is disconnected")
         return self
 
@@ -220,14 +220,10 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         return sum(w for _, w in self.vertices)
 
     @cached_property
-    def _walk(self) -> tuple[list[int], dict]:
-        """Breadth-first order and parents from the first id: the tree's one walk."""
-        return bfs(self.adjacency, self.vertices[0][0])
-
-    @cached_property
     def _rooted(self) -> tuple[dict, dict[int, int]]:
-        """Parent and subtree weight of every vertex, rooted at the first id."""
-        order, parent = self._walk
+        """Parent and subtree weight of every vertex, rooted at the first id:
+        the tree's one walk, which `__new__` also reads to prove it connected."""
+        order, parent = bfs(self.adjacency, self.vertices[0][0])
         below = dict(self.weight_of)
         for v in order[:0:-1]:  # children before parents, root excluded
             below[parent[v]] += below[v]

@@ -474,6 +474,19 @@ def reduced_shape(out: ReductionOutput) -> tuple[list[int], int]:
     return sorted(genera + [tail.genus for tail in out.tails]), out.node_count
 
 
+def reduced_curve_unstable(out: ReductionOutput) -> bool:
+    """Whether `reduce`'s curve has an unstable component.  A centre that is
+    not split is unstable at genus 0 with fewer than three special points: one
+    per tail attachment and two per node left by an exponent-2 root.  A split
+    centre is two genus-0 sheets, and each even tail and each such node meets
+    both, so a sheet is unstable with fewer than three of them.  Tails have
+    genus >= 1 and at least one attachment point, so they are stable."""
+    if out.central_split:
+        return len(out.tails) + out.extra_nodes < 3
+    attached = sum(tail.attachment_points for tail in out.tails)
+    return out.central_genus == 0 and attached + 2 * out.extra_nodes < 3
+
+
 def partitions(total: int, top: int):
     """Every partition of `total` with no part above `top`, as a descending tuple."""
     if total == 0:

@@ -205,7 +205,8 @@ def big_star():
 
 class TestLargeShapes:
     """Both layers against their oracles on trees of hundreds of vertices, where
-    the model contracts: the path's 1,000 components to 998, the star's 501 to 2."""
+    the model contracts: the path's 1,000 components to 998, the star's 501 to 2.
+    The model's shape and the contracted form do not change under relabelling."""
 
     @pytest.mark.parametrize("relabel_seed", [None, 0, 1])
     @pytest.mark.parametrize(
@@ -223,6 +224,7 @@ class TestLargeShapes:
         assert model == fixpoint_stable_model(cover)
         assert (len(cover.components), len(model.components)) == (components, kept)
         assert model_shape(model) == model_shape(stable_model(build_cover(shape())))
+        assert contract_F_m(t) == contract_F_m(shape())
 
 
 class TestStableModel:

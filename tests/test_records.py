@@ -69,7 +69,7 @@ def test_records_hold_only_their_fields(name):
 
 
 class TestCachedTables:
-    @pytest.mark.parametrize("name", ["m", "adjacency", "weight_of", "_walk", "_rooted"])
+    @pytest.mark.parametrize("name", ["m", "adjacency", "weight_of", "_rooted"])
     @pytest.mark.parametrize("computed", [True, False], ids=["computed", "fresh"])
     def test_tree_tables_cannot_be_overwritten(self, name, computed):
         t = path_tree(3, 5)

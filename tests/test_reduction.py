@@ -15,7 +15,8 @@ from hyperforms import (
     star_tree,
 )
 from conftest import (
-    check_exponent_square, model_shape, partitions, reduced_shape, square_partitions,
+    check_exponent_square, model_shape, partitions, reduced_curve_unstable, reduced_shape,
+    square_partitions,
 )
 
 
@@ -218,6 +219,24 @@ class TestDepthOneIdentity:
                 assert model_shape(stable_model(build_cover(t))) == reduced_shape(red), p
                 checked += 1
         assert checked == 1462
+
+    def test_unstable_curve_exactly_on_two_roots_and_2g_1_1(self):
+        # Known defect, pinned: over every vector `reduce` accepts with
+        # 2g+2 <= 20, the genus is always g, but the curve is unstable on
+        # exactly the 44 two-root vectors and the eight (2g, 1, 1).  Once
+        # `reduce` returns a stable curve or refuses, this set is empty.
+        accepted, unstable = 0, set()
+        for m in range(6, 21, 2):
+            g = (m - 2) // 2
+            for p in partitions(m, 2 * g):
+                out = reduce(ExponentVector(p))
+                assert out.arithmetic_genus == g, p
+                accepted += 1
+                if reduced_curve_unstable(out):
+                    unstable.add(p)
+        two_roots = {(a, m - a) for m in range(6, 21, 2) for a in range(m // 2, m - 1)}
+        assert (accepted, len(two_roots)) == (1514, 44)
+        assert unstable == two_roots | {(2 * g, 1, 1) for g in range(2, 10)}
 
     # Known defect, recorded as a FOUND line in CHANGES.md: on (2g, 1, 1)
     # `reduce` returns a genus-0 centre with only two special points, an

@@ -140,14 +140,31 @@ class TestImageDimension:
         assert image_dimension(classify_stratum(tree({0: 8})), 3) == 5
 
     def test_deeper_unsupported(self):
-        label = classify_stratum(path_tree(2, 2, 4))
-        with pytest.raises(ValueError):
-            image_dimension(label, 3)
+        # the paper gives no closed form off the divisors: None, not an error
+        assert image_dimension(classify_stratum(path_tree(2, 2, 4)), 3) is None
 
     @pytest.mark.parametrize("g", [1, 0, -1])
     def test_genus_below_two_rejected(self, g):
-        with pytest.raises(ValueError, match=rf"^need g >= 2, got {g}$"):
-            image_dimension(StratumLabel(INTERIOR), g)
+        assert image_dimension(StratumLabel(INTERIOR), g) is None
+
+    def test_none_exactly_where_no_closed_form(self):
+        """Every stable even class with m <= 12: None on the deeper strata and
+        at m = 4 (g = 1); otherwise 0 at the semistable point, else the number
+        of distinct roots of the contracted form less 3."""
+        none = formula = 0
+        for m in range(4, 13, 2):
+            g = (m - 2) // 2
+            for t in enumerate_stable_trees(m, bound=12).trees:
+                label = classify_stratum(t)
+                dim = image_dimension(label, g)
+                if label.kind == DEEPER or m == 4:
+                    assert dim is None, t
+                    none += 1
+                    continue
+                form = f_g_exponents(t)
+                assert dim == (0 if form.semistable_point else len(form.multiplicities) - 3), t
+                formula += 1
+        assert (none, formula) == (1563, 18)
 
     @pytest.mark.parametrize("g", range(2, 7))
     def test_two_vertex_dimension_consistency(self, g):
