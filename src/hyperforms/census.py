@@ -187,7 +187,7 @@ def _make_census(m: int, classes) -> Census:
     # Keyed: bare pairs would sort the same, but each comparison would scan
     # the two codes twice, once for equality and once for order.
     ordered = tuple(sorted(classes, key=lambda pair: pair[0]))
-    if m % 2 == 0 and m >= 4:
+    if m % 2 == 0:
         stratum_counts = count_strata([t for _, t in ordered], (m - 2) // 2)
     else:
         stratum_counts = ()

@@ -8,6 +8,7 @@ splits the weight evenly the whole tree maps to the semistable point.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 
 from .forms import BinaryFormClass
@@ -25,10 +26,6 @@ class CentralResult(namedtuple("CentralResult", "vertex edge")):
         return tuple.__new__(cls, (vertex, edge))
 
     _make = classmethod(checked_make)
-
-    @property
-    def is_semistable_edge(self) -> bool:
-        return self.edge is not None
 
     def to_dict(self) -> dict:
         if self.edge is not None:
@@ -69,9 +66,13 @@ def contract_F_m(t: WeightedTree) -> BinaryFormClass:
     with a half-weight edge maps to the semistable point.
     """
     result, sides = _central(t)
-    if result.is_semistable_edge:
-        return BinaryFormClass.semistable()
-    mults = sides + [1] * t.weight_of[result.vertex]
+    if result.edge is not None:
+        return BinaryFormClass(semistable_point=True)
+    simple = t.weight_of[result.vertex]
+    if simple > sys.maxsize:  # past the longest list, where `[1] * simple` overflows
+        raise ValueError(f"central vertex weight {simple} exceeds {sys.maxsize}: "
+                         "too many simple roots to list")
+    mults = sides + [1] * simple
     form = BinaryFormClass(mults)
     check(form.degree == t.m, "contracted form degree differs from m")
     return form

@@ -48,10 +48,6 @@ class BinaryFormClass(namedtuple("BinaryFormClass", "multiplicities semistable_p
 
     _make = classmethod(checked_make)
 
-    @classmethod
-    def semistable(cls) -> "BinaryFormClass":
-        return cls(semistable_point=True)
-
     @property
     def degree(self) -> int:
         return sum(self.multiplicities)

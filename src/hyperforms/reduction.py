@@ -8,6 +8,7 @@ central component keeps one branch point per odd exponent.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 
 from .trees import arithmetic_genus, check, checked_make, is_int, json_array
@@ -96,14 +97,6 @@ class ReductionOutput(namedtuple("ReductionOutput", "central_branch_points centr
         }
 
 
-def tail_genus(n: int) -> int:
-    return (n - 1) // 2
-
-
-def attachment_points(n: int) -> int:
-    return 2 - (n % 2)
-
-
 def reduce(e: ExponentVector) -> ReductionOutput:
     """Closed-form local stable reduction of the hyperelliptic equation.
 
@@ -120,8 +113,8 @@ def reduce(e: ExponentVector) -> ReductionOutput:
 
     branch_points = sum(n % 2 for n in mults)
     tails = tuple(
-        Tail(source_index=idx, exponent=n, genus=tail_genus(n),
-             attachment_points=attachment_points(n), equation=f"y^2 = z^{n} - 1")
+        Tail(source_index=idx, exponent=n, genus=(n - 1) // 2,
+             attachment_points=2 - n % 2, equation=f"y^2 = z^{n} - 1")
         for idx, n in enumerate(mults) if n >= 3
     )
 
@@ -157,6 +150,8 @@ def blowup_chain(n: int) -> BlowupChain:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if n > sys.maxsize:  # past the longest list, and the loop below would not end
+        raise ValueError(f"n = {n} exceeds {sys.maxsize}: the chain is too long to list")
     i = n // 2
     chain = [2 * j for j in range(1, i + 1)]
     if n % 2:

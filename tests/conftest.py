@@ -30,7 +30,7 @@ from hyperforms import (
 )
 from hyperforms.census import Census, _make_census
 from hyperforms.covers import CoverModel, StableHyperellipticModel, arithmetic_genus
-from hyperforms.reduction import ReductionOutput, attachment_points, tail_genus
+from hyperforms.reduction import ReductionOutput
 from hyperforms.trees import CanonicalCode, InvalidTreeError, decode, tree
 
 
@@ -428,13 +428,13 @@ def branch_subcover(t: WeightedTree, cover: CoverModel, v: int, u: int) -> tuple
 
 
 def check_branch_identity(t: WeightedTree) -> int:
-    """Check every branch at the central vertex against `reduce`'s closed
-    form: a branch of weight n has a connected subcover of arithmetic genus
-    `tail_genus(n)` that meets the rest of the cover in `attachment_points(n)`
-    nodes.  Returns the number of branches checked, 0 when the centre is an
-    edge."""
+    """Check every branch at the central vertex against the paper's tail
+    rule, which `reduce` also states: a branch of weight n has a connected
+    subcover of arithmetic genus (n - 1) // 2 that meets the rest of the cover
+    in one node for odd n and two for even n.  Returns the number of branches
+    checked, 0 when the centre is an edge."""
     central = find_central(t)
-    if central.is_semistable_edge:
+    if central.edge is not None:
         return 0
     v = central.vertex
     cover, table = build_cover(t), rooted(t)
@@ -442,15 +442,15 @@ def check_branch_identity(t: WeightedTree) -> int:
         n = side_weight(t, (v, u), u, table)
         genus, crossing, connected = branch_subcover(t, cover, v, u)
         assert connected, (t, u, "disconnected")
-        assert genus == tail_genus(n), (t, u)
-        assert crossing == attachment_points(n), (t, u)
+        assert genus == (n - 1) // 2, (t, u)
+        assert crossing == (1 if n % 2 else 2), (t, u)
     return len(t.neighbors(v))
 
 
 def reconstructed_exponents(t: WeightedTree):
     """Exponents recovered from the cover tails: 2h+1 odd weight, 2h+2 even."""
     result = find_central(t)
-    if result.is_semistable_edge:
+    if result.edge is not None:
         return None
     v = result.vertex
     cover, table = build_cover(t), rooted(t)

@@ -191,7 +191,7 @@ class TestCentralGenerator:
     def test_rooted_at_central_vertex_or_edge(self, m):
         for t in enumerate_stable_trees(m, bound=14).trees:
             central = find_central(t)
-            if central.is_semistable_edge:
+            if central.edge is not None:
                 assert central.edge == (0, 1)
             else:
                 assert central.vertex == 0

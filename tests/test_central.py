@@ -39,7 +39,7 @@ class TestFindCentral:
 
     def test_semistable_edge(self):
         result = find_central(path_tree(2, 2))
-        assert result.is_semistable_edge
+        assert result.edge is not None
         assert result.edge == (0, 1)
 
     def test_single_vertex(self):
@@ -77,7 +77,7 @@ class TestFindCentral:
             ]
             assert len(halves) <= 1
             result = find_central(t)
-            assert result.is_semistable_edge == bool(halves)
+            assert (result.edge is not None) == bool(halves)
 
     # Census trees are rooted at their centre, so the tests above never follow
     # the chain of heavy subtrees past the first id; these trees do.
@@ -122,7 +122,7 @@ class TestContract:
         assert contract_F_m(path_tree(3, 5)).multiplicities == (3, 1, 1, 1, 1, 1)
 
     def test_semistable_point(self):
-        assert contract_F_m(path_tree(2, 2)) == BinaryFormClass.semistable()
+        assert contract_F_m(path_tree(2, 2)) == BinaryFormClass(semistable_point=True)
 
     def test_smooth_form(self):
         assert contract_F_m(tree({0: 7})).multiplicities == (1,) * 7
@@ -133,7 +133,7 @@ class TestContract:
             (path_tree(3, 5), BinaryFormClass([3, 1, 1, 1, 1, 1])),
             (star_tree(1, 2, 2, 2), BinaryFormClass([2, 2, 2, 1])),
             (tree({0: 7}), BinaryFormClass([1] * 7)),
-            (path_tree(2, 2), BinaryFormClass.semistable()),
+            (path_tree(2, 2), BinaryFormClass(semistable_point=True)),
         ],
         ids=["two-vertices", "star", "one-vertex", "half-weight-edge"],
     )

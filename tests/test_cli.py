@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import gc
 import hashlib
 import io
@@ -7,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyperforms.central as central_mod
 from hyperforms import WeightedTree, canonical_code, covers, enumerate_stable_trees, path_tree
@@ -581,6 +583,29 @@ class TestErrors:
         assert (proc.returncode, proc.stderr) == (2, "")
         assert proc.stdout == '{"error": "cannot read input: stdin is closed"}\n'
 
+    @pytest.mark.parametrize("argv, doc, error", [
+        (["contract"], {"vertices": [{"id": 0, "weight": 10**30}], "edges": []},
+         f"central vertex weight {10**30} exceeds {sys.maxsize}: too many simple roots to list"),
+        (["map"], {"vertices": [{"id": 0, "weight": 10**30}], "edges": []},
+         f"central vertex weight {10**30} exceeds {sys.maxsize}: too many simple roots to list"),
+        (["reduce", "--chain"], {"exponents": [2**63 + 1, 2**63 + 1]},
+         f"n = {2**63 + 1} exceeds {sys.maxsize}: the chain is too long to list"),
+    ], ids=["contract", "map", "reduce-chain"])
+    def test_list_longer_than_maxsize_exits_2(self, argv, doc, error):
+        """A size past `sys.maxsize` is refused before a list of it is built.
+        The child process runs under a 1 GiB address-space limit, so a
+        regression that starts building the list ends in a MemoryError."""
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run([sys.executable, "-m", "hyperforms.cli", *argv],
+                              input=json.dumps(doc), capture_output=True, text=True,
+                              env=checkout_env(), preexec_fn=limit_memory, timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert proc.stdout == json.dumps({"error": error}) + "\n"
+
     def test_bad_reduce_input_exits_2(self, run):
         status, out = run(["reduce"], stdin=json.dumps({"exponents": [3, 1]}))
         assert status == 2
@@ -617,6 +642,115 @@ class TestErrors:
         for d in doc["classes"]:
             t = WeightedTree.from_dict(d)
             assert canonical_code(tree_from_json(t.to_json())) == canonical_code(t)
+
+
+def main_on(argv, text):
+    """`main`'s status and stdout with `text` as stdin."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            status = main(argv)
+    finally:
+        sys.stdin = stdin
+    return status, out.getvalue()
+
+
+# Integers near the edge cases, and past `sys.maxsize` on a 64-bit build.
+INTEGERS = st.integers(-2, 9) | st.integers(2**63, 2**65)
+JUNK = st.recursive(
+    st.none() | st.booleans() | INTEGERS | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def spoiled(draw, documents):
+    """A document from `documents`, and half the time one of its values, or
+    the document itself, replaced by junk."""
+    doc = draw(documents)
+    if draw(st.booleans()):
+        return doc
+    slots = []
+
+    def collect(value):
+        keys = value.keys() if isinstance(value, dict) else range(len(value))
+        for key in keys:
+            slots.append((value, key))
+            if isinstance(value[key], (dict, list)):
+                collect(value[key])
+
+    collect(doc)
+    slot = draw(st.sampled_from([None, *slots]))
+    if slot is None:
+        return draw(JUNK)
+    slot[0][slot[1]] = draw(JUNK)
+    return doc
+
+
+@st.composite
+def trees(draw):
+    """A tree on ids 0..n-1, maybe with its m declared, and one time in four
+    one more edge: a cycle, a loop, or an edge to a missing vertex."""
+    n = draw(st.integers(1, 4))
+    weights = [draw(INTEGERS) for _ in range(n)]
+    edges = [[draw(st.integers(0, i - 1)), i] for i in range(1, n)]
+    if draw(st.integers(0, 3)) == 3:
+        edges.append([draw(st.integers(0, n)), draw(st.integers(0, n))])
+    doc = {"vertices": [{"id": i, "weight": w} for i, w in enumerate(weights)], "edges": edges}
+    if draw(st.booleans()):
+        doc["m"] = sum(weights)
+    return doc
+
+
+@st.composite
+def texts(draw, documents):
+    """The JSON text of a spoiled document, one time in four cut short."""
+    text = json.dumps(draw(spoiled(documents)))
+    if draw(st.integers(0, 3)) == 3:
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+TREE_TEXTS = texts(trees())
+EXPONENT_TEXTS = texts(st.fixed_dictionaries({"exponents": st.lists(INTEGERS, min_size=1,
+                                                                    max_size=7)},
+                                             optional={"at_infinity": INTEGERS}))
+TREE_ARGV = [["stability"], ["central"], ["contract"], ["cover"], ["cover", "--format", "dot"],
+             ["stratum"], ["map"]]
+REDUCE_ARGV = [["reduce"], ["reduce", "--chain"]]
+
+
+class TestFuzz:
+    """Every command that reads a document answers any text with exit 0 or 2,
+    and a JSON answer is one line holding one object.
+
+    Integers are drawn near the edge cases and at 2**63 or above, past the
+    longest list.  Values between about 10**9 and `sys.maxsize` are left out:
+    a central vertex weight or an exponent there makes `contract`, `map` and
+    `reduce --chain` build a list that long, which runs out of memory.
+    """
+
+    @staticmethod
+    def check_answer(argv, text):
+        status, out = main_on(argv, text)
+        assert status in (0, 2), out
+        if status == 2 or "dot" not in argv:
+            assert out.endswith("\n") and out.count("\n") == 1, out
+            assert isinstance(json.loads(out), dict), out
+
+    @pytest.mark.parametrize("argv", TREE_ARGV, ids=" ".join)
+    @settings(deadline=None)
+    @given(text=TREE_TEXTS)
+    def test_tree_document(self, argv, text):
+        self.check_answer(argv, text)
+
+    @pytest.mark.parametrize("argv", REDUCE_ARGV, ids=" ".join)
+    @settings(deadline=None)
+    @given(text=EXPONENT_TEXTS)
+    def test_exponent_document(self, argv, text):
+        self.check_answer(argv, text)
 
 
 class TestCollector:

@@ -15,8 +15,8 @@ class TestBinaryFormClass:
         assert BinaryFormClass([2, 2]) != BinaryFormClass([3, 1])
 
     def test_semistable_point_is_single_value(self):
-        assert BinaryFormClass.semistable() == BinaryFormClass.semistable()
-        assert BinaryFormClass.semistable() != BinaryFormClass([3, 3])
+        assert BinaryFormClass(semistable_point=True) == BinaryFormClass(semistable_point=True)
+        assert BinaryFormClass(semistable_point=True) != BinaryFormClass([3, 3])
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -59,7 +59,7 @@ class TestBinaryFormClass:
         # `to_dict`'s keys are the constructor's parameters.
         f = BinaryFormClass([3, 1, 1, 1])
         assert BinaryFormClass(**f.to_dict()) == f
-        s = BinaryFormClass.semistable()
+        s = BinaryFormClass(semistable_point=True)
         assert BinaryFormClass(**s.to_dict()) == s
 
 
@@ -75,7 +75,7 @@ class TestClassify:
         assert classify(BinaryFormClass([5, 1, 1])) == GitClass.UNSTABLE
 
     def test_semistable_point_convention(self):
-        assert classify(BinaryFormClass.semistable()) == GitClass.STRICTLY_SEMISTABLE
+        assert classify(BinaryFormClass(semistable_point=True)) == GitClass.STRICTLY_SEMISTABLE
 
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=8))
     def test_invariant_under_permutation(self, mults):

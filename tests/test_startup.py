@@ -33,12 +33,14 @@ EXPORTS = {
 # `conftest`, and one-caller helpers folded into their callers.
 REMOVED = {"central": ["half_weight_edge"],
            "covers": ["branch_count", "edge_is_ramified", "connected"],
+           "reduction": ["tail_genus", "attachment_points"],
            "strata": ["delta", "xi"], "trees": ["isomorphic"]}
 REMOVED_METHODS = [("BinaryFormClass", "roots"), ("BinaryFormClass", "from_multiplicities"),
                    ("StableHyperellipticModel", "special_points"), ("WeightedTree", "degree"),
                    ("WeightedTree", "from_json"), ("CoverModel", "is_connected"),
                    ("ReductionOutput", "component_count"), ("BinaryFormClass", "from_dict"),
-                   ("WeightedTree", "side_weight"), ("WeightedTree", "weight")]
+                   ("WeightedTree", "side_weight"), ("WeightedTree", "weight"),
+                   ("CentralResult", "is_semistable_edge"), ("BinaryFormClass", "semistable")]
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 CENTRAL = {"trees", "forms", "central"}
