@@ -11,11 +11,11 @@ from importlib import import_module
 # Each public name's defining submodule, imported on the name's first access (PEP 562).
 _MODULE = {name: module for module, names in {
     "census": "Census enumerate_stable_trees",
-    "central": "CentralResult contract_F_m find_central",
+    "central": "CentralResult contract_F_m f_g_exponents find_central",
     "covers": "CoverModel StableHyperellipticModel build_cover stable_model",
     "forms": "BinaryFormClass GitClass classify moduli_dimension",
     "reduction": "BlowupChain ExponentVector ReductionOutput blowup_chain reduce",
-    "strata": "StratumLabel classify_stratum f_g_exponents image_dimension",
+    "strata": "StratumLabel classify_stratum image_dimension",
     "trees": "CanonicalCode InvalidTreeError InvariantError StabilityReport UnstableTreeError "
              "WeightedTree canonical_code complementary_subtree_weights path_tree "
              "star_tree tree validate_stable",

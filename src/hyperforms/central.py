@@ -3,7 +3,8 @@
 Off the half-weight edge, a stable tree has a unique vertex all of whose
 complementary subtrees weigh less than m/2; contracting every branch to a
 point of that central component yields a stable binary form.  When an edge
-splits the weight evenly the whole tree maps to the semistable point.
+splits the weight evenly the whole tree maps to the semistable point.  On
+trees of even weight 2g+2 this contraction is the map f_g to binary forms.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import sys
 from collections import namedtuple
 
 from .forms import BinaryFormClass
-from .trees import WeightedTree, check, checked_make, complementary_subtree_weights, require_stable
+from .trees import (WeightedTree, check, checked_make, complementary_subtree_weights,
+                    require_even, require_stable)
 
 
 class CentralResult(namedtuple("CentralResult", "vertex edge")):
@@ -76,3 +78,13 @@ def contract_F_m(t: WeightedTree) -> BinaryFormClass:
     form = BinaryFormClass(mults)
     check(form.degree == t.m, "contracted form degree differs from m")
     return form
+
+
+def f_g_exponents(t: WeightedTree) -> BinaryFormClass:
+    """`contract_F_m` on a tree of even weight 2g+2: the curve's binary-form class.
+
+    The exponent of a contracted branch is its subtree weight; equivalently
+    2h+1 for a tail of genus h attached at one point, 2h+2 at two points.
+    """
+    require_even(t)
+    return contract_F_m(t)

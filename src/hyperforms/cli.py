@@ -13,25 +13,30 @@ import json
 import sys
 
 # Only `trees` here: each command's function imports its own layers when it runs.
-from .trees import DEFAULT_BOUND, WeightedTree, decode, validate_stable
+from .trees import DEFAULT_BOUND, WeightedTree, validate_stable
 
 
 class InputError(ValueError):
     pass
 
 
-def _read_input(path: str) -> str:
-    """The input as UTF-8 text; in-process callers may set a text stream as stdin."""
+def _read_input(path: str):
+    """The input's JSON document, read as UTF-8; in process, stdin may be a text stream."""
     try:
         if path != "-":
             with open(path, encoding="utf-8") as fh:
-                return fh.read()
-        stdin = sys.stdin
-        if stdin is None:  # the interpreter started with fd 0 closed
+                text = fh.read()
+        elif sys.stdin is None:  # the interpreter started with fd 0 closed
             raise OSError("stdin is closed")
-        return stdin.buffer.read().decode("utf-8") if hasattr(stdin, "buffer") else stdin.read()
+        else:
+            stdin = sys.stdin
+            text = stdin.buffer.read().decode("utf-8") if hasattr(stdin, "buffer") else stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read input: {exc}") from exc
+    try:  # ValueError: malformed or an over-long integer; RecursionError: nested too deeply
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"invalid JSON: {exc}") from exc
 
 
 def _stability(t, args) -> dict:
@@ -86,7 +91,7 @@ def _stratum(t, args) -> dict:
 
 
 def _map(t, args) -> dict:
-    from .strata import f_g_exponents
+    from .central import f_g_exponents
     label, dim = _classified(t)
     return {"label": str(label), **f_g_exponents(t).to_dict(), "image_dimension": dim}
 
@@ -152,7 +157,7 @@ def main(argv=None) -> int:
         try:
             obj = None
             if build is not None:
-                obj = build(decode(_read_input(args.input), InputError))
+                obj = build(_read_input(args.input))
             out, status = run(obj, args), 0
         except ValueError as exc:  # InputError and the tree errors included
             out, status = {"error": str(exc)}, 2

@@ -1,16 +1,15 @@
-"""Boundary strata of the stable hyperelliptic moduli and the map to forms.
+"""Boundary strata of the stable hyperelliptic moduli and their images in forms.
 
 Two-vertex trees are the divisorial strata: smaller weight j odd gives
 delta_i, j even xi_i, with i = (j-1)//2, and j = g+1 lands on the semistable
 point.  Deeper strata (three or more vertices) only get their codimension.
+A stratum is read off the tree's shape; the map itself is `central.f_g_exponents`.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .central import contract_F_m
-from .forms import BinaryFormClass
 from .trees import WeightedTree, check, require_even
 
 INTERIOR = "interior"
@@ -82,16 +81,6 @@ def count_strata(trees: list[WeightedTree], g: int) -> tuple[tuple[str, int], ..
     for shape, k in Counter(map(_shape, trees)).items():
         counts[str(_label(shape, g))] += k
     return tuple(sorted(counts.items()))
-
-
-def f_g_exponents(t: WeightedTree) -> BinaryFormClass:
-    """Image of the stable hyperelliptic curve as a binary-form class.
-
-    The exponent of a contracted branch is its subtree weight; equivalently
-    2h+1 for a tail of genus h attached at one point, 2h+2 at two points.
-    """
-    require_even(t)
-    return contract_F_m(t)
 
 
 def image_dimension(label: StratumLabel, g: int) -> int | None:

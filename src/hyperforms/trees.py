@@ -50,14 +50,6 @@ def json_array(doc, field: str, error: type[ValueError] = ValueError, required=T
     return value
 
 
-def decode(text: str, error: type[ValueError]):
-    """The JSON document in `text`, or `error("invalid JSON: ...")`."""
-    try:  # ValueError: malformed or an over-long integer; RecursionError: nested too deeply
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise error(f"invalid JSON: {exc}") from exc
-
-
 CanonicalCode = tuple[int, ...]
 
 

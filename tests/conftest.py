@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import os
 import random
 import subprocess
@@ -31,7 +32,7 @@ from hyperforms import (
 from hyperforms.census import Census, _make_census
 from hyperforms.covers import CoverModel, StableHyperellipticModel, arithmetic_genus
 from hyperforms.reduction import ReductionOutput
-from hyperforms.trees import CanonicalCode, InvalidTreeError, decode, tree
+from hyperforms.trees import CanonicalCode, InvalidTreeError, tree
 
 
 # -- the paper's definitions, one edge or vertex at a time ----------------
@@ -551,8 +552,8 @@ def traced_peak(work):
 
 
 def tree_from_json(text: str) -> WeightedTree:
-    """A tree from JSON text, read as the CLI reads it: `decode`, then `from_dict`."""
-    return WeightedTree.from_dict(decode(text, InvalidTreeError))
+    """A tree from JSON text: `json.loads`, then `from_dict`."""
+    return WeightedTree.from_dict(json.loads(text))
 
 
 def checkout_env() -> dict:

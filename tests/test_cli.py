@@ -469,7 +469,8 @@ class TestErrors:
         status, out = run([command], stdin="[" * 100_000 + "]" * 100_000)
         assert status == 2
         assert out.count("\n") == 1
-        assert json.loads(out)["error"].startswith("invalid JSON: ")
+        error = json.loads(out)["error"]
+        assert error.startswith("invalid JSON: ") and "recursion" in error
 
     @pytest.mark.parametrize(
         "command, doc",

@@ -19,11 +19,11 @@ from conftest import checkout_env, run_python
 # Every public name, by its defining submodule.
 EXPORTS = {
     "census": ["Census", "enumerate_stable_trees"],
-    "central": ["CentralResult", "contract_F_m", "find_central"],
+    "central": ["CentralResult", "contract_F_m", "f_g_exponents", "find_central"],
     "covers": ["CoverModel", "StableHyperellipticModel", "build_cover", "stable_model"],
     "forms": ["BinaryFormClass", "GitClass", "classify", "moduli_dimension"],
     "reduction": ["BlowupChain", "ExponentVector", "ReductionOutput", "blowup_chain", "reduce"],
-    "strata": ["StratumLabel", "classify_stratum", "f_g_exponents", "image_dimension"],
+    "strata": ["StratumLabel", "classify_stratum", "image_dimension"],
     "trees": ["CanonicalCode", "InvalidTreeError", "InvariantError", "StabilityReport",
               "UnstableTreeError", "WeightedTree", "canonical_code",
               "complementary_subtree_weights", "path_tree", "star_tree", "tree",
@@ -34,7 +34,7 @@ EXPORTS = {
 REMOVED = {"central": ["half_weight_edge"],
            "covers": ["branch_count", "edge_is_ramified", "connected"],
            "reduction": ["tail_genus", "attachment_points"],
-           "strata": ["delta", "xi"], "trees": ["isomorphic"]}
+           "strata": ["delta", "xi"], "trees": ["isomorphic", "decode"]}
 REMOVED_METHODS = [("BinaryFormClass", "roots"), ("BinaryFormClass", "from_multiplicities"),
                    ("StableHyperellipticModel", "special_points"), ("WeightedTree", "degree"),
                    ("WeightedTree", "from_json"), ("CoverModel", "is_connected"),
@@ -44,7 +44,7 @@ REMOVED_METHODS = [("BinaryFormClass", "roots"), ("BinaryFormClass", "from_multi
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 CENTRAL = {"trees", "forms", "central"}
-STRATA = CENTRAL | {"strata"}
+STRATA = {"trees", "strata"}
 TREE_DOC = path_tree(3, 5).to_json()
 REDUCE_DOC = json.dumps({"exponents": [5, 1, 1, 1, 1, 1]})
 # argv, stdin, and the layers the command loads besides `hyperforms` and `hyperforms.cli`
@@ -54,7 +54,7 @@ COMMANDS = [
     (["contract"], TREE_DOC, CENTRAL),
     (["cover"], TREE_DOC, {"trees", "covers"}),
     (["stratum"], TREE_DOC, STRATA),
-    (["map"], TREE_DOC, STRATA),
+    (["map"], TREE_DOC, CENTRAL | STRATA),
     (["reduce", "--chain"], REDUCE_DOC, {"trees", "reduction"}),
     (["enumerate", "--m", "8"], "", STRATA | {"census"}),
 ]

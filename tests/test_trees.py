@@ -29,7 +29,6 @@ from hyperforms.trees import bfs, pair_table
 from conftest import (
     breadth_first_parents,
     brute_isomorphic,
-    over_long_integer,
     random_stable_tree,
     relabeled,
     run_python,
@@ -76,20 +75,6 @@ class TestStructure:
         # As many edges as a tree on four vertices, but one vertex unreached.
         with pytest.raises(InvalidTreeError, match="^graph is disconnected$"):
             tree({0: 1, 1: 1, 2: 1, 3: 3}, [(0, 1), (1, 2), (0, 2)])
-
-    def test_from_json_rejects_invalid_json(self):
-        msg = r"^invalid JSON: Expecting value: line 1 column 1 \(char 0\)$"
-        with pytest.raises(InvalidTreeError, match=msg):
-            tree_from_json("not json")
-
-    def test_from_json_rejects_too_deeply_nested_json(self):
-        with pytest.raises(InvalidTreeError, match="^invalid JSON: .*recursion"):
-            tree_from_json("[" * 100_000 + "]" * 100_000)
-
-    def test_from_json_rejects_over_long_integer(self):
-        doc = '{"vertices": [{"id": 0, "weight": %s}], "edges": []}' % over_long_integer()
-        with pytest.raises(InvalidTreeError, match="^invalid JSON: "):
-            tree_from_json(doc)
 
     @pytest.mark.parametrize("seed,n", [(1, 7), (2, 40), (3, 300)])
     def test_adjacency_sorted_without_resorting(self, seed, n):
