@@ -33,6 +33,10 @@ def walk_depth(t) -> int:
 
 
 class TestEnumerate:
+    @pytest.mark.parametrize("m,count", [(3, 1), (4, 2), (5, 3), (6, 7)])
+    def test_frozen_counts(self, m, count):
+        assert len(enumerate_stable_trees(m)) == count
+
     def test_m_6_classes(self):
         # weight multisets of the 7 classes, as a regression anchor
         profiles = sorted(
@@ -149,6 +153,10 @@ class TestByteIdentity:
 
 
 class TestDualGenerators:
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_generators_agree(self, m):
+        assert brute_force_census(m).codes == enumerate_stable_trees(m).codes
+
     @pytest.mark.parametrize("m", range(3, 7))
     def test_brute_force_excludes_unstable(self, m):
         for t in brute_force_census(m).trees:

@@ -13,9 +13,11 @@ from hyperforms import (
     star_tree,
     tree,
 )
-from hyperforms.forms import BinaryFormClass
+from hyperforms.forms import BinaryFormClass, GitClass, classify
 
-from conftest import central_by_definition, is_central, random_stable_tree, relabeled, side_weight
+from conftest import (
+    central_by_definition, half_weight_edge, is_central, random_stable_tree, relabeled, side_weight,
+)
 
 
 class TestCentralResult:
@@ -57,6 +59,15 @@ class TestFindCentral:
                             lambda t, v: [t.m] * len(t.neighbors(v)))
         with pytest.raises(InvariantError, match="central vertex has a side weighing at least m/2"):
             find_central(star_tree(0, 3, 3, 3))
+
+    @pytest.mark.parametrize("m", range(3, 10))
+    def test_unique_central_vertex_exhaustive(self, m):
+        for t in enumerate_stable_trees(m).trees:
+            if half_weight_edge(t) is not None:
+                continue
+            central = [v for v in t.ids if is_central(t, v)]
+            assert len(central) == 1, t
+            assert find_central(t).vertex == central[0]
 
     @pytest.mark.parametrize("m", range(4, 11, 2))
     def test_half_weight_edge_unique(self, m):
@@ -136,6 +147,16 @@ class TestContract:
         monkeypatch.setattr(central_mod, "complementary_subtree_weights", counted)
         assert contract_F_m(t) == form
         assert len(calls) == (0 if form.semistable_point else 1)
+
+    @pytest.mark.parametrize("m", range(4, 11, 2))
+    def test_semistable_iff_half_edge_and_stable_otherwise(self, m):
+        for t in enumerate_stable_trees(m).trees:
+            form = contract_F_m(t)
+            if half_weight_edge(t) is not None:
+                assert form.semistable_point
+            else:
+                assert form.degree == m
+                assert classify(form) == GitClass.STABLE
 
     @pytest.mark.parametrize("m", range(3, 10))
     def test_multiplicity_sum_and_bound(self, m):

@@ -123,6 +123,13 @@ class TestBuildCover:
             assert cover.arithmetic_genus == (m - 2) // 2
             assert cover_connected(cover)
 
+    @pytest.mark.parametrize("m", range(4, 11, 2))
+    def test_agrees_with_leaf_stripping_oracle(self, m):
+        for t in enumerate_stable_trees(m).trees:
+            ramified, branch = leaf_strip_cover(t)
+            assert ramified == {e for e in t.edges if edge_is_ramified(t, e)}
+            assert branch == {v: branch_count(t, v) for v in t.ids}
+
     def test_large_random_tree_agrees_with_leaf_stripping_oracle(self):
         t = random_stable_tree(seed=7, n=2000, extra=40)
         cover = build_cover(t)

@@ -6,6 +6,7 @@ import pytest
 
 from hyperforms import (
     classify_stratum,
+    contract_F_m,
     enumerate_stable_trees,
     f_g_exponents,
     image_dimension,
@@ -16,7 +17,7 @@ import hyperforms.strata as strata_mod
 from hyperforms.cli import main
 from hyperforms.strata import DEEPER, DELTA, INTERIOR, SEMISTABLE_IMAGE, XI, StratumLabel
 from hyperforms.trees import InvariantError
-from conftest import two_vertex_tree
+from conftest import reconstructed_exponents, two_vertex_tree
 
 
 class TestClassifyStratum:
@@ -105,6 +106,21 @@ class TestFgExponents:
 
     def test_node_gives_exponent_2(self):
         assert f_g_exponents(path_tree(2, 6)).multiplicities == (2, 1, 1, 1, 1, 1, 1)
+
+    @pytest.mark.parametrize("m", range(4, 11, 2))
+    def test_factors_through_contraction(self, m):
+        for t in enumerate_stable_trees(m).trees:
+            assert f_g_exponents(t) == contract_F_m(t)
+
+    @pytest.mark.parametrize("m", range(4, 11, 2))
+    def test_matches_cover_tail_reconstruction(self, m):
+        for t in enumerate_stable_trees(m).trees:
+            recon = reconstructed_exponents(t)
+            form = f_g_exponents(t)
+            if recon is None:
+                assert form.semistable_point
+            else:
+                assert list(form.multiplicities) == recon
 
 
 class TestImageDimension:

@@ -25,10 +25,12 @@ from hyperforms import (
     tree,
     validate_stable,
 )
+from hyperforms.cli import InputError, _read_input
 from hyperforms.trees import bfs, pair_table
 from conftest import (
     breadth_first_parents,
     brute_isomorphic,
+    over_long_integer,
     random_stable_tree,
     relabeled,
     run_python,
@@ -36,6 +38,13 @@ from conftest import (
     tree_from_json,
     walk_canonical_code,
 )
+
+
+def read_json(tmp_path, text: str):
+    """The document in `text`, read through a file as the CLI reads its input."""
+    path = tmp_path / "tree.json"
+    path.write_text(text, encoding="utf-8")
+    return _read_input(str(path))
 
 
 class TestStructure:
@@ -75,6 +84,21 @@ class TestStructure:
         # As many edges as a tree on four vertices, but one vertex unreached.
         with pytest.raises(InvalidTreeError, match="^graph is disconnected$"):
             tree({0: 1, 1: 1, 2: 1, 3: 3}, [(0, 1), (1, 2), (0, 2)])
+
+    # A tree's JSON text is parsed where the CLI reads it, in `cli._read_input`.
+    def test_from_json_rejects_invalid_json(self, tmp_path):
+        msg = r"^invalid JSON: Expecting value: line 1 column 1 \(char 0\)$"
+        with pytest.raises(InputError, match=msg):
+            read_json(tmp_path, "not json")
+
+    def test_from_json_rejects_too_deeply_nested_json(self, tmp_path):
+        with pytest.raises(InputError, match="^invalid JSON: .*recursion"):
+            read_json(tmp_path, "[" * 100_000 + "]" * 100_000)
+
+    def test_from_json_rejects_over_long_integer(self, tmp_path):
+        doc = '{"vertices": [{"id": 0, "weight": %s}], "edges": []}' % over_long_integer()
+        with pytest.raises(InputError, match="^invalid JSON: "):
+            read_json(tmp_path, doc)
 
     @pytest.mark.parametrize("seed,n", [(1, 7), (2, 40), (3, 300)])
     def test_adjacency_sorted_without_resorting(self, seed, n):
