@@ -9,6 +9,14 @@ tails: the pair is the first tail's root with the second tail hung below it.
 Tails are drawn from one table in a fixed order, so each class is built
 exactly once: there is no stability filter and no dedup pass.
 
+The multisets of tails come from one forest table, the one Otter's count of
+trees folds: row t lists, as non-increasing index tuples, the multisets of the
+tails folded so far that weigh t.  Tails are folded one at a time, lightest
+first, and a fold runs over the totals in rising order, so a multiset with k
+copies of a tail is built once, from the one with k - 1, and the rows share
+their tuples.  Half-weight tails are never folded: a class holds at most two
+of them, and they are paired directly.
+
 Each tail's rooted code and height are computed once, when it joins the
 table.  A class's canonical code is then a short walk from its root toward
 the tree's centre, stepping into the deepest child tail while that lowers the
@@ -79,19 +87,14 @@ class Census(namedtuple("Census", "m classes stratum_counts")):
 Tail = tuple[int, tuple[int, ...]]  # root weight, child tails as table indices
 
 
-def _forests(weight: list[int], memo: dict, total: int, hi: int) -> list[tuple[int, ...]]:
-    """Multisets of tails among the first `hi` weighing `total` together, as
-    non-increasing index tuples; tail i weighs `weight[i]`, and `memo` keeps
-    each answer for the rest of one census.  A module function, not a closure
-    over itself, so a census leaves no reference cycle behind."""
-    if (total, hi) not in memo:
-        found = [()] if total == 0 else []
-        for i in range(hi):
-            if weight[i] > total:
-                break
-            found += [(i, *rest) for rest in _forests(weight, memo, total - weight[i], i + 1)]
-        memo[total, hi] = found
-    return memo[total, hi]
+def _fold(forests: list[list[tuple[int, ...]]], i: int, w: int) -> None:
+    """Add tail i, of weight w, to the forest table: row t gains tail i over
+    every multiset in row t - w.  Rows are taken in rising order, so row t - w
+    already holds the multisets with i in them, and a multiset with k copies of
+    i is built once, from the one with k - 1.  A module function, not a
+    closure, so a census leaves no reference cycle behind."""
+    for t in range(w, len(forests)):
+        forests[t] += [(i, *rest) for rest in forests[t - w]]
 
 
 def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
@@ -102,24 +105,29 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
     multiset of lighter tails, with a + children + 1 >= 3 (the +1 is the edge
     up).  `tails` lists them by weight, and a multiset of tails is a
     non-increasing tuple of indices into it, so each multiset appears once.
-    A class is one more root of that form: a centre weight over tails lighter
-    than m/2, or, across a half-weight edge, the root of half-weight tail i
-    over tail j >= i and the tails of i.
+    `forests[t]` lists the multisets of the folded tails that weigh t: the
+    weight-(w - 1) tails are folded just before the weight-w tails are built,
+    each from a root weight `a` over a multiset in row w - a.
+    A class is one more root of that form: a centre weight c over a multiset
+    in row m - c, once every tail lighter than m/2 is folded, or, across a
+    half-weight edge, the root of half-weight tail i over tail j >= i and the
+    tails of i.
     """
     tails: list[Tail] = []
-    weight: list[int] = []  # weight[i] is the total weight of tails[i]
     code: list[CanonicalCode] = []  # code[i] encodes tails[i] rooted at its root
     height: list[int] = []  # height[i] is the depth of tails[i] below its root
     first: dict[int, int] = {}  # weight -> index of its first tail
-    memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}  # `_forests`' answers
+    # forests[t]: the multisets of the folded tails weighing t
+    forests: list[list[tuple[int, ...]]] = [[()], *([] for _ in range(m))]
 
     for w in range(2, m // 2 + 1):
+        for i in range(first.get(w - 1, 0), len(tails)):  # the weight-(w - 1) tails
+            _fold(forests, i, w - 1)
         first[w] = len(tails)
         for a in range(w + 1):
-            for kids in _forests(weight, memo, w - a, first[w]):
+            for kids in forests[w - a]:
                 if a + len(kids) + 1 >= 3:
                     tails.append((a, kids))
-                    weight.append(w)
                     code.append(rooted_code(a, [code[k] for k in kids]))
                     height.append(max((height[k] + 1 for k in kids), default=0))
 
@@ -152,13 +160,10 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
             a, kids = b, below
         return rooted_code(a, [*map(code.__getitem__, kids), *up])
 
-    light = first.get((m + 1) // 2, len(tails))  # tails weighing < m/2
-    roots = [
-        (c, kids)
-        for c in range(m + 1)
-        for kids in _forests(weight, memo, m - c, light)
-        if c + len(kids) >= 3
-    ]
+    if m % 2:  # the weight-(m - 1)/2 tails are light too; half-weight ones never fold
+        for i in range(first.get(m // 2, 0), len(tails)):
+            _fold(forests, i, m // 2)
+    roots = [(c, kids) for c in range(m + 1) for kids in forests[m - c] if c + len(kids) >= 3]
     if m % 2 == 0:  # half-weight classes
         half = range(first[m // 2], len(tails))
         roots += [(tails[i][0], (j, *tails[i][1])) for i in half for j in half if i <= j]

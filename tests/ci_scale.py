@@ -51,9 +51,10 @@ def big_trees() -> list:
 
 
 def test_census_count_at_m16_under_a_memory_and_a_time_bound():
-    # measured on a shared 2-core VM (medians of 3): 94 MB and 1.8 s since a two-centre
-    # class builds one candidate code (2.1 s before); 198 MB and 3.5 s when each tree
-    # allocated its own vertex and edge pairs
+    # measured on a shared 2-core VM: 89 MB and 1.5 s (medians of 8) since the tail
+    # multisets come from one forest table (92 MB and 1.6 s before, in the same runs);
+    # 94 MB and 1.8 s (medians of 3) since a two-centre class builds one candidate code
+    # (2.1 s before); 198 MB and 3.5 s when each tree allocated its own vertex and edge pairs
     #
     # `os.wait4` reads this one child's peak RSS; RUSAGE_CHILDREN would read the largest
     # child this process ever waited for.  Linux starts a child's reading at the peak of

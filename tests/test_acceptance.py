@@ -3,8 +3,6 @@
 Everything here is exact integer arithmetic; tolerances are zero throughout.
 """
 
-import pytest
-
 from hyperforms import (
     GitClass,
     build_cover,

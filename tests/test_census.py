@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -180,6 +181,35 @@ class TestCentralGenerator:
             assert t.vertices == checked.vertices
             assert t.edges == checked.edges
             assert t.adjacency == checked.adjacency
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_forest_table_holds_each_multiset_once(self, m, monkeypatch):
+        folds = []
+        fold = census_mod._fold
+
+        def spy(forests, i, w):
+            folds.append((forests, i, w))
+            fold(forests, i, w)
+
+        monkeypatch.setattr(census_mod, "_fold", spy)
+        enumerate_stable_trees(m, bound=12)
+        if m < 5:  # no tail is lighter than m/2
+            assert folds == []
+            return
+        forests = folds[0][0]
+        assert all(f is forests for f, _, _ in folds) and len(forests) == m + 1
+        weight = [w for _, _, w in folds]
+        assert [i for _, i, _ in folds] == list(range(len(weight)))
+        assert weight == sorted(weight) and 2 * weight[-1] < m
+        brute = [[] for _ in range(m + 1)]
+        for k in range(m // 2 + 1):
+            for kids in combinations_with_replacement(reversed(range(len(weight))), k):
+                t = sum(weight[i] for i in kids)
+                if t <= m:
+                    brute[t].append(kids)
+        for row, expected in zip(forests, brute):
+            assert len(set(row)) == len(row)
+            assert set(row) == set(expected)
 
     def test_trees_share_their_pairs(self):
         # one object per distinct (id, weight) and per distinct (parent, child) pair
