@@ -10,12 +10,9 @@ Tails are drawn from one table in a fixed order, so each class is built
 exactly once: there is no stability filter and no dedup pass.
 
 The multisets of tails come from one forest table, the one Otter's count of
-trees folds: row t lists, as non-increasing index tuples, the multisets of the
-tails folded so far that weigh t.  Tails are folded one at a time, lightest
-first, and a fold runs over the totals in rising order, so a multiset with k
-copies of a tail is built once, from the one with k - 1, and the rows share
-their tuples.  Half-weight tails are never folded: a class holds at most two
-of them, and they are paired directly.
+trees folds, tail by tail: `_central_classes` states when a tail is folded and
+`_fold` how, so each multiset is built once and the rows share their tuples.
+A class holds at most two half-weight tails, so they are paired directly.
 
 Each tail's rooted code and height are computed once, when it joins the
 table.  A class's canonical code is then a short walk from its root toward
@@ -25,16 +22,11 @@ centres has two candidate codes, one rooted at each, and every code opens with
 (-1, its root weight): so the candidate with the smaller root weight wins, and
 it alone is built.  Only equal root weights build both and keep the smaller.
 
-Each tree is grown from one queue of tail indices, breadth first: vertex
-j + 1 is the j-th queue entry, and a vertex's child tails join the queue's end
-with the next ids.  So every parent precedes its child and the parents never
-decrease, the contract the trusted `WeightedTree._grown` checks.  Under
-it the edges (parent, child) come out in ascending order, already the sorted
-normal form, so they are not sorted.  The tree is correct by construction, so
-it is not validated again, and its adjacency is built only if a caller asks.
-A tree's (id, weight) and (parent, child) pairs come from one table per census,
-`pair_table(m)`, about 1.5 m^2 pairs, so the trees share them and no tree
-allocates a pair of its own.
+Each tree is grown from one queue of tail indices, breadth first, so it meets
+the contract that the trusted `WeightedTree._grown` states and checks, and it
+is not validated again.  A tree's (id, weight) and (parent, child) pairs come
+from one table per census, `pair_table(m)`, about 1.5 m^2 pairs, so the trees
+share them and no tree allocates a pair of its own.
 
 The stratum counts come from `strata.count_strata`, which labels each shape
 of tree once.
@@ -105,31 +97,30 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
     multiset of lighter tails, with a + children + 1 >= 3 (the +1 is the edge
     up).  `tails` lists them by weight, and a multiset of tails is a
     non-increasing tuple of indices into it, so each multiset appears once.
-    `forests[t]` lists the multisets of the folded tails that weigh t: the
-    weight-(w - 1) tails are folded just before the weight-w tails are built,
-    each from a root weight `a` over a multiset in row w - a.
+    `forests[t]` lists the multisets of the folded tails that weigh t.  The
+    weight-w tails are built from a root weight `a` over a multiset in row
+    w - a, and folded right after, if light: 2w < m.
     A class is one more root of that form: a centre weight c over a multiset
-    in row m - c, once every tail lighter than m/2 is folded, or, across a
-    half-weight edge, the root of half-weight tail i over tail j >= i and the
-    tails of i.
+    in row m - c, or, across a half-weight edge, the root of half-weight
+    tail i over tail j >= i and the tails of i.
     """
     tails: list[Tail] = []
     code: list[CanonicalCode] = []  # code[i] encodes tails[i] rooted at its root
     height: list[int] = []  # height[i] is the depth of tails[i] below its root
-    first: dict[int, int] = {}  # weight -> index of its first tail
     # forests[t]: the multisets of the folded tails weighing t
     forests: list[list[tuple[int, ...]]] = [[()], *([] for _ in range(m))]
 
     for w in range(2, m // 2 + 1):
-        for i in range(first.get(w - 1, 0), len(tails)):  # the weight-(w - 1) tails
-            _fold(forests, i, w - 1)
-        first[w] = len(tails)
+        start = len(tails)  # index of the first weight-w tail
         for a in range(w + 1):
             for kids in forests[w - a]:
                 if a + len(kids) + 1 >= 3:
                     tails.append((a, kids))
                     code.append(rooted_code(a, [code[k] for k in kids]))
                     height.append(max((height[k] + 1 for k in kids), default=0))
+        if 2 * w < m:  # light tails fold; half-weight ones never do
+            for i in range(start, len(tails)):
+                _fold(forests, i, w)
 
     def centre_code(a: int, kids: tuple[int, ...]) -> CanonicalCode:
         """Code of the tree rooted at a vertex of weight `a` over child tails
@@ -160,12 +151,9 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
             a, kids = b, below
         return rooted_code(a, [*map(code.__getitem__, kids), *up])
 
-    if m % 2:  # the weight-(m - 1)/2 tails are light too; half-weight ones never fold
-        for i in range(first.get(m // 2, 0), len(tails)):
-            _fold(forests, i, m // 2)
     roots = [(c, kids) for c in range(m + 1) for kids in forests[m - c] if c + len(kids) >= 3]
     if m % 2 == 0:  # half-weight classes
-        half = range(first[m // 2], len(tails))
+        half = range(start, len(tails))  # the last weight's tails: m/2
         roots += [(tails[i][0], (j, *tails[i][1])) for i in half for j in half if i <= j]
     pairs = pair_table(m)  # every class's vertex and edge pairs, built once
     return [(centre_code(a, kids), _build(a, kids, tails, pairs)) for a, kids in roots]
@@ -176,15 +164,15 @@ def _build(a: int, kids: tuple[int, ...], tails: list[Tail], pairs: PairTable) -
     in build order.  A half-weight class hangs its second tail first, so the
     half-weight edge is (0, 1).  Its pairs come from the census's `pairs`."""
     weights = [a]
-    parent: list[int | None] = [None, *[0] * len(kids)]
+    up = [0] * len(kids)  # up[v - 1] is vertex v's parent
     queue = list(kids)  # tail indices: vertex j + 1 is queue[j]
     for v, i in enumerate(queue, 1):  # the list grows while it is read
         b, below = tails[i]
         weights.append(b)
         if below:  # most vertices are leaves: skip the empty extends
-            parent += [v] * len(below)
+            up += [v] * len(below)
             queue += below
-    return WeightedTree._grown(weights, parent, pairs)
+    return WeightedTree._grown(weights, up, pairs)
 
 
 def _make_census(m: int, classes) -> Census:

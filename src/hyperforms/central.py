@@ -9,11 +9,10 @@ trees of even weight 2g+2 this contraction is the map f_g to binary forms.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 
 from .forms import BinaryFormClass
-from .trees import (WeightedTree, check, checked_make, complementary_subtree_weights,
+from .trees import (MAX_LISTED, WeightedTree, check, checked_make, complementary_subtree_weights,
                     require_even, require_stable)
 
 
@@ -71,8 +70,8 @@ def contract_F_m(t: WeightedTree) -> BinaryFormClass:
     if result.edge is not None:
         return BinaryFormClass(semistable_point=True)
     simple = t.weight_of[result.vertex]
-    if simple > sys.maxsize:  # past the longest list, where `[1] * simple` overflows
-        raise ValueError(f"central vertex weight {simple} exceeds {sys.maxsize}: "
+    if simple > MAX_LISTED:  # refused before `[1] * simple` is built
+        raise ValueError(f"central vertex weight {simple} exceeds {MAX_LISTED}: "
                          "too many simple roots to list")
     mults = sides + [1] * simple
     form = BinaryFormClass(mults)

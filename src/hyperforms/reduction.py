@@ -8,10 +8,9 @@ central component keeps one branch point per odd exponent.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 
-from .trees import arithmetic_genus, check, checked_make, is_int, json_array
+from .trees import MAX_LISTED, arithmetic_genus, check, checked_make, is_int, json_array
 
 
 class ExponentVector(namedtuple("ExponentVector", "exponents at_infinity")):
@@ -150,8 +149,8 @@ def blowup_chain(n: int) -> BlowupChain:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if n > sys.maxsize:  # past the longest list, and the loop below would not end
-        raise ValueError(f"n = {n} exceeds {sys.maxsize}: the chain is too long to list")
+    if n > MAX_LISTED:  # refused before the chain is built
+        raise ValueError(f"n = {n} exceeds {MAX_LISTED}: the chain is too long to list")
     i = n // 2
     chain = [2 * j for j in range(1, i + 1)]
     if n % 2:

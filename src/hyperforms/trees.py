@@ -15,6 +15,9 @@ from itertools import chain, islice, starmap
 from operator import eq, getitem, itemgetter
 
 DEFAULT_BOUND = 10  # the census's default cap on m; here so the CLI parser need not load it
+# The largest central vertex weight (`contract_F_m`) or exponent (`blowup_chain`)
+# listed out: at most 10**7 list entries, 80 MB of pointers.
+MAX_LISTED = 10**7
 
 
 class InvalidTreeError(ValueError):
@@ -159,19 +162,20 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
     __setattr__ = __delattr__ = read_only
 
     @classmethod
-    def _grown(cls, weights: list[int], parent: list[int | None], pairs: PairTable) -> "WeightedTree":
-        """Tree on ids 0..n-1 grown breadth first from root 0.
+    def _grown(cls, weights: list[int], up: list[int], pairs: PairTable) -> "WeightedTree":
+        """Tree on ids 0..n-1 grown breadth first from root 0: `up[v - 1]` is
+        the parent of vertex v, indexed as the edge rows of `pairs` are.
 
         Trusted path for trees correct by construction (the census): it skips
         the checks of `__new__` and checks only that the parents are breadth
-        first: every parent precedes its child (`parent[v] < v`, so the ids
-        form a tree) and the parents never decrease, starting from 0.  Then
-        the edges (parent[v], v) come out in ascending order, already the
-        sorted normal form of `__new__`, so they are not sorted.  `adjacency`
-        is built from `edges` on first use, like every other cached table.
-        `parent[0]` is unused.
+        first: one per vertex 1..n-1, every parent precedes its child
+        (`up[v - 1] < v`, so the ids form a tree) and the parents never
+        decrease, starting from 0.  Then the edges (up[v - 1], v) come out in
+        ascending order, already the sorted normal form of `__new__`, so they
+        are not sorted.  `adjacency` is built from `edges` on first use, like
+        every other cached table.
 
-        The vertex pairs (v, weights[v]) and edge pairs (parent[v], v) are
+        The vertex pairs (v, weights[v]) and edge pairs (up[v - 1], v) are
         looked up in `pairs`, a `pair_table` shared by every tree of one
         census, so no pair is allocated per tree.
 
@@ -182,9 +186,8 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         parent p >= v raises `IndexError`, reported as the same breach.
         """
         n = len(weights)
-        up = parent[1:]
         breadth_first = "grown tree: parents must be breadth first, each before its child and never decreasing"
-        check(len(parent) == n and up == sorted(up) and (not up or up[0] >= 0), breadth_first)
+        check(len(up) == n - 1 and up == sorted(up) and (not up or up[0] >= 0), breadth_first)
         vertex_rows, edge_rows = pairs
         check(n <= len(vertex_rows), "grown tree: more vertices than its pair table has rows")
         try:

@@ -1,8 +1,8 @@
-"""Scale checks one step past the suite: the m = 15 census documents, the
-m = 16 count under a memory and a time bound, the m = 14 identities, the
-exponent-side square up to 2g+2 = 30, a stable model with 9! relabelings
-under a memory bound, and 10^5-vertex trees through `canonical_code` and
-every tree command.
+"""Scale checks one step past the suite: the m = 15 census documents and
+count, the m = 16 count under a memory and a time bound, the m = 14
+identities, the exponent-side square up to 2g+2 = 30, a stable model with 9!
+relabelings under a memory bound, and 10^5-vertex trees through
+`canonical_code` and every tree command.
 
 The name does not match `test_*.py`, so a plain `pytest` run leaves this
 module out; pytest collects it only when it is named on the command line:
@@ -29,8 +29,8 @@ from hyperforms import (
     path_tree, stable_model, star_tree, tree,
 )
 from conftest import (
-    check_branch_identity, check_exponent_square, checkout_env, random_stable_tree, relabeled,
-    square_partitions, traced_peak,
+    check_branch_identity, check_exponent_square, checkout_env, dissymmetry_count, random_stable_tree,
+    relabeled, square_partitions, traced_peak,
 )
 
 N = 10**5
@@ -84,7 +84,7 @@ def test_census_count_at_m16_under_a_memory_and_a_time_bound():
 def test_census_codes_roots_and_documents_at_m15():
     census = enumerate_stable_trees(15, bound=15)
     codes = census.codes
-    assert len(census) == 31311, len(census)
+    assert len(census) == 31311 == dissymmetry_count(15), len(census)
     assert all(a < b for a, b in zip(codes, codes[1:])), "codes not strictly increasing"
     assert all(canonical_code(t) == code for code, t in census.classes), "code mismatch"
     roots = (CentralResult(vertex=0), CentralResult(edge=(0, 1)))

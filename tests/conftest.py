@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from collections import Counter, defaultdict
 from itertools import chain, permutations, product
+from math import comb
 from operator import le, lt
 from pathlib import Path
 
@@ -149,11 +150,11 @@ def tree_centers(t: WeightedTree) -> list[int]:
     return sorted(path[(k - 1) // 2 : k // 2 + 1])
 
 
-def breadth_first_parents(parent: list[int | None]) -> bool:
-    """`WeightedTree._grown`'s contract, stated directly: every parent
-    precedes its child, and the parents never decrease, starting from 0."""
-    up = parent[1:]
-    return all(map(lt, up, range(1, len(parent)))) and all(map(le, chain((0,), up), up))
+def breadth_first_parents(up: list[int]) -> bool:
+    """`WeightedTree._grown`'s contract on the parents `up[v - 1]` of vertices
+    v = 1, 2, ..., stated directly: every parent precedes its child, and the
+    parents never decrease, starting from 0."""
+    return all(map(lt, up, range(1, len(up) + 1))) and all(map(le, chain((0,), up), up))
 
 
 def walk_canonical_code(t: WeightedTree) -> CanonicalCode:
@@ -260,6 +261,31 @@ def brute_force_census(m: int, bound: int = 8) -> Census:
     if not 3 <= m <= bound:
         raise ValueError(f"m must satisfy 3 <= m <= {bound}, got {m}")
     return _make_census(m, _prufer_classes(m).items())
+
+
+def dissymmetry_count(m: int) -> int:
+    """The census count of weight m by the dissymmetry theorem for trees:
+    unrooted = vertex-rooted + edge-rooted - arc-rooted, with no central-vertex
+    lemma.  A tail is a rooted stable tree hanging off one edge.  A weight-w
+    tail, w >= 2, is a root weight w - t over a forest of lighter tails
+    weighing t, and is stable for every t <= w (a forest weighing w holds two
+    tails or more, one weighing w - 1 one or more), so T(w) sums the forest
+    counts, which the Euler transform of T gives.  An arc roots an ordered
+    pair of tails, an edge an unordered one, and only a pair of equal
+    half-weight tails, T(m/2) of them, is its own reverse."""
+    T = [0] * (m + 1)
+    forests = [1] + [0] * m  # forests[t]: multisets of the tails counted so far weighing t
+    for w in range(2, m + 1):
+        T[w] = sum(forests[:w + 1])
+        # T[w] kinds of weight-w tail: k of them, repeats allowed, in comb(T[w] + k - 1, k) ways
+        forests = [sum(comb(T[w] + k - 1, k) * forests[t - k * w] for k in range(t // w + 1))
+                   for t in range(m + 1)]
+    ordered = sum(T[w] * T[m - w] for w in range(m + 1))
+    half = T[m // 2] if m % 2 == 0 else 0
+    # a centre weight c over a forest weighing m - c, less the roots with c + k < 3:
+    # c = 0 with one tail or two (the unordered pairs), c = 1 with one
+    vertex_rooted = sum(forests) - T[m] - (ordered + half) // 2 - T[m - 1]
+    return vertex_rooted - (ordered - half) // 2
 
 
 def leaf_strip_cover(t: WeightedTree):

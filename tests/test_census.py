@@ -17,7 +17,7 @@ from hyperforms import (
     validate_stable,
 )
 from hyperforms.trees import bfs
-from conftest import brute_force_census, run_python, tree_centers
+from conftest import brute_force_census, dissymmetry_count, run_python, tree_centers
 
 
 def walk_depth(t) -> int:
@@ -157,6 +157,15 @@ class TestDualGenerators:
     @pytest.mark.parametrize("m", range(3, 9))
     def test_generators_agree(self, m):
         assert brute_force_census(m).codes == enumerate_stable_trees(m).codes
+
+    @pytest.mark.parametrize("m", range(3, 15))
+    def test_dissymmetry_count_agrees(self, m):
+        assert dissymmetry_count(m) == len(enumerate_stable_trees(m, 14))
+
+    def test_dissymmetry_count_past_the_suite(self):
+        # m = 15 and 16 are the census counts `tests/ci_scale.py` checks
+        assert [dissymmetry_count(m) for m in (15, 16, 60)] == [
+            31311, 92949, 5_204_705_197_961_201_656_157_753_349]
 
     @pytest.mark.parametrize("m", range(3, 7))
     def test_brute_force_excludes_unstable(self, m):

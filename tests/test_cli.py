@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import hyperforms.central as central_mod
 from hyperforms import WeightedTree, canonical_code, covers, enumerate_stable_trees, path_tree
 from hyperforms.cli import COMMANDS, build_parser, main
-from hyperforms.trees import check
+from hyperforms.trees import MAX_LISTED, check
 from conftest import checkout_env, over_long_integer, random_stable_tree, tree_from_json
 
 
@@ -586,16 +586,21 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv, doc, error", [
         (["contract"], {"vertices": [{"id": 0, "weight": 10**30}], "edges": []},
-         f"central vertex weight {10**30} exceeds {sys.maxsize}: too many simple roots to list"),
+         f"central vertex weight {10**30} exceeds {MAX_LISTED}: too many simple roots to list"),
         (["map"], {"vertices": [{"id": 0, "weight": 10**30}], "edges": []},
-         f"central vertex weight {10**30} exceeds {sys.maxsize}: too many simple roots to list"),
+         f"central vertex weight {10**30} exceeds {MAX_LISTED}: too many simple roots to list"),
         (["reduce", "--chain"], {"exponents": [2**63 + 1, 2**63 + 1]},
-         f"n = {2**63 + 1} exceeds {sys.maxsize}: the chain is too long to list"),
-    ], ids=["contract", "map", "reduce-chain"])
+         f"n = {2**63 + 1} exceeds {MAX_LISTED}: the chain is too long to list"),
+        (["contract"], {"vertices": [{"id": 0, "weight": 10**10}], "edges": []},
+         f"central vertex weight {10**10} exceeds {MAX_LISTED}: too many simple roots to list"),
+        (["reduce", "--chain"], {"exponents": [10000000001, 10000000001]},
+         f"n = 10000000001 exceeds {MAX_LISTED}: the chain is too long to list"),
+    ], ids=["contract", "map", "reduce-chain", "contract-below-maxsize", "reduce-chain-below-maxsize"])
     def test_list_longer_than_maxsize_exits_2(self, argv, doc, error):
-        """A size past `sys.maxsize` is refused before a list of it is built.
-        The child process runs under a 1 GiB address-space limit, so a
-        regression that starts building the list ends in a MemoryError."""
+        """A size past `MAX_LISTED`, whether or not it is past `sys.maxsize`,
+        is refused before a list of it is built.  The child process runs
+        under a 1 GiB address-space limit, so a regression that starts
+        building the list ends in a MemoryError."""
         resource = pytest.importorskip("resource")
 
         def limit_memory():
@@ -656,8 +661,8 @@ def main_on(argv, text):
     return status, out.getvalue()
 
 
-# Integers near the edge cases, and past `sys.maxsize` on a 64-bit build.
-INTEGERS = st.integers(-2, 9) | st.integers(2**63, 2**65)
+# Integers near the edge cases, and from just past `MAX_LISTED` to past `sys.maxsize`.
+INTEGERS = st.integers(-2, 9) | st.integers(MAX_LISTED + 1, 2**65)
 JUNK = st.recursive(
     st.none() | st.booleans() | INTEGERS | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
@@ -727,10 +732,8 @@ class TestFuzz:
     """Every command that reads a document answers any text with exit 0 or 2,
     and a JSON answer is one line holding one object.
 
-    Integers are drawn near the edge cases and at 2**63 or above, past the
-    longest list.  Values between about 10**9 and `sys.maxsize` are left out:
-    a central vertex weight or an exponent there makes `contract`, `map` and
-    `reduce --chain` build a list that long, which runs out of memory.
+    Integers are drawn near the edge cases and above `MAX_LISTED`, the
+    largest central vertex weight or exponent that is listed out.
     """
 
     @staticmethod

@@ -190,7 +190,7 @@ class TestOneWalk:
         assert walks == [0]
 
     def test_grown_tree_walks_on_first_use(self, walks):
-        t = WeightedTree._grown([0, 2, 2, 2], [None, 0, 0, 0], pair_table(6))
+        t = WeightedTree._grown([0, 2, 2, 2], [0, 0, 0], pair_table(6))
         assert walks == []
         assert complementary_subtree_weights(t, 3) == [4]
         assert walks == [0]
@@ -432,57 +432,57 @@ class TestLeafPeelingCode:
 
 @st.composite
 def short_grown_trees(draw):
-    """(weights, parent) on 1..8 vertices: `None` first, then parents in -2..8.
+    """(weights, up) on 1..8 vertices: the parents up[v - 1] of v = 1..n-1, in -2..8.
     Vertex v's parent is drawn from 0..v-1, from -2..v or from -2..8, so
     breadth-first lists and each kind of near miss are all common."""
     n = draw(st.integers(1, 8))
-    parent = [None]
-    for v in range(1, n):
-        parent.append(draw(st.integers(0, v - 1) | st.integers(-2, v) | st.integers(-2, 8)))
-    return draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)), parent
+    up = [draw(st.integers(0, v - 1) | st.integers(-2, v) | st.integers(-2, 8)) for v in range(1, n)]
+    return draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)), up
 
 
 class TestGrownTree:
     @pytest.mark.parametrize(
-        "weights,parent",
-        [([2, 1, 2], [None, 2, 0]), ([2, 2], [None, 1]), ([3, 3], [None, 5])],
+        "weights,up",
+        [([2, 1, 2], [2, 0]), ([2, 2], [1]), ([3, 3], [5])],
         ids=["parent-after-child", "own-parent", "unknown-parent"],
     )
-    def test_rejects_parent_not_before_child(self, weights, parent):
+    def test_rejects_parent_not_before_child(self, weights, up):
         with pytest.raises(InvariantError):
-            WeightedTree._grown(weights, parent, pair_table(6))
+            WeightedTree._grown(weights, up, pair_table(6))
 
     def test_rejects_parents_not_breadth_first(self):
         # a valid tree, 0-1, 1-2 and 0-3, but vertex 3 is the root's child after 1's
         with pytest.raises(InvariantError):
-            WeightedTree._grown([2, 1, 2, 2], [None, 0, 1, 0], pair_table(6))
+            WeightedTree._grown([2, 1, 2, 2], [0, 1, 0], pair_table(6))
 
     def test_rejects_tree_larger_than_its_pair_table(self):
         # breadth first, but four vertices against the three rows of pair_table(2)
         with pytest.raises(InvariantError):
-            WeightedTree._grown([2, 0, 2, 2], [None, 0, 1, 1], pair_table(2))
+            WeightedTree._grown([2, 0, 2, 2], [0, 1, 1], pair_table(2))
 
     @pytest.mark.parametrize(
-        "weights,parent",
-        [([2, 1, 2], [None, -1, 0]), ([2, 1, 2, 2], [None, 0, 2, 1])],
-        ids=["negative-first-parent", "decreasing"],
+        "weights,up",
+        # the last two are breadth first, but unchecked their three vertices would get
+        # three edges, or one
+        [([2, 1, 2], [-1, 0]), ([2, 1, 2, 2], [0, 2, 1]), ([2, 2, 2], [0, 0, 1]), ([2, 2, 2], [0])],
+        ids=["negative-first-parent", "decreasing", "one-parent-too-many", "one-parent-too-few"],
     )
-    def test_rejects_with_the_contract_message(self, weights, parent):
+    def test_rejects_with_the_contract_message(self, weights, up):
         with pytest.raises(InvariantError, match="^grown tree: parents must be breadth first"):
-            WeightedTree._grown(weights, parent, pair_table(6))
+            WeightedTree._grown(weights, up, pair_table(6))
 
     @settings(max_examples=300)
     @given(short_grown_trees())
     def test_rejects_exactly_what_the_oracle_rejects(self, case):
-        weights, parent = case
-        if not breadth_first_parents(parent):
+        weights, up = case
+        if not breadth_first_parents(up):
             with pytest.raises(InvariantError, match="^grown tree: parents must be breadth first"):
-                WeightedTree._grown(weights, parent, pair_table(8))
+                WeightedTree._grown(weights, up, pair_table(8))
             return
-        t = WeightedTree._grown(weights, parent, pair_table(8))
+        t = WeightedTree._grown(weights, up, pair_table(8))
         assert t == WeightedTree(t.vertices, t.edges)
         assert t.vertices == tuple(enumerate(weights))
-        assert t.edges == tuple(zip(parent[1:], range(1, len(parent))))
+        assert t.edges == tuple(zip(up, range(1, len(weights))))
 
 
 class TestComplementaryWeights:
