@@ -42,7 +42,8 @@ from collections import namedtuple
 
 from .strata import count_strata
 from .trees import (
-    DEFAULT_BOUND, CanonicalCode, PairTable, WeightedTree, checked_make, is_int, pair_table, rooted_code,
+    DEFAULT_BOUND, MAX_LISTED, CanonicalCode, PairTable, WeightedTree, checked_make, is_int, pair_table,
+    rooted_code, without_collector,
 )
 
 
@@ -187,12 +188,20 @@ def _make_census(m: int, classes) -> Census:
     return Census(m=m, classes=ordered, stratum_counts=stratum_counts)
 
 
+@without_collector
 def enumerate_stable_trees(m: int, bound: int = DEFAULT_BOUND) -> Census:
-    """Census of all stable weighted-tree classes of total weight m."""
+    """Census of all stable weighted-tree classes of total weight m.
+
+    It runs with the cyclic collector paused (`trees.without_collector`): its
+    `WeightedTree` records are named tuples, which the collector never
+    untracks, and it makes no reference cycles.  The caller's setting comes
+    back afterwards, on success and on every error.
+    """
     for name, x in (("m", m), ("bound", bound)):
         if not is_int(x):
             raise ValueError(f"{name} must be an integer, got {x!r}")
     if not 3 <= m <= bound:
         raise ValueError(f"m must satisfy 3 <= m <= {bound}, got {m}")
+    if m > MAX_LISTED:  # refused before the m + 1 forest rows are built
+        raise ValueError(f"m = {m} exceeds {MAX_LISTED}: too many forest rows to list")
     return _make_census(m, _central_classes(m))
-

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import json
 import sys
 
 # Only `trees` here: each command's function imports its own layers when it runs.
-from .trees import DEFAULT_BOUND, WeightedTree, validate_stable
+from .trees import DEFAULT_BOUND, WeightedTree, validate_stable, without_collector
 
 
 class InputError(ValueError):
@@ -145,28 +144,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@without_collector
 def main(argv=None) -> int:
+    """Read, compute and emit one command; the exit status is returned."""
     args = build_parser().parse_args(argv)
     _, build, run, _ = COMMANDS[args.command]
-    # The library makes no reference cycles, so the cyclic collector would only
-    # rescan live data: read, compute and emit run without it, and the caller's
-    # setting comes back afterwards.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
-        try:
-            obj = None
-            if build is not None:
-                obj = build(_read_input(args.input))
-            out, status = run(obj, args), 0
-        except ValueError as exc:  # InputError and the tree errors included
-            out, status = {"error": str(exc)}, 2
-        except AssertionError as exc:
-            out, status = {"error": f"internal inconsistency: {exc}"}, 1
-        print(out if isinstance(out, str) else json.dumps(out, sort_keys=True))
-    finally:
-        if collecting:
-            gc.enable()
+        obj = None
+        if build is not None:
+            obj = build(_read_input(args.input))
+        out, status = run(obj, args), 0
+    except ValueError as exc:  # InputError and the tree errors included
+        out, status = {"error": str(exc)}, 2
+    except AssertionError as exc:
+        out, status = {"error": f"internal inconsistency: {exc}"}, 1
+    print(out if isinstance(out, str) else json.dumps(out, sort_keys=True))
     return status
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from itertools import chain, groupby, permutations, product
 
-from .trees import WeightedTree, arithmetic_genus, bfs, check, require_even
+from .trees import WeightedTree, arithmetic_genus, bfs, check, require_even, without_collector
 
 RAMIFIED = "ramified"
 SPLIT = "split"
@@ -57,8 +57,14 @@ class CoverModel(namedtuple("CoverModel", "components nodes g")):
         return "\n".join(lines)
 
 
+@without_collector
 def build_cover(t: WeightedTree) -> CoverModel:
     """Construct the admissible double cover of a stable even-weight tree.
+
+    It runs with the cyclic collector paused (`trees.without_collector`): its
+    `CoverComponent` and `CoverNode` records are named tuples, which the
+    collector never untracks, and it makes no reference cycles.  The caller's
+    setting comes back afterwards, on success and on every error.
 
     Each edge's parity is read once from the tree's rooted table: the edge is
     ramified iff the weight below its lower end is odd, and a ramified edge

@@ -7,16 +7,18 @@ Markings are unordered, so a vertex weight is the only marking data.
 
 from __future__ import annotations
 
+import gc
 import json
 from bisect import bisect
 from collections import deque, namedtuple
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import chain, islice, starmap
 from operator import eq, getitem, itemgetter
 
 DEFAULT_BOUND = 10  # the census's default cap on m; here so the CLI parser need not load it
-# The largest central vertex weight (`contract_F_m`) or exponent (`blowup_chain`)
-# listed out: at most 10**7 list entries, 80 MB of pointers.
+# The largest central vertex weight (`contract_F_m`), exponent (`blowup_chain`)
+# or census weight (`enumerate_stable_trees`) listed out: at most 10**7 list
+# entries, 80 MB of pointers.
 MAX_LISTED = 10**7
 
 
@@ -36,6 +38,26 @@ def check(cond: bool, msg: str) -> None:
     """Raise InvariantError unless `cond`; unlike `assert`, survives `python -O`."""
     if not cond:
         raise InvariantError(msg)
+
+
+def without_collector(fn):
+    """`fn` run with the cyclic collector off.  The library makes no reference
+    cycles, so the collector would only rescan live data: named-tuple records
+    (trees, cover components and nodes) are never untracked, so each young
+    collection walks them again.  The caller's setting comes back afterwards,
+    on success and on every error."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+
+    return paused
 
 
 def is_int(x) -> bool:

@@ -13,6 +13,7 @@ It takes about 45 s on a shared 2-core VM.  Every time bound is about twice
 the slowest run measured there.
 """
 
+import gc
 import hashlib
 import os
 import resource
@@ -82,7 +83,14 @@ def test_census_count_at_m16_under_a_memory_and_a_time_bound():
 
 
 def test_census_codes_roots_and_documents_at_m15():
+    gc.collect()  # an empty young generation: no collection is due before the call
+    before = gc.get_stats()
+    start = time.perf_counter()
     census = enumerate_stable_trees(15, bound=15)
+    wall = time.perf_counter() - start
+    after = gc.get_stats()  # an exact count, read before the collector can run again
+    assert [s["collections"] for s in after] == [s["collections"] for s in before], (before, after)
+    print(f"census m = 15 in {wall:.2f} s, no collection")
     codes = census.codes
     assert len(census) == 31311 == dissymmetry_count(15), len(census)
     assert all(a < b for a, b in zip(codes, codes[1:])), "codes not strictly increasing"

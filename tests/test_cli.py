@@ -10,10 +10,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperforms.census as census_mod
 import hyperforms.central as central_mod
-from hyperforms import WeightedTree, canonical_code, covers, enumerate_stable_trees, path_tree
+from hyperforms import WeightedTree, build_cover, canonical_code, covers, enumerate_stable_trees, path_tree
 from hyperforms.cli import COMMANDS, build_parser, main
-from hyperforms.trees import MAX_LISTED, check
+from hyperforms.trees import MAX_LISTED, InvariantError, check
 from conftest import checkout_env, over_long_integer, random_stable_tree, tree_from_json
 
 
@@ -595,7 +596,10 @@ class TestErrors:
          f"central vertex weight {10**10} exceeds {MAX_LISTED}: too many simple roots to list"),
         (["reduce", "--chain"], {"exponents": [10000000001, 10000000001]},
          f"n = 10000000001 exceeds {MAX_LISTED}: the chain is too long to list"),
-    ], ids=["contract", "map", "reduce-chain", "contract-below-maxsize", "reduce-chain-below-maxsize"])
+        (["enumerate", "--m", "100000000", "--bound", "100000000", "--format", "count"], None,
+         f"m = 100000000 exceeds {MAX_LISTED}: too many forest rows to list"),
+    ], ids=["contract", "map", "reduce-chain", "contract-below-maxsize", "reduce-chain-below-maxsize",
+            "enumerate-below-maxsize"])
     def test_list_longer_than_maxsize_exits_2(self, argv, doc, error):
         """A size past `MAX_LISTED`, whether or not it is past `sys.maxsize`,
         is refused before a list of it is built.  The child process runs
@@ -802,4 +806,51 @@ class TestCollector:
         monkeypatch.setattr(covers, "build_cover", broken)
         with pytest.raises(RuntimeError, match="boom"):
             run(["cover"], stdin=tree_doc(3, 3))
+        assert gc.isenabled() is prior
+
+
+class TestLibraryCollector:
+    """The census and the cover builder, like `main`, run with the cyclic
+    collector off and leave it as the caller had it, on every exit."""
+
+    prior = TestCollector.prior
+
+    @staticmethod
+    def call(name):
+        """A census or a cover call whose result holds O(n) named-tuple records,
+        as (function, arguments); the cover's tree is built here, outside it."""
+        if name == "census":
+            return enumerate_stable_trees, (12, 12)
+        return build_cover, (random_stable_tree(seed=1, n=1000),)
+
+    @pytest.mark.parametrize("name", ["census", "cover"])
+    def test_no_collection_during_the_call(self, prior, name):
+        fn, args = self.call(name)
+        gc.collect()  # an empty young generation: no collection is due before the call
+        before = gc.get_stats()
+        fn(*args)
+        # Read before anything else allocates: the collector, back on, may run a
+        # young collection at the next allocation; `get_stats` copies its counts first.
+        after = gc.get_stats()
+        assert [s["collections"] for s in after] == [s["collections"] for s in before]
+        assert gc.isenabled() is prior
+
+    @pytest.mark.parametrize("fn, args", [
+        (enumerate_stable_trees, (2,)),
+        (build_cover, (path_tree(3, 4),)),
+    ], ids=["census-m-2", "cover-odd-weight"])
+    def test_restored_after_a_precondition_error(self, prior, fn, args):
+        with pytest.raises(ValueError):
+            fn(*args)
+        assert gc.isenabled() is prior
+
+    @pytest.mark.parametrize("name, module, inner", [
+        ("census", census_mod, "_make_census"),
+        ("cover", covers, "require_even"),
+    ], ids=["census", "cover"])
+    def test_restored_after_an_invariant_failure(self, monkeypatch, prior, name, module, inner):
+        fn, args = self.call(name)
+        monkeypatch.setattr(module, inner, lambda *a: check(False, "patched"))
+        with pytest.raises(InvariantError, match="patched"):
+            fn(*args)
         assert gc.isenabled() is prior

@@ -14,14 +14,16 @@ from hyperforms import (
     classify_stratum,
     contract_F_m,
     enumerate_stable_trees,
+    f_g_exponents,
     find_central,
+    image_dimension,
     path_tree,
     reduce,
     stable_model,
     tree,
     validate_stable,
 )
-from conftest import cyclic_garbage, random_stable_tree, run_python, special_points
+from conftest import cyclic_garbage, partitions, random_stable_tree, run_python, special_points
 
 
 def sample_records() -> dict:
@@ -166,6 +168,33 @@ class TestNoReferenceCycles:
             cover.to_dict(), model.to_dict(), canonical_code(t)
 
         assert cyclic_garbage(pipeline) == (0, {})
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_tree_layers_over_the_census(self, m):
+        trees = enumerate_stable_trees(m, bound=12).trees
+
+        def layers():
+            for t in trees:
+                validate_stable(t), find_central(t).to_dict(), contract_F_m(t).to_dict()
+                if m % 2 == 0:
+                    label = classify_stratum(t)
+                    label.to_dict(), image_dimension(label, (m - 2) // 2), f_g_exponents(t).to_dict()
+
+        assert cyclic_garbage(layers) == (0, {})
+
+    @pytest.mark.parametrize("m", range(6, 13, 2))
+    def test_reduce_and_chains_over_every_exponent_vector(self, m):
+        # every accepted vector up to root order: no exponent above 2g = m - 2,
+        # the last root either finite or at infinity
+        vectors = [v for p in partitions(m, m - 2)
+                   for v in (ExponentVector(p), ExponentVector(p[:-1], at_infinity=p[-1]))]
+
+        def layers():
+            for v in vectors:
+                reduce(v).to_dict()
+                [blowup_chain(n).to_dict() for n in v.all_multiplicities() if n >= 2]
+
+        assert cyclic_garbage(layers) == (0, {})
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
