@@ -17,10 +17,8 @@ A class holds at most two half-weight tails, so they are paired directly.
 Each tail's rooted code and height are computed once, when it joins the
 table.  A class's canonical code is then a short walk from its root toward
 the tree's centre, stepping into the deepest child tail while that lowers the
-eccentricity; no tree is walked or peeled for its code.  A class with two
-centres has two candidate codes, one rooted at each, and every code opens with
-(-1, its root weight): so the candidate with the smaller root weight wins, and
-it alone is built.  Only equal root weights build both and keep the smaller.
+eccentricity; no tree is walked or peeled for its code.  At two centres, the
+walk hands the deep child's code to `trees.two_centre_code`, which picks the code.
 
 Each tree is grown from one queue of tail indices, breadth first, so it meets
 the contract that the trusted `WeightedTree._grown` states and checks, and it
@@ -43,7 +41,7 @@ from collections import namedtuple
 from .strata import count_strata
 from .trees import (
     DEFAULT_BOUND, MAX_LISTED, CanonicalCode, PairTable, WeightedTree, checked_make, is_int, pair_table,
-    rooted_code, without_collector,
+    rooted_code, two_centre_code, without_collector,
 )
 
 
@@ -78,6 +76,7 @@ class Census(namedtuple("Census", "m classes stratum_counts")):
 # -- the census, built outward from the central vertex --------------------
 
 Tail = tuple[int, tuple[int, ...]]  # root weight, child tails as table indices
+MAX_M = 20  # the largest m listed: 8,044,399 classes, and more than `MAX_LISTED` at m = 21
 
 
 def _fold(forests: list[list[tuple[int, ...]]], i: int, w: int) -> None:
@@ -138,17 +137,11 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
             if d1 <= d2:  # the current vertex is the one centre
                 break
             b, below = tails[kids[j]]
-            # Two centres, the current vertex and the deep child: each code
-            # opens with (-1, its root weight), so a lighter root wins outright.
-            if d1 == d2 + 1 and a < b:
-                break
-            left = rooted_code(a, [*map(code.__getitem__, kids[:j] + kids[j + 1:]), *up])
-            if d1 == d2 + 1:
-                deep_code = rooted_code(b, [*map(code.__getitem__, below), left])
-                if b < a:
-                    return deep_code
-                return min(deep_code, rooted_code(a, [*map(code.__getitem__, kids), *up]))
-            up, up_depth = [left], d2 + 1
+            left = [*map(code.__getitem__, kids), *up]
+            side = left.pop(j)  # the deep child's code
+            if d1 == d2 + 1:  # two centres, the current vertex and the deep child
+                return two_centre_code(a, left, b, map(code.__getitem__, below), side)
+            up, up_depth = [rooted_code(a, left)], d2 + 1
             a, kids = b, below
         return rooted_code(a, [*map(code.__getitem__, kids), *up])
 
@@ -202,6 +195,6 @@ def enumerate_stable_trees(m: int, bound: int = DEFAULT_BOUND) -> Census:
             raise ValueError(f"{name} must be an integer, got {x!r}")
     if not 3 <= m <= bound:
         raise ValueError(f"m must satisfy 3 <= m <= {bound}, got {m}")
-    if m > MAX_LISTED:  # refused before the m + 1 forest rows are built
-        raise ValueError(f"m = {m} exceeds {MAX_LISTED}: too many forest rows to list")
+    if m > MAX_M:  # refused before any forest row is built
+        raise ValueError(f"m = {m} exceeds {MAX_M}: more than {MAX_LISTED} classes to list")
     return _make_census(m, _central_classes(m))

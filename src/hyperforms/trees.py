@@ -17,8 +17,8 @@ from operator import eq, getitem, itemgetter
 
 DEFAULT_BOUND = 10  # the census's default cap on m; here so the CLI parser need not load it
 # The largest central vertex weight (`contract_F_m`), exponent (`blowup_chain`)
-# or census weight (`enumerate_stable_trees`) listed out: at most 10**7 list
-# entries, 80 MB of pointers.
+# or census class count (`enumerate_stable_trees`) listed out: at most 10**7
+# list entries, 80 MB of pointers.
 MAX_LISTED = 10**7
 
 
@@ -389,6 +389,17 @@ def rooted_code(weight: int, below: list[CanonicalCode]) -> CanonicalCode:
     return (-1, weight, *chain.from_iterable(below), -2)
 
 
+def two_centre_code(a: int, below_a: list, b: int, below_b, side_b: CanonicalCode) -> CanonicalCode:
+    """Code of a tree with adjacent centres of weights `a` and `b` over the codes
+    below each, away from the other (a list, sorted in place, and an iterable);
+    `side_b` is `rooted_code(b, below_b)`.  A code opens with (-1, its root weight),
+    so only the lighter centre's candidate is built, or both on a tie, keeping the smaller."""
+    if a < b:
+        return rooted_code(a, [*below_a, side_b])
+    at_b = rooted_code(b, [*below_b, rooted_code(a, below_a)])
+    return at_b if b < a else min(at_b, rooted_code(a, [*below_a, side_b]))
+
+
 def _extended_code(weight: int, below: list) -> CanonicalCode | deque:
     """`rooted_code`, but a child's code longer than the rest together is
     extended in place at both ends, as a deque: only the shorter ones are copied."""
@@ -415,9 +426,9 @@ def _extended_code(weight: int, below: list) -> CanonicalCode | deque:
 def canonical_code(t: WeightedTree) -> CanonicalCode:
     """Integer sequence identifying the weighted tree up to isomorphism.
 
-    AHU-style encoding rooted at the structural center; with two center
-    candidates, the lexicographically smaller rooted code wins; each vertex
-    is encoded as by `rooted_code`.
+    AHU-style encoding rooted at the structural center; with two centers,
+    `two_centre_code`, given the lighter one first, keeps the smaller rooted
+    code; each vertex is encoded as by `rooted_code`.
 
     One leaf-peeling pass: leaves are peeled layer by layer, and each peeled
     vertex's code goes to its one remaining neighbour.  The one or two
@@ -448,9 +459,5 @@ def canonical_code(t: WeightedTree) -> CanonicalCode:
     if len(kids) == 1:
         ((c, below),) = kids.items()
         return tuple(build(weight[c], below))
-    # Each center's side is encoded once and spliced under the other center.
-    (a, below_a), (b, below_b) = ((v, [*map(tuple, below)]) for v, below in kids.items())
-    return min(
-        rooted_code(weight[a], below_a + [rooted_code(weight[b], below_b)]),
-        rooted_code(weight[b], below_b + [rooted_code(weight[a], below_a)]),
-    )
+    (a, below_a), (b, below_b) = sorted(((weight[v], [*map(tuple, kids[v])]) for v in kids), key=itemgetter(0))
+    return two_centre_code(a, below_a, b, below_b, rooted_code(b, below_b))

@@ -2,7 +2,7 @@
 count, the m = 16 count under a memory and a time bound, the m = 14
 identities, the exponent-side square up to 2g+2 = 30, a stable model with 9!
 relabelings under a memory bound, and 10^5-vertex trees through
-`canonical_code` and every tree command.
+`canonical_code`, five edge contractions and every tree command.
 
 The name does not match `test_*.py`, so a plain `pytest` run leaves this
 module out; pytest collects it only when it is named on the command line:
@@ -16,6 +16,7 @@ the slowest run measured there.
 import gc
 import hashlib
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -31,7 +32,7 @@ from hyperforms import (
 )
 from conftest import (
     check_branch_identity, check_exponent_square, checkout_env, dissymmetry_count, random_stable_tree,
-    relabeled, square_partitions, traced_peak,
+    relabeled, root_blocks, roots_refine, square_partitions, traced_peak,
 )
 
 N = 10**5
@@ -153,6 +154,16 @@ def test_canonical_codes_at_10_5_vertices_each_under_2_s(big_trees):
         assert len(code) == 3 * N, name
         slow += [name] * (wall >= 2)
     assert not slow, f"2 s or more: {slow}"
+
+
+def test_roots_refine_along_five_seeded_edges_at_10_5_vertices(big_trees):
+    # Section 3's map respects degeneration, in linear form (see `roots_refine`)
+    for seed, (name, t) in enumerate(big_trees):
+        start = time.perf_counter()
+        blocks = root_blocks(t)
+        for e in random.Random(seed).sample(t.edges, 5):
+            assert roots_refine(t, e, blocks), (name, e)
+        print(f"{name}: roots refine along 5 contracted edges in {time.perf_counter() - start:.2f} s")
 
 
 def test_every_tree_command_at_10_5_vertices_under_its_bound(big_trees, tmp_path):

@@ -105,6 +105,75 @@ def central_by_definition(t: WeightedTree) -> CentralResult:
     return CentralResult(vertex=v)
 
 
+# -- Section 3's map along an edge contraction ----------------------------
+
+def contracted(t: WeightedTree, edge: tuple[int, int]) -> WeightedTree:
+    """T/e: the ends of `edge`, an edge of `t` as `t.edges` lists it, merged
+    into its first end, which carries both weights.  T/e is stable if T is."""
+    u, v = edge
+    weights = dict(t.weight_of)
+    weights[u] += weights.pop(v)
+    return tree(weights, [(u if a == v else a, u if b == v else b) for a, b in t.edges if (a, b) != edge])
+
+
+def root_blocks(t: WeightedTree) -> dict:
+    """The root of `contract_F_m(t)` that each vertex's marks land on, as
+    `find_central` places it: the branch at the central vertex holding the
+    vertex, named by the centre's neighbour on it, or None on the central
+    vertex, whose marks are simple roots, one each.  On the semistable point
+    the blocks are the two sides of the half-weight edge, named by their ends."""
+    result = find_central(t)
+    if result.edge is not None:
+        a, b = result.edge
+        side_a = set(walk(t.adjacency, a, cut=b)[0])
+        return {x: a if x in side_a else b for x in t.weight_of}
+    c = result.vertex
+    blocks = {c: None}
+    for n in t.adjacency[c]:
+        blocks.update(dict.fromkeys(walk(t.adjacency, n, cut=c)[0], n))
+    return blocks
+
+
+def roots_refine(t: WeightedTree, edge: tuple[int, int], blocks=None) -> bool:
+    """Section 3's map respects degeneration, in linear form: each mark is
+    labelled by its vertex of `t`, and the partition of the marks by the roots
+    of T/e (`contracted(t, edge)`) refines their partition by the roots of T,
+    `blocks` (`root_blocks(t)`, computed when not given, so that checks at
+    several edges can share it)."""
+    u, v = edge
+    fine, coarse = root_blocks(contracted(t, edge)), blocks or root_blocks(t)
+    image: dict = {}  # a block of T/e -> the block of T its first mark lies in
+    for x, w in t.vertices:
+        block = fine[u if x == v else x]
+        if block is None:  # a simple root of T/e refines any block
+            continue
+        for i in range(w):
+            outer = (x, i) if coarse[x] is None else coarse[x]  # T's simple roots, one each
+            if image.setdefault(block, outer) != outer:
+                return False
+    return True
+
+
+def coarsens(fine: tuple[int, ...], coarse: tuple[int, ...]) -> bool:
+    """Whether the parts of `fine` group into blocks summing to the parts of
+    `coarse`: roots of multiplicities `fine` colliding into `coarse`.  A
+    brute-force search, one part at a time into a block with room for it."""
+    room = list(coarse)
+
+    def place(i: int) -> bool:
+        if i == len(fine):
+            return not any(room)
+        for j, r in enumerate(room):
+            if r >= fine[i] and r not in room[:j]:  # equal rooms are tried once
+                room[j] -= fine[i]
+                if place(i + 1):
+                    return True
+                room[j] += fine[i]
+        return False
+
+    return sum(fine) == sum(coarse) and place(0)
+
+
 def edge_is_ramified(t: WeightedTree, edge: tuple[int, int], table=None) -> bool:
     """An edge is ramified iff the subtree weight on either side is odd."""
     return side_weight(t, edge, edge[0], table) % 2 == 1

@@ -16,7 +16,7 @@ from hyperforms import (
     tree,
     validate_stable,
 )
-from hyperforms.trees import bfs
+from hyperforms.trees import MAX_LISTED, bfs
 from conftest import brute_force_census, dissymmetry_count, run_python, tree_centers
 
 
@@ -59,6 +59,20 @@ class TestEnumerate:
             enumerate_stable_trees(2)
         with pytest.raises(ValueError):
             enumerate_stable_trees(11)
+
+    def test_ceiling_is_the_last_m_listed_within_the_bound(self):
+        assert dissymmetry_count(census_mod.MAX_M) <= MAX_LISTED < dissymmetry_count(census_mod.MAX_M + 1)
+
+    def test_ceiling_admits_m_20_and_refuses_m_21_before_any_row(self, monkeypatch):
+        """Checked without building either census: the table builder only
+        records the m it is asked for."""
+        built = []
+        monkeypatch.setattr(census_mod, "_central_classes", lambda m: built.append(m) or [])
+        monkeypatch.setattr(census_mod, "_make_census", lambda m, classes: m)
+        assert enumerate_stable_trees(20, bound=40) == 20
+        with pytest.raises(ValueError, match=f"^m = 21 exceeds 20: more than {MAX_LISTED} classes to list$"):
+            enumerate_stable_trees(21, bound=40)
+        assert built == [20]
 
     @pytest.mark.parametrize("m", [10.0, "10", True], ids=["float", "str", "bool"])
     def test_rejects_non_integer_m(self, m):

@@ -16,8 +16,17 @@ from hyperforms import (
 from hyperforms.forms import BinaryFormClass, GitClass, classify
 
 from conftest import (
-    central_by_definition, half_weight_edge, is_central, random_stable_tree, relabeled, side_weight,
+    central_by_definition, coarsens, contracted, half_weight_edge, is_central, random_stable_tree,
+    relabeled, roots_refine, side_weight,
 )
+
+
+def edges_of_the_census(top: int = 12):
+    """(T, e) for every edge e of every stable class T with 4 <= m <= top."""
+    for m in range(4, top + 1):
+        for t in enumerate_stable_trees(m, bound=top).trees:
+            for e in t.edges:
+                yield t, e
 
 
 class TestCentralResult:
@@ -166,3 +175,38 @@ class TestContract:
                 continue
             assert form.degree == m
             assert all(2 * n < m for n in form.multiplicities)
+
+
+class TestDegeneration:
+    """Section 3's map respects degeneration: T/e, T with the edge e
+    contracted, is a more general curve, so f(T) lies in the closure of the
+    stratum of f(T/e).  Roots may collide from T/e to T, and never split."""
+
+    def test_brute_form_on_every_edge_to_m_12(self):
+        pairs = strict = semistable = 0
+        for t, e in edges_of_the_census():
+            general, special = contract_F_m(contracted(t, e)), contract_F_m(t)
+            pairs += 1
+            if general.semistable_point:
+                assert special.semistable_point, (t, e)
+            elif special.semistable_point:  # T lands on the semistable point
+                semistable += 1
+            else:
+                assert coarsens(general.multiplicities, special.multiplicities), (t, e, general, special)
+                strict += special != general
+        # counted, so that the check cannot pass on no edge or no collision
+        assert (pairs, strict, semistable) == (11630, 4020, 658)
+
+    def test_linear_form_on_every_edge_to_m_12(self):
+        pairs = 0
+        for t, e in edges_of_the_census():
+            assert roots_refine(t, e), (t, e)
+            pairs += 1
+        assert pairs == 11630
+
+    @pytest.mark.parametrize("fine, coarse, expected", [
+        ((3, 1, 1, 1), (3, 3), True), ((3, 1, 1, 1), (4, 2), True), ((2, 2, 2), (4, 2), True),
+        ((2, 2, 2), (3, 3), False), ((3, 3), (4, 2), False), ((5,), (5,), True), ((2, 1), (2, 2), False),
+    ])
+    def test_coarsening_search(self, fine, coarse, expected):
+        assert coarsens(fine, coarse) == expected

@@ -597,12 +597,15 @@ class TestErrors:
         (["reduce", "--chain"], {"exponents": [10000000001, 10000000001]},
          f"n = 10000000001 exceeds {MAX_LISTED}: the chain is too long to list"),
         (["enumerate", "--m", "100000000", "--bound", "100000000", "--format", "count"], None,
-         f"m = 100000000 exceeds {MAX_LISTED}: too many forest rows to list"),
+         f"m = 100000000 exceeds {census_mod.MAX_M}: more than {MAX_LISTED} classes to list"),
+        (["enumerate", "--m", "40", "--bound", "40", "--format", "count"], None,
+         f"m = 40 exceeds {census_mod.MAX_M}: more than {MAX_LISTED} classes to list"),
     ], ids=["contract", "map", "reduce-chain", "contract-below-maxsize", "reduce-chain-below-maxsize",
-            "enumerate-below-maxsize"])
+            "enumerate-below-maxsize", "enumerate-past-the-census-ceiling"])
     def test_list_longer_than_maxsize_exits_2(self, argv, doc, error):
         """A size past `MAX_LISTED`, whether or not it is past `sys.maxsize`,
-        is refused before a list of it is built.  The child process runs
+        or a census weight past `census.MAX_M`, is refused before a list of it
+        is built.  The child process runs
         under a 1 GiB address-space limit, so a regression that starts
         building the list ends in a MemoryError."""
         resource = pytest.importorskip("resource")
