@@ -10,6 +10,8 @@ trees of even weight 2g+2 this contraction is the map f_g to binary forms.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress, repeat
+from operator import ge
 
 from .forms import BinaryFormClass
 from .trees import (MAX_LISTED, WeightedTree, check, checked_make, complementary_subtree_weights,
@@ -34,18 +36,30 @@ class CentralResult(namedtuple("CentralResult", "vertex edge")):
         return {"kind": "central_vertex", "vertex": self.vertex}
 
 
-def _central(t: WeightedTree) -> tuple[CentralResult, list[int]]:
+def _central(t: WeightedTree) -> tuple[CentralResult, tuple[int, ...]]:
     """`find_central`, with the side weights at the central vertex that its
-    check computed (none for the half-weight edge)."""
+    check computed (none for the half-weight edge).
+
+    Kept with the tree's cached tables, as `_centre`, the way `validate_stable`
+    keeps its report: `find_central`, `contract_F_m` and `f_g_exponents`
+    scan a tree once between them."""
+    kept = t.__dict__.get("_centre")
+    if kept is not None:
+        return kept
     require_stable(t)
     m = t.m
     parent, below = t._rooted
-    v = min((u for u in below if 2 * below[u] >= m), key=below.__getitem__)
+    # 2 * w >= m, for integers, is w >= m - m // 2.
+    heavy = compress(below, map(ge, below.values(), repeat(m - m // 2)))
+    v = min(heavy, key=below.__getitem__)
     if 2 * below[v] == m:
-        return CentralResult(edge=tuple(sorted((parent[v], v)))), []
-    sides = complementary_subtree_weights(t, v)
-    check(all(2 * w < m for w in sides), "central vertex has a side weighing at least m/2")
-    return CentralResult(vertex=v), sides
+        kept = CentralResult(edge=tuple(sorted((parent[v], v)))), ()
+    else:
+        sides = complementary_subtree_weights(t, v)
+        check(all(2 * w < m for w in sides), "central vertex has a side weighing at least m/2")
+        kept = CentralResult(vertex=v), tuple(sides)
+    t.__dict__["_centre"] = kept
+    return kept
 
 
 def find_central(t: WeightedTree) -> CentralResult:
@@ -70,11 +84,10 @@ def contract_F_m(t: WeightedTree) -> BinaryFormClass:
     if result.edge is not None:
         return BinaryFormClass(semistable_point=True)
     simple = t.weight_of[result.vertex]
-    if simple > MAX_LISTED:  # refused before `[1] * simple` is built
+    if simple > MAX_LISTED:  # refused before `(1,) * simple` is built
         raise ValueError(f"central vertex weight {simple} exceeds {MAX_LISTED}: "
                          "too many simple roots to list")
-    mults = sides + [1] * simple
-    form = BinaryFormClass(mults)
+    form = BinaryFormClass(sides + (1,) * simple)
     check(form.degree == t.m, "contracted form degree differs from m")
     return form
 

@@ -1,7 +1,7 @@
 """Command-line interface: every operation on JSON inputs, JSON/DOT/text output.
 
-Exit codes: 0 success, 2 for schema violations or precondition failures,
-1 for an internal invariant breach (always a bug).
+Exit codes: 0 success, 2 for schema violations, precondition failures or
+running out of memory, 1 for an internal invariant breach (always a bug).
 """
 
 from __future__ import annotations
@@ -156,6 +156,8 @@ def main(argv=None) -> int:
         out, status = run(obj, args), 0
     except ValueError as exc:  # InputError and the tree errors included
         out, status = {"error": str(exc)}, 2
+    except MemoryError as exc:  # e.g. a census the address space cannot hold; freed by now
+        out, status = {"error": f"out of memory: {exc}" if str(exc) else "out of memory"}, 2
     except AssertionError as exc:
         out, status = {"error": f"internal inconsistency: {exc}"}, 1
     print(out if isinstance(out, str) else json.dumps(out, sort_keys=True))

@@ -10,7 +10,8 @@ pair of nodes.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import chain, groupby, permutations, product
+from itertools import chain, compress, groupby, permutations, product, starmap
+from operator import eq
 
 from .trees import WeightedTree, arithmetic_genus, bfs, check, require_even, without_collector
 
@@ -183,44 +184,75 @@ class StableHyperellipticModel(namedtuple("StableHyperellipticModel", "component
 def stable_model(c: CoverModel) -> StableHyperellipticModel:
     """Contract genus-0 components meeting the rest of the curve in 2 points.
 
-    The two attachment points are identified into one node, until every
-    genus-0 component has at least 3 special points.  Arithmetic genus is
-    preserved.  One pass in component order suffices: a contraction moves one
-    branch of each neighbour from the contracted component to the other
-    neighbour, so no special-point count changes, and a component that fails
-    the test at its turn never passes it later.
+    Such a soft component has genus 0, exactly two node ends and no
+    self-node.  Contracting one identifies its two attachment points into one
+    node, so no other component's count of node ends changes, and the soft
+    components are read off the cover once.  The nodes between two kept
+    components stay; each maximal chain of soft components becomes one node
+    between the kept anchors at its two ends, a self-node when they coincide,
+    and a chain of one needs no walk.  A closed cycle of soft components (a
+    whole curve of genus 1) keeps its last component in component order,
+    with one self-node: the one that contracting a component at a time, in
+    component order, leaves.  Arithmetic genus is preserved.
     """
-    genus = {comp.id: comp.genus for comp in c.components}
-    # links[a][b]: nodes from a to b, a self-node twice; a's special points are their sum.
-    links: dict[int, dict[int, int]] = {cid: {} for cid in genus}
-    for node in c.nodes:
-        a, b = node.components
-        ends_a, ends_b = links[a], links[b]
-        ends_a[b] = ends_a.get(b, 0) + 1
-        ends_b[a] = ends_b.get(a, 0) + 1
-
-    for cid, g in list(genus.items()):
-        ends = links[cid]
-        # Two attachments, both to other components: contract.
-        if g == 0 and cid not in ends and sum(ends.values()) == 2:
-            del genus[cid], links[cid]
-            # Two neighbours, or one met twice.
-            n1, n2 = ends if len(ends) == 2 else (*ends, *ends)
-            for x, y in ((n1, n2), (n2, n1)):
-                ends_x = links[x]
-                ends_x.pop(cid, None)  # every node to `cid` goes with it
-                ends_x[y] = ends_x.get(y, 0) + 1
+    pairs = [node.components for node in c.nodes]
+    ends = Counter(chain.from_iterable(pairs))
+    looped = {a for a, _ in compress(pairs, starmap(eq, pairs))}
+    soft = {cid for cid, _, _, _, genus in c.components
+            if not genus and ends[cid] == 2 and cid not in looped}
 
     nodes: list[tuple[int, int]] = []
-    for a, ends in links.items():
-        for b, mult in ends.items():
-            if a < b:
-                nodes += [(a, b)] * mult
-            elif a == b:  # a self-node is counted at both of its branches
-                nodes += [(a, a)] * (mult // 2)
+    # A soft component's two neighbours, one per node end.
+    link: dict[int, list[int]] = {cid: [] for cid in soft}
+    for pair in pairs:
+        a, b = pair
+        if a in soft:
+            link[a].append(b)
+            if b in soft:
+                link[b].append(a)
+        elif b in soft:
+            link[b].append(a)
+        else:
+            nodes.append(pair if a <= b else (b, a))
+
+    walked: set[int] = set()  # the members of the chains longer than one
+
+    def walk(prev: int, y: int) -> int:
+        """From soft `prev` on through its neighbour y: the first end that is not soft."""
+        while y in soft:
+            walked.add(y)
+            a, b = link[y]
+            prev, y = y, b if a == prev else a
+        return y
+
+    singles = 0
+    for cid, (x, y) in link.items():
+        if x in soft:
+            if y in soft:  # inside a chain, or on a closed cycle
+                continue
+            x, y = y, x
+        elif y not in soft:  # a chain of one
+            nodes.append((x, y) if x <= y else (y, x))
+            singles += 1
+            continue
+        if cid in walked:  # the far end of a chain already walked
+            continue
+        # `cid` ends a chain at anchor x: walk it to the anchor at its other end.
+        walked.add(cid)
+        y = walk(cid, y)
+        nodes.append((x, y) if x <= y else (y, x))
+
+    if len(walked) + singles < len(soft):  # what no chain reached lies on closed cycles
+        for comp in reversed(c.components):
+            cid = comp.id
+            if cid in soft and cid not in walked:
+                soft.discard(cid)  # kept, so the walk round the cycle ends back at it
+                walk(cid, link[cid][0])
+                nodes.append((cid, cid))
+
     nodes.sort()
     model = StableHyperellipticModel(
-        components=tuple(sorted(genus.items())),
+        components=tuple(sorted((comp.id, comp.genus) for comp in c.components if comp.id not in soft)),
         nodes=tuple(nodes),
         g=c.g,
     )

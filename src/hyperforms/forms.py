@@ -32,9 +32,11 @@ class BinaryFormClass(namedtuple("BinaryFormClass", "multiplicities semistable_p
         if not isinstance(semistable_point, bool):
             raise ValueError(f"semistable_point must be a boolean, got {semistable_point!r}")
         mults = tuple(multiplicities)
-        for n in mults:
-            if not is_int(n):
-                raise ValueError(f"multiplicities must be integers, got {n!r}")
+        # A bulk check first, as `WeightedTree` does; the loop runs only to name the offender.
+        if not set(map(type, mults)) <= {int}:
+            for n in mults:
+                if not is_int(n):
+                    raise ValueError(f"multiplicities must be integers, got {n!r}")
         mults = tuple(sorted(mults, reverse=True))
         if semistable_point:
             if mults:
@@ -42,7 +44,7 @@ class BinaryFormClass(namedtuple("BinaryFormClass", "multiplicities semistable_p
         else:
             if not mults:
                 raise ValueError("a form needs at least one root")
-            if any(n <= 0 for n in mults):
+            if mults[-1] <= 0:  # the least, sorted last
                 raise ValueError("multiplicities must be positive")
         return tuple.__new__(cls, (mults, semistable_point))
 

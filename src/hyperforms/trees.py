@@ -249,7 +249,8 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
     @cached_property
     def _stability(self) -> "StabilityReport":
         """`validate_stable`'s report, kept so that one scan serves every layer
-        that requires a stable tree."""
+        that requires a stable tree, and `validate_stable` itself.  The
+        central vertex is kept alike, as `_centre` (see `central._central`)."""
         return validate_stable(self)
 
     @property
@@ -332,12 +333,19 @@ StabilityReport = namedtuple("StabilityReport", "stable violations")
 
 
 def validate_stable(t: WeightedTree) -> StabilityReport:
-    """Check weight + degree >= 3 at every vertex."""
-    adj = t.adjacency
-    violations = tuple(
-        (v, w, len(adj[v])) for v, w in t.vertices if w + len(adj[v]) < 3
-    )
-    return StabilityReport(stable=not violations, violations=violations)
+    """Check weight + degree >= 3 at every vertex.
+
+    The report is kept with the tree's cached tables (`_stability`), so a
+    tree is scanned once, whichever asks first: this call or a layer that
+    requires a stable tree."""
+    report = t.__dict__.get("_stability")
+    if report is None:
+        adj = t.adjacency
+        violations = tuple(
+            (v, w, len(adj[v])) for v, w in t.vertices if w + len(adj[v]) < 3
+        )
+        report = t.__dict__["_stability"] = StabilityReport(stable=not violations, violations=violations)
+    return report
 
 
 def require_stable(t: WeightedTree) -> WeightedTree:

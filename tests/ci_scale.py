@@ -1,8 +1,9 @@
 """Scale checks one step past the suite: the m = 15 census documents and
 count, the m = 16 count under a memory and a time bound, the m = 14
 identities, the exponent-side square up to 2g+2 = 30, a stable model with 9!
-relabelings under a memory bound, and 10^5-vertex trees through
-`canonical_code`, five edge contractions and every tree command.
+relabelings under a memory bound, the closed-form stable model of a
+10^5-leaf star, and 10^5-vertex trees through `canonical_code`, five edge
+contractions and every tree command.
 
 The name does not match `test_*.py`, so a plain `pytest` run leaves this
 module out; pytest collects it only when it is named on the command line:
@@ -142,6 +143,22 @@ def test_model_code_of_nine_same_genus_components_under_1_mb():
     assert peak < 10**6, f"{peak} bytes held while coding, bound 1 MB"
     for seed in range(3):
         assert stable_model(build_cover(relabeled(star, seed))).canonical_code() == code, seed
+
+
+def test_star_model_has_its_closed_form_at_10_5_leaves():
+    # Every leaf of weight 2 is one genus-0 component meeting the centre's two
+    # sheets once each, a chain of one: the model is the two sheets joined by 10^5 nodes.
+    cover = build_cover(star_tree(0, *[2] * N))
+    sheets = tuple(c.id for c in cover.components if c.base_vertex == 0)
+    leaves = [c.id for c in cover.components if c.base_vertex != 0]
+    assert len(sheets) == 2 and len(leaves) == N
+    assert sorted(n.components for n in cover.nodes) == sorted((s, cid) for s in sheets for cid in leaves)
+    start = time.perf_counter()
+    model = stable_model(cover)
+    print(f"star: stable model of {len(cover.components)} components in {time.perf_counter() - start:.3f} s")
+    assert model.components == tuple((cid, 0) for cid in sheets)
+    assert model.nodes == (sheets,) * N
+    assert model.g == N - 1
 
 
 def test_canonical_codes_at_10_5_vertices_each_under_2_s(big_trees):

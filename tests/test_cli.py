@@ -619,6 +619,16 @@ class TestErrors:
         assert (proc.returncode, proc.stderr) == (2, "")
         assert proc.stdout == json.dumps({"error": error}) + "\n"
 
+    def test_census_out_of_memory_exits_2(self, run, monkeypatch):
+        """A census the address space cannot hold (m = 19 under 1 GiB) ends in
+        one error document and exit 2, not a traceback and exit 1."""
+        def exhausted(m):
+            raise MemoryError
+
+        monkeypatch.setattr(census_mod, "_central_classes", exhausted)
+        status, out = run(["enumerate", "--m", "19", "--bound", "19", "--format", "count"])
+        assert (status, out) == (2, '{"error": "out of memory"}\n')
+
     def test_bad_reduce_input_exits_2(self, run):
         status, out = run(["reduce"], stdin=json.dumps({"exponents": [3, 1]}))
         assert status == 2

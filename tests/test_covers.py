@@ -468,7 +468,41 @@ class TestStableModelOffThePipeline:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("k", range(1, 6))
     def test_unanchored_cycle_keeps_one_self_node(self, k, seed):
-        model = self.check(cycle_cover(k, False, seed))
+        cover = cycle_cover(k, False, seed)
+        model = self.check(cover)
         assert len(model.components) == 1
         (cid, genus), = model.components
         assert genus == 0 and model.nodes == ((cid, cid),)
+        assert cid == cover.components[-1].id  # the last one in component order stays
+
+    def test_several_chains_between_one_pair_of_anchors(self):
+        # anchors 10 and 20, joined directly and by soft chains of 1, 2 and 3
+        chains = [[], [31], [41, 42], [51, 52, 53]]
+        genus = {10: 1, 20: 2, **{cid: 0 for ids in chains for cid in ids}}
+        pairs = [pair for ids in chains for pair in zip([10, *ids], [*ids, 20])]
+        for seed in range(4):
+            model = self.check(hand_cover(genus, pairs, seed))
+            assert model.components == ((10, 1), (20, 2))
+            assert model.nodes == ((10, 20),) * 4
+
+    def test_parallel_nodes_and_self_nodes_in_the_input(self):
+        # 1 meets anchor 0 twice (a self-node on 0), 2 has a self-node and one
+        # node more (kept), and 3 sits between 2 and 0 (contracted)
+        genus = {0: 1, 1: 0, 2: 0, 3: 0}
+        pairs = [(0, 1), (1, 0), (2, 2), (2, 3), (3, 0)]
+        for seed in range(4):
+            model = self.check(hand_cover(genus, pairs, seed))
+            assert model.components == ((0, 1), (2, 0))
+            assert model.nodes == ((0, 0), (0, 2), (2, 2))
+
+    @given(st.data())
+    def test_random_hand_covers(self, data):
+        """Ids that are not positions, a shuffled component order, both node
+        orientations, parallel nodes, self-nodes and genus-0 cycles."""
+        k = data.draw(st.integers(1, 8), label="k")
+        ids = data.draw(st.lists(st.integers(0, 99), min_size=k, max_size=k, unique=True), label="ids")
+        genus = {cid: data.draw(st.sampled_from([0, 0, 0, 1, 2])) for cid in ids}
+        spanning = [(ids[i], ids[data.draw(st.integers(0, i - 1))]) for i in range(1, k)]
+        extra = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=4))
+        pairs = data.draw(st.permutations(spanning + extra), label="pairs")
+        self.check(hand_cover(genus, pairs, data.draw(st.integers(0, 2**16), label="seed")))

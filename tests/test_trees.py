@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperforms.central as central_mod
 import hyperforms.trees as trees_mod
 from hyperforms import (
+    CentralResult,
     InvalidTreeError,
     InvariantError,
     UnstableTreeError,
@@ -26,6 +28,7 @@ from hyperforms import (
     validate_stable,
 )
 from hyperforms.cli import InputError, _read_input
+from hyperforms.forms import BinaryFormClass
 from hyperforms.trees import bfs, pair_table
 from conftest import (
     breadth_first_parents,
@@ -194,6 +197,57 @@ class TestOneWalk:
         assert walks == []
         assert complementary_subtree_weights(t, 3) == [4]
         assert walks == [0]
+
+
+class TestOneScan:
+    """Each per-tree fact is computed once and kept with the tree's tables."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Every `CentralResult` and `StabilityReport` built from here on: one per scan."""
+        made = {"centre": 0, "stability": 0}
+
+        def counting(key, record):
+            def build(*args, **kwargs):
+                made[key] += 1
+                return record(*args, **kwargs)
+            return build
+
+        monkeypatch.setattr(central_mod, "CentralResult", counting("centre", central_mod.CentralResult))
+        monkeypatch.setattr(trees_mod, "StabilityReport", counting("stability", trees_mod.StabilityReport))
+        return made
+
+    @pytest.mark.parametrize("weights", [(3, 2, 3), (2, 2)], ids=["vertex", "edge"])
+    def test_centre_is_scanned_once(self, made, weights):
+        t = path_tree(*weights)
+        central = find_central(t)
+        form = contract_F_m(t)
+        assert f_g_exponents(t) == form and find_central(t) == central
+        assert made == {"centre": 1, "stability": 1}
+
+    def test_validate_stable_then_build_cover_scans_once(self, made):
+        t = path_tree(3, 2, 3)
+        report = validate_stable(t)
+        build_cover(t)
+        assert validate_stable(t) is report
+        assert made == {"centre": 0, "stability": 1}
+
+    def test_unstable_tree_is_scanned_once(self, made):
+        t = path_tree(1, 5)
+        assert not validate_stable(t).stable
+        for layer in (find_central, contract_F_m, build_cover):
+            with pytest.raises(UnstableTreeError):
+                layer(t)
+        assert made == {"centre": 0, "stability": 1}
+
+    def test_grown_tree_computes_both_on_first_use(self, made):
+        t = WeightedTree._grown([0, 2, 2, 2], [0, 0, 0], pair_table(6))
+        assert "_centre" not in t.__dict__ and "_stability" not in t.__dict__
+        assert made == {"centre": 0, "stability": 0}
+        assert contract_F_m(t) == BinaryFormClass([2, 2, 2])
+        assert find_central(t) == CentralResult(vertex=0)
+        assert f_g_exponents(t) == BinaryFormClass([2, 2, 2])
+        assert made == {"centre": 1, "stability": 1}
 
 
 class TestStability:
