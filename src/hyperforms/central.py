@@ -48,12 +48,13 @@ def _central(t: WeightedTree) -> tuple[CentralResult, tuple[int, ...]]:
         return kept
     require_stable(t)
     m = t.m
-    parent, below = t._rooted
+    _, parent, below, _, _ = t._rooted
     # 2 * w >= m, for integers, is w >= m - m // 2.
-    heavy = compress(below, map(ge, below.values(), repeat(m - m // 2)))
-    v = min(heavy, key=below.__getitem__)
-    if 2 * below[v] == m:
-        kept = CentralResult(edge=tuple(sorted((parent[v], v)))), ()
+    heavy = compress(range(len(below)), map(ge, below, repeat(m - m // 2)))
+    i = min(heavy, key=below.__getitem__)  # a position; ids only from here on
+    v = t.vertices[i][0]
+    if 2 * below[i] == m:
+        kept = CentralResult(edge=tuple(sorted((t.vertices[parent[i]][0], v)))), ()
     else:
         sides = complementary_subtree_weights(t, v)
         check(all(2 * w < m for w in sides), "central vertex has a side weighing at least m/2")

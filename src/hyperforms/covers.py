@@ -67,46 +67,46 @@ def build_cover(t: WeightedTree) -> CoverModel:
     collector never untracks, and it makes no reference cycles.  The caller's
     setting comes back afterwards, on success and on every error.
 
-    Each edge's parity is read once from the tree's rooted table: the edge is
-    ramified iff the weight below its lower end is odd, and a ramified edge
-    adds one branch point at each end.  The cover graph's adjacency is built
-    with its nodes, for the one connectivity walk.
+    Each edge's parity is read once from the tree's rooted table, on
+    positions: the edge is ramified iff the weight below its lower end is
+    odd, and a ramified edge adds one branch point at each end.  The cover
+    graph's adjacency is built with its nodes, for the one connectivity walk.
     """
     g = require_even(t)
-    parent, below = t._rooted
-    branch = dict(t.weight_of)
+    _, parent, below, _, ends = t._rooted  # on positions: vertex i is `t.vertices[i]`
+    branch = [w for _, w in t.vertices]
     ramified: list[int] = []
-    for a, b in t.edges:
+    for a, b in ends:
         odd = below[a if parent[a] == b else b] & 1
         ramified.append(odd)
         if odd:
             branch[a] += 1
             branch[b] += 1
 
-    check(all(bc % 2 == 0 for bc in branch.values()), "branch count must be even")
+    check(all(bc % 2 == 0 for bc in branch), "branch count must be even")
     new = tuple.__new__  # records built as `_grown` builds trees: no per-field call
     components: list[CoverComponent] = []
-    # Base vertex -> (first, last) component over it: sheets 0 and 1 over an
-    # unbranched vertex, the one component twice over a branched one.
-    over: dict[int, tuple[int, int]] = {}
+    # Base vertex position -> (first, last) component over it: sheets 0 and 1
+    # over an unbranched vertex, the one component twice over a branched one.
+    over: list[tuple[int, int]] = []
     cid = 0
-    for v, bc in branch.items():
+    for (v, _), bc in zip(t.vertices, branch):
         if bc:
             components.append(new(CoverComponent, (cid, v, None, bc, bc // 2 - 1)))
-            over[v] = (cid, cid)
+            over.append((cid, cid))
             cid += 1
         else:
             components.append(new(CoverComponent, (cid, v, 0, 0, 0)))
             components.append(new(CoverComponent, (cid + 1, v, 1, 0, 0)))
-            over[v] = (cid, cid + 1)
+            over.append((cid, cid + 1))
             cid += 2
 
     # Split nodes over an unbranched vertex go one to each sheet; between two
     # unbranched vertices the sheets are matched first-to-first, last-to-last.
     nodes: list[CoverNode] = []
     adj: list[list[int]] = [[] for _ in components]  # component ids are positions
-    for edge, odd in zip(t.edges, ramified):
-        (a, a1), (b, b1) = over[edge[0]], over[edge[1]]
+    for edge, (a, b), odd in zip(t.edges, ends, ramified):
+        (a, a1), (b, b1) = over[a], over[b]
         adj[a].append(b)
         adj[b].append(a)
         if odd:

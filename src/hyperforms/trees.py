@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import gc
 import json
-from bisect import bisect
+from bisect import bisect, bisect_left
 from collections import deque, namedtuple
 from functools import cached_property, wraps
-from itertools import chain, islice, starmap
+from itertools import chain, compress, islice, repeat, starmap
 from operator import eq, getitem, itemgetter
 
 DEFAULT_BOUND = 10  # the census's default cap on m; here so the CLI parser need not load it
@@ -81,10 +81,9 @@ CanonicalCode = tuple[int, ...]
 def bfs(adj, root: int) -> tuple[list[int], dict]:
     """Breadth-first order from `root` and each reached vertex's parent.
 
-    The root's parent is None.  Two walks go through here: a tree's one walk,
-    which roots its side-weight table, and `build_cover`'s connectivity check,
-    over lists indexed by component id.  The other traversals have their own
-    loops: `canonical_code` peels leaves, and the census walks its tails.
+    The root's parent is None.  One walk goes through here: `build_cover`'s
+    connectivity check, over lists indexed by component id.  A tree is walked
+    once, by its leaf peel (`peel`), and the census walks its tails.
     """
     parent: dict = {root: None}
     order = [root]
@@ -126,6 +125,53 @@ def pair_table(m: int) -> PairTable:
         [[(v, w) for w in range(m + 1)] for v in range(m + 1)],
         [[(p, c) for p in range(c)] for c in range(1, m + 1)],
     )
+
+
+# A tree's one walk, on positions: vertex i is `vertices[i]`.  `order` lists
+# the positions as peeled, leaves first and the root last; `parent` holds each
+# vertex's parent (-1 at the root), `below` its subtree weight and `degree` its
+# degree; `edges` are the tree's edges on positions.
+Rooted = namedtuple("Rooted", "order parent below degree edges")
+
+
+def peel(vertices: tuple, edges: tuple) -> Rooted:
+    """The rooted table of a graph with distinct sorted ids and len(vertices) - 1
+    edges, by one FIFO peel of leaves: it reaches every vertex exactly when the
+    graph is a tree, and otherwise stops short.
+
+    One pass over the edges counts degrees and XORs each vertex's neighbour
+    positions together.  A leaf's XOR is then its one unpeeled neighbour, its
+    parent; peeling it XORs it out of the parent's, so the table that finds
+    the parents also keeps them.  Ids 0..n-1 are their own positions, and
+    their edges are read as they are; other ids are mapped once.
+    """
+    n = len(vertices)
+    if vertices[0][0] == 0 and vertices[-1][0] == n - 1:  # sorted distinct ids: exactly 0..n-1
+        ends = edges
+    else:
+        at = {v: i for i, (v, _) in enumerate(vertices)}
+        ends = [(at[a], at[b]) for a, b in edges]
+    degree = [0] * n
+    parent = [0] * n  # the XOR of the neighbours not yet peeled
+    for a, b in ends:
+        degree[a] += 1
+        degree[b] += 1
+        parent[a] ^= b
+        parent[b] ^= a
+    left = degree.copy()
+    below = [w for _, w in vertices]
+    order = [v for v in range(n) if degree[v] < 2]  # degree 0 only when n == 1
+    for v in order:  # the list grows while it is read, so it is the queue
+        if not left[v]:  # every neighbour peeled: the root, or in a non-tree a component's last
+            parent[v] = -1
+            break
+        u = parent[v]
+        below[u] += below[v]
+        parent[u] ^= v
+        left[u] -= 1
+        if left[u] == 1:
+            order.append(u)
+    return tuple.__new__(Rooted, (order, parent, below, degree, ends))  # no per-field call
 
 
 class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
@@ -176,7 +222,7 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
             raise InvalidTreeError("edge count does not match a tree")
         self = tuple.__new__(cls, (verts, edges))
         self.__dict__["weight_of"] = weight_of  # the `cached_property` table, filled here
-        if len(self._rooted[0]) != len(verts):  # the walk reached every vertex
+        if len(self._rooted.order) != len(verts):  # the peel reached every vertex
             raise InvalidTreeError("graph is disconnected")
         return self
 
@@ -194,8 +240,9 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         (`up[v - 1] < v`, so the ids form a tree) and the parents never
         decrease, starting from 0.  Then the edges (up[v - 1], v) come out in
         ascending order, already the sorted normal form of `__new__`, so they
-        are not sorted.  `adjacency` is built from `edges` on first use, like
-        every other cached table.
+        are not sorted.  The ids are 0..n-1, so they are the peel's positions
+        as they are; the peel (`_rooted`) runs on first use, like every other
+        cached table, and `adjacency` is built only if a caller asks for it.
 
         The vertex pairs (v, weights[v]) and edge pairs (up[v - 1], v) are
         looked up in `pairs`, a `pair_table` shared by every tree of one
@@ -237,14 +284,11 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         return sum(w for _, w in self.vertices)
 
     @cached_property
-    def _rooted(self) -> tuple[dict, dict[int, int]]:
-        """Parent and subtree weight of every vertex, rooted at the first id:
-        the tree's one walk, which `__new__` also reads to prove it connected."""
-        order, parent = bfs(self.adjacency, self.vertices[0][0])
-        below = dict(self.weight_of)
-        for v in order[:0:-1]:  # children before parents, root excluded
-            below[parent[v]] += below[v]
-        return parent, below
+    def _rooted(self) -> Rooted:
+        """The tree's one walk (`peel`), which `__new__` also reads to prove it
+        a tree, and which serves the degrees, side weights, cover parities and
+        canonical code."""
+        return peel(self.vertices, self.edges)
 
     @cached_property
     def _stability(self) -> "StabilityReport":
@@ -340,9 +384,8 @@ def validate_stable(t: WeightedTree) -> StabilityReport:
     requires a stable tree."""
     report = t.__dict__.get("_stability")
     if report is None:
-        adj = t.adjacency
         violations = tuple(
-            (v, w, len(adj[v])) for v, w in t.vertices if w + len(adj[v]) < 3
+            (v, w, d) for (v, w), d in zip(t.vertices, t._rooted.degree) if w + d < 3
         )
         report = t.__dict__["_stability"] = StabilityReport(stable=not violations, violations=violations)
     return report
@@ -372,13 +415,25 @@ def require_even(t: WeightedTree) -> int:
 def complementary_subtree_weights(t: WeightedTree, v: int) -> list[int]:
     """Weights of the subtrees hanging off each edge at `v`, sorted.
 
-    Read off the rooted table: a child's side weighs its subtree, and the
-    parent's side weighs the rest of the tree.
+    Read off the rooted table by position: a child's side weighs its subtree,
+    and the parent's side, which the root lacks, weighs the rest of the tree.
+    The children are found by one C-level scan of the parent table, so each
+    call is O(n).
     """
-    neighbors = t.neighbors(v)
-    parent, below = t._rooted
-    up, rest = parent[v], t.m - below[v]
-    return sorted(rest if u == up else below[u] for u in neighbors)
+    verts = t.vertices
+    try:  # the position of `v`, by bisection: (v, w) sorts after (v,) and before any larger id
+        i = bisect_left(verts, (v,))
+        known = verts[i][0] == v
+    except (IndexError, TypeError):  # past the last id, or an id that does not compare with them
+        known = False
+    if not known:
+        raise InvalidTreeError(f"unknown vertex id {v}")
+    _, parent, below, _, _ = t._rooted
+    sides = [*compress(below, map(eq, parent, repeat(i)))]
+    if parent[i] >= 0:
+        sides.append(t.m - below[i])
+    sides.sort()
+    return sides
 
 
 # -- canonical encoding ---------------------------------------------------
@@ -438,34 +493,35 @@ def canonical_code(t: WeightedTree) -> CanonicalCode:
     `two_centre_code`, given the lighter one first, keeps the smaller rooted
     code; each vertex is encoded as by `rooted_code`.
 
-    One leaf-peeling pass: leaves are peeled layer by layer, and each peeled
-    vertex's code goes to its one remaining neighbour.  The one or two
-    vertices left are the centers.  Each token is copied O(log n) times on n
-    vertices: once per layer in the first log2(n) layers (`rooted_code`), then
-    only into a code at least twice as long, or once into a deque that
-    `_extended_code` extends in place.
+    The codes are built along the tree's one leaf peel (`_rooted`): each
+    peeled vertex's code goes to its parent.  The FIFO peel takes the leaves
+    layer by layer, so a vertex's layer is one above its last-peeled child's.
+    The root is peeled last and is a center; its last child, peeled just
+    before it, is the other center exactly when the two share a layer, that
+    is, when the root's other children put it in that child's layer.  Each
+    token is copied O(log n) times on n vertices: once per layer in the first
+    log2(n) layers (`rooted_code`), then only into a code at least twice as
+    long, or once into a deque that `_extended_code` extends in place.
     """
-    adj, weight = t.adjacency, t.weight_of
-
-    kids: dict[int, list] = {v: [] for v in adj}
-    layer = [v for v, ns in adj.items() if len(ns) == 1]
-    build, copying = rooted_code, len(adj).bit_length()
-    while len(kids) > 2:
-        peeled = layer
-        layer = []
-        build = build if copying else _extended_code
-        copying -= 1
-        for v in peeled:
-            below = kids.pop(v)
-            for u in adj[v]:
-                if u in kids:  # the one neighbour not yet peeled
-                    break
-            above = kids[u]
-            above.append(build(weight[v], below))
-            if len(above) == len(adj[u]) - 1:
-                layer.append(u)
-    if len(kids) == 1:
-        ((c, below),) = kids.items()
-        return tuple(build(weight[c], below))
-    (a, below_a), (b, below_b) = sorted(((weight[v], [*map(tuple, kids[v])]) for v in kids), key=itemgetter(0))
-    return two_centre_code(a, below_a, b, below_b, rooted_code(b, below_b))
+    order, parent, _, _, _ = t._rooted
+    weight = [w for _, w in t.vertices]
+    n = len(order)
+    kids: list[list] = [[] for _ in order]
+    height = [0] * n
+    copying = n.bit_length()  # layers below this are coded by `rooted_code`
+    for v in order[:-2]:  # all but the last two
+        h = height[v]
+        u = parent[v]
+        kids[u].append((rooted_code if h < copying else _extended_code)(weight[v], kids[v]))
+        height[u] = 1 + h  # one above its last-peeled child
+    c = order[-1]
+    if n > 1:
+        a = order[-2]  # the root's last child; the root's height does not count it yet
+        if height[a] == height[c]:  # two centers
+            (wa, below_a), (wb, below_b) = sorted(
+                ((weight[v], [*map(tuple, kids[v])]) for v in (a, c)), key=itemgetter(0))
+            return two_centre_code(wa, below_a, wb, below_b, rooted_code(wb, below_b))
+        build = rooted_code if height[a] < copying else _extended_code
+        kids[c].append(build(weight[a], kids[a]))
+        return tuple(build(weight[c], kids[c]))
+    return rooted_code(weight[c], kids[c])

@@ -2,8 +2,9 @@
 count, the m = 16 count under a memory and a time bound, the m = 14
 identities, the exponent-side square up to 2g+2 = 30, a stable model with 9!
 relabelings under a memory bound, the closed-form stable model of a
-10^5-leaf star, and 10^5-vertex trees through `canonical_code`, five edge
-contractions and every tree command.
+10^5-leaf star, and 10^5-vertex trees through `from_dict` against
+`json.loads`, `canonical_code`, five edge contractions and every tree
+command, with the peak RSS of `stability` on one of them.
 
 The name does not match `test_*.py`, so a plain `pytest` run leaves this
 module out; pytest collects it only when it is named on the command line:
@@ -16,6 +17,7 @@ the slowest run measured there.
 
 import gc
 import hashlib
+import json
 import os
 import random
 import resource
@@ -24,16 +26,17 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from hyperforms import (
-    CentralResult, build_cover, canonical_code, classify_stratum, enumerate_stable_trees, find_central,
+    CentralResult, WeightedTree, build_cover, canonical_code, classify_stratum, enumerate_stable_trees, find_central,
     path_tree, stable_model, star_tree, tree,
 )
 from conftest import (
     check_branch_identity, check_exponent_square, checkout_env, dissymmetry_count, random_stable_tree,
-    relabeled, root_blocks, roots_refine, square_partitions, traced_peak,
+    relabeled, root_blocks, roots_refine, run_python, square_partitions, traced_peak,
 )
 
 N = 10**5
@@ -53,35 +56,59 @@ def big_trees() -> list:
             ("random", random_stable_tree(1, n=N))]
 
 
+def measured(args: list[str]) -> tuple[int, str, str, float, float]:
+    """Exit code, stdout, stderr, wall seconds and peak RSS in MB of one child.
+
+    `os.wait4` reads this one child's peak RSS; RUSAGE_CHILDREN would read the largest
+    child this process ever waited for.  Linux starts a child's reading at the peak of
+    the process that spawns it, so the tests that read it run first, before this
+    process holds a census or a big tree, and their messages report that floor."""
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=err, text=True, env=checkout_env())
+        with proc.stdout:
+            stdout = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        err.seek(0)
+        stderr = err.read().decode(errors="replace")
+    return os.waitstatus_to_exitcode(status), stdout, stderr, wall, usage.ru_maxrss / 1024  # KiB on Linux
+
+
 def test_census_count_at_m16_under_a_memory_and_a_time_bound():
     # measured on a shared 2-core VM: 89 MB and 1.5 s (medians of 8) since the tail
     # multisets come from one forest table (92 MB and 1.6 s before, in the same runs);
     # 94 MB and 1.8 s (medians of 3) since a two-centre class builds one candidate code
     # (2.1 s before); 198 MB and 3.5 s when each tree allocated its own vertex and edge pairs
-    #
-    # `os.wait4` reads this one child's peak RSS; RUSAGE_CHILDREN would read the largest
-    # child this process ever waited for.  Linux starts a child's reading at the peak of
-    # the process that spawns it, so this test runs first, before this process holds a
-    # census, and its messages report that floor.
     floor_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    with tempfile.TemporaryFile() as err:
-        start = time.perf_counter()
-        proc = subprocess.Popen(cli("enumerate", "--m", "16", "--bound", "16", "--format", "count"),
-                                stdout=subprocess.PIPE, stderr=err, text=True, env=checkout_env())
-        with proc.stdout:
-            stdout = proc.stdout.read()
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        err.seek(0)
-        stderr = err.read().decode(errors="replace")
-    peak_mb = usage.ru_maxrss / 1024  # KiB on Linux
-    print(f"m = 16 count: exit {proc.returncode} in {wall:.2f} s, peak RSS {peak_mb:.0f} MB,"
+    returncode, stdout, stderr, wall, peak_mb = measured(
+        cli("enumerate", "--m", "16", "--bound", "16", "--format", "count"))
+    print(f"m = 16 count: exit {returncode} in {wall:.2f} s, peak RSS {peak_mb:.0f} MB,"
           f" floor {floor_mb:.0f} MB")
-    assert proc.returncode == 0, stderr[-2000:]
+    assert returncode == 0, stderr[-2000:]
     assert stdout == "92949\n", stdout
     assert peak_mb < 140, f"peak RSS {peak_mb:.0f} MB, bound 140 MB, floor {floor_mb:.0f} MB"
     assert wall < 8, f"{wall:.2f} s, bound 8 s"
+
+
+def test_stability_of_a_10_5_vertex_tree_under_110_mb(tmp_path):
+    # ROADMAP item 22: a tree walked once, on positions.  Peak RSS of `stability` on
+    # random_stable_tree(1, n=10**5), whose ids are shuffled, on a shared 2-core VM:
+    # 104 MB before the leaf peel (an id-keyed adjacency, walk and side-weight
+    # table), 98 MB with it, in 3 of 3 runs each.  A child writes the document, so
+    # this process's peak, where the reading starts, stays at its floor.
+    floor_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    path = tmp_path / "random.json"
+    tests = str(Path(__file__).resolve().parent)
+    made = run_python(f"import sys; sys.path.insert(0, {tests!r}); from conftest import random_stable_tree; "
+                      f"open({str(path)!r}, 'w').write(random_stable_tree(1, n={N}).to_json())")
+    assert made.returncode == 0, made.stderr[-2000:]
+    returncode, stdout, stderr, wall, peak_mb = measured(cli("stability", "--input", str(path)))
+    print(f"random stability: exit {returncode} in {wall:.2f} s, peak RSS {peak_mb:.0f} MB"
+          f" (104 MB before the leaf peel, 98 MB with it), floor {floor_mb:.0f} MB")
+    assert returncode == 0, stderr[-2000:]
+    assert stdout.startswith('{"stable": true'), stdout[:200]
+    assert peak_mb < 110, f"peak RSS {peak_mb:.0f} MB, bound 110 MB, floor {floor_mb:.0f} MB"
 
 
 def test_census_codes_roots_and_documents_at_m15():
@@ -171,6 +198,27 @@ def test_canonical_codes_at_10_5_vertices_each_under_2_s(big_trees):
         assert len(code) == 3 * N, name
         slow += [name] * (wall >= 2)
     assert not slow, f"2 s or more: {slow}"
+
+
+def test_from_dict_at_10_5_vertices_within_4_json_loads(big_trees):
+    # ROADMAP item 22: reading a tree is one bulk check and one leaf peel on
+    # positions, so it costs a small multiple of parsing its JSON text.  Best of 3
+    # of each, on random_stable_tree(1, n=10**5), on a shared 2-core VM, in 3 runs:
+    # 3.4-3.6 before the leaf peel, 1.6-2.0 with it.
+    text = dict(big_trees)["random"].to_json()
+    timings = {}
+    for name, work in (("json.loads", lambda: json.loads(text)),
+                       ("from_dict", lambda doc=json.loads(text): WeightedTree.from_dict(doc))):
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            work()
+            best = min(best, time.perf_counter() - start)
+        timings[name] = best
+    ratio = timings["from_dict"] / timings["json.loads"]
+    print(f"random: from_dict {timings['from_dict']:.3f} s, json.loads {timings['json.loads']:.3f} s,"
+          f" ratio {ratio:.2f} (3.4-3.6 before the leaf peel, 1.6-2.0 with it)")
+    assert ratio <= 4, f"from_dict takes {ratio:.2f} times json.loads, bound 4"
 
 
 def test_roots_refine_along_five_seeded_edges_at_10_5_vertices(big_trees):

@@ -1,4 +1,5 @@
 import ast
+import random
 import re
 from itertools import chain
 from pathlib import Path
@@ -23,13 +24,14 @@ from hyperforms import (
     f_g_exponents,
     find_central,
     path_tree,
+    stable_model,
     star_tree,
     tree,
     validate_stable,
 )
 from hyperforms.cli import InputError, _read_input
 from hyperforms.forms import BinaryFormClass
-from hyperforms.trees import bfs, pair_table
+from hyperforms.trees import pair_table, peel
 from conftest import (
     breadth_first_parents,
     brute_isomorphic,
@@ -87,6 +89,27 @@ class TestStructure:
         # As many edges as a tree on four vertices, but one vertex unreached.
         with pytest.raises(InvalidTreeError, match="^graph is disconnected$"):
             tree({0: 1, 1: 1, 2: 1, 3: 3}, [(0, 1), (1, 2), (0, 2)])
+
+    # n - 1 edges, a cycle and a separate tree: the peel finishes the tree part
+    # and must stop there, never reading a cycle vertex as a peeled one's parent.
+    # Offset 0 gives ids 0..n-1, read as positions; the others are mapped.
+    @pytest.mark.parametrize("offset", [0, 1, 10**6, -10**6], ids=["ids", "from-1", "shifted", "negative"])
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]),
+            (7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (5, 6)]),
+        ],
+        ids=["four-cycle-plus-edge", "triangle-with-pendant-path-plus-path"],
+    )
+    def test_rejects_cycle_plus_separate_tree(self, n, edges, offset):
+        weights = {offset + v: 2 for v in range(n)}
+        with pytest.raises(InvalidTreeError, match="^graph is disconnected$"):
+            tree(weights, [(offset + a, offset + b) for a, b in edges])
+        # and with the separate tree on the lowest ids, so that it is peeled first
+        flip = {v: n - 1 - v for v in range(n)}
+        with pytest.raises(InvalidTreeError, match="^graph is disconnected$"):
+            tree(weights, [(offset + flip[a], offset + flip[b]) for a, b in edges])
 
     # A tree's JSON text is parsed where the CLI reads it, in `cli._read_input`.
     def test_from_json_rejects_invalid_json(self, tmp_path):
@@ -171,32 +194,44 @@ class TestErrorPrecedence:
 class TestOneWalk:
     @pytest.fixture
     def walks(self, monkeypatch):
-        """Root of every `bfs` the tree layer runs from here on."""
-        roots = []
+        """Vertex count of every leaf peel the tree layer runs from here on."""
+        counts = []
 
-        def counted(adj, root):
-            roots.append(root)
-            return bfs(adj, root)
+        def counted(vertices, edges):
+            counts.append(len(vertices))
+            return peel(vertices, edges)
 
-        monkeypatch.setattr(trees_mod, "bfs", counted)
-        return roots
+        monkeypatch.setattr(trees_mod, "peel", counted)
+        return counts
 
-    def test_from_dict_then_side_weight_walks_once(self, walks):
-        t = WeightedTree.from_dict(
+    @staticmethod
+    def from_dict():
+        return WeightedTree.from_dict(
             {
                 "vertices": [{"id": i, "weight": w} for i, w in enumerate([2, 1, 1, 2])],
                 "edges": [[0, 1], [1, 2], [2, 3]],
             }
         )
+
+    def test_from_dict_then_side_weight_walks_once(self, walks):
+        t = self.from_dict()
         assert complementary_subtree_weights(t, 1) == [2, 3]
         assert complementary_subtree_weights(t, 2) == [2, 3]
-        assert walks == [0]
+        assert walks == [4]
 
     def test_grown_tree_walks_on_first_use(self, walks):
         t = WeightedTree._grown([0, 2, 2, 2], [0, 0, 0], pair_table(6))
         assert walks == []
         assert complementary_subtree_weights(t, 3) == [4]
-        assert walks == [0]
+        assert walks == [4]
+
+    def test_canonical_code_after_from_dict_does_not_walk_again(self, walks):
+        t = self.from_dict()
+        assert walks == [4]
+        assert canonical_code(t) == (-1, 1, -1, 1, -1, 2, -2, -2, -1, 2, -2, -2)
+        assert validate_stable(t).stable and find_central(t) == CentralResult(edge=(1, 2))
+        build_cover(t)
+        assert walks == [4] and "adjacency" not in t.__dict__
 
 
 class TestOneScan:
@@ -482,6 +517,106 @@ class TestLeafPeelingCode:
             return (-1, 1) * j + (-1, 2, -2, -2) * j
         expected = (-1, 1, *side(k // 2), *side(k // 2 - 1), -1, 2, -2, -2)
         assert canonical_code(caterpillar(k)) == expected
+
+
+def id_copies(t: WeightedTree, seed: int):
+    """(name, copy, back) for four copies of `t`: ids 0..n-1 in the order of
+    `t`'s ids, which are read as positions, and three that are mapped: shuffled
+    ids that miss 0..4, ids shifted by 10**6, and negative ids in reverse
+    order.  `back` maps a copy's ids to those of `t`."""
+    ids = t.ids
+    n = len(ids)
+    new = {
+        "ids": range(n),
+        "shuffled": random.Random(seed).sample(range(5, 5 + 3 * n), n),
+        "shifted": range(10**6, 10**6 + n),
+        "negative": range(-1, -1 - n, -1),
+    }
+    for name, to in new.items():
+        to = dict(zip(ids, to))
+        copy = tree({to[v]: w for v, w in t.vertices}, [(to[a], to[b]) for a, b in t.edges])
+        yield name, copy, {b: a for a, b in to.items()}
+
+
+def model_shape(model) -> tuple:
+    """The stable model up to relabeling, coarsely: its genera and its nodes as
+    genus pairs.  For trees whose model code is factorial."""
+    genus = dict(model.components)
+    return (sorted(genus.values()),
+            sorted(tuple(sorted((genus[a], genus[b]))) for a, b in model.nodes), model.g)
+
+
+class TestIdIndependence:
+    """Ids only name vertices: every layer gives the same answer, mapped back,
+    on ids 0..n-1 (which the peel reads as positions) and on mapped ids."""
+
+    @staticmethod
+    def check_copies(t, seed, model_key):
+        code = canonical_code(t)
+        report = validate_stable(t)
+        if report.stable:
+            central, form = find_central(t), contract_F_m(t)
+        even = report.stable and t.m % 2 == 0
+        if even:
+            cover = build_cover(t)
+            model = model_key(stable_model(cover))
+        for name, copy, back in id_copies(t, seed):
+            assert canonical_code(copy) == code, name
+            got = validate_stable(copy)
+            assert sorted((back[v], w, d) for v, w, d in got.violations) == sorted(report.violations), name
+            if not report.stable:
+                continue
+            c = find_central(copy)
+            if c.edge is None:
+                assert back[c.vertex] == central.vertex, name
+            else:
+                assert tuple(sorted(map(back.get, c.edge))) == central.edge, name
+            assert contract_F_m(copy) == form, name
+            if even:
+                copy_cover = build_cover(copy)
+                assert sorted((back[x.base_vertex], x.branch_count, x.genus) for x in copy_cover.components) == \
+                    sorted((x.base_vertex, x.branch_count, x.genus) for x in cover.components), name
+                assert sorted((tuple(sorted(map(back.get, x.base_edge))), x.kind) for x in copy_cover.nodes) == \
+                    sorted((x.base_edge, x.kind) for x in cover.nodes), name
+                assert model_key(stable_model(copy_cover)) == model, name
+
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_every_stable_class(self, m):
+        for seed, t in enumerate(enumerate_stable_trees(m).trees):
+            self.check_copies(t, seed, lambda model: model.canonical_code())
+
+    @pytest.mark.parametrize("seed,n,extra", [(1, 2, 0), (2, 7, 1), (3, 40, 0), (4, 41, 3), (5, 300, 2), (6, 1000, 0)])
+    def test_random_stable_trees(self, seed, n, extra):
+        self.check_copies(random_stable_tree(seed, n, extra), seed, model_shape)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unstable_trees_name_their_violations(self, seed):
+        rng = random.Random(seed)
+        n = 30
+        t = tree({v: rng.randrange(3) for v in range(n)}, [(v, rng.randrange(v)) for v in range(1, n)])
+        assert not validate_stable(t).stable
+        self.check_copies(t, seed, model_shape)
+
+    # Hand codes at n = 1, 2 and 3, on paths with one and two centres, and on
+    # two centres of one weight whose codes differ below them.
+    @pytest.mark.parametrize(
+        "t, code",
+        [
+            (tree({0: 5}), (-1, 5, -2)),
+            (path_tree(3, 5), (-1, 3, -1, 5, -2, -2)),
+            (path_tree(5, 3), (-1, 3, -1, 5, -2, -2)),
+            (path_tree(2, 1, 2), (-1, 1, -1, 2, -2, -1, 2, -2, -2)),
+            (path_tree(2, 1, 1, 2), (-1, 1, -1, 1, -1, 2, -2, -2, -1, 2, -2, -2)),
+            (path_tree(2, 1, 0, 1, 2), (-1, 0, *(-1, 1, -1, 2, -2, -2) * 2, -2)),
+            (tree({0: 1, 1: 1, 2: 2, 3: 4, 4: 2, 5: 3}, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]),
+             (-1, 1, -1, 1, -1, 2, -2, -1, 3, -2, -2, -1, 2, -2, -1, 4, -2, -2)),
+        ],
+        ids=["n1", "n2", "n2-heavier-first", "n3", "even-path", "odd-path", "tied-centres"],
+    )
+    def test_pinned_codes(self, t, code):
+        assert canonical_code(t) == code == walk_canonical_code(t)
+        for name, copy, _ in id_copies(t, len(code)):
+            assert canonical_code(copy) == code, name
 
 
 @st.composite
