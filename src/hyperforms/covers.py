@@ -187,74 +187,51 @@ def stable_model(c: CoverModel) -> StableHyperellipticModel:
     Such a soft component has genus 0, exactly two node ends and no
     self-node.  Contracting one identifies its two attachment points into one
     node, so no other component's count of node ends changes, and the soft
-    components are read off the cover once.  The nodes between two kept
-    components stay; each maximal chain of soft components becomes one node
-    between the kept anchors at its two ends, a self-node when they coincide,
-    and a chain of one needs no walk.  A closed cycle of soft components (a
-    whole curve of genus 1) keeps its last component in component order,
-    with one self-node: the one that contracting a component at a time, in
-    component order, leaves.  Arithmetic genus is preserved.
+    components are read off the cover once.  They are contracted one at a
+    time, in component order: each is spliced out of its soft neighbours'
+    links, and once neither of its links is soft the node between them is
+    kept.  So each maximal chain of soft components becomes one node between
+    the kept anchors at its two ends, a self-node when they coincide.  A
+    closed cycle of soft components (a whole curve of genus 1) is left as its
+    last component in component order, linked to itself twice: it is kept
+    with one self-node.  Arithmetic genus is preserved.
     """
     pairs = [node.components for node in c.nodes]
     ends = Counter(chain.from_iterable(pairs))
     looped = {a for a, _ in compress(pairs, starmap(eq, pairs))}
-    soft = {cid for cid, _, _, _, genus in c.components
-            if not genus and ends[cid] == 2 and cid not in looped}
+    # A soft component's two neighbours, one per node end, in component order.
+    link: dict[int, list[int]] = {cid: [] for cid, _, _, _, genus in c.components
+                                  if not genus and ends[cid] == 2 and cid not in looped}
 
-    nodes: list[tuple[int, int]] = []
-    # A soft component's two neighbours, one per node end.
-    link: dict[int, list[int]] = {cid: [] for cid in soft}
+    nodes: list[tuple[int, int]] = []  # the nodes with no soft end stay as they are
     for pair in pairs:
         a, b = pair
-        if a in soft:
+        if a in link:
             link[a].append(b)
-            if b in soft:
+            if b in link:
                 link[b].append(a)
-        elif b in soft:
+        elif b in link:
             link[b].append(a)
         else:
             nodes.append(pair if a <= b else (b, a))
 
-    walked: set[int] = set()  # the members of the chains longer than one
-
-    def walk(prev: int, y: int) -> int:
-        """From soft `prev` on through its neighbour y: the first end that is not soft."""
-        while y in soft:
-            walked.add(y)
-            a, b = link[y]
-            prev, y = y, b if a == prev else a
-        return y
-
-    singles = 0
+    kept: list[tuple[int, int]] = [(comp.id, comp.genus) for comp in c.components
+                                   if comp.id not in link]
+    # A link never names a soft component spliced out before: it was replaced then.
     for cid, (x, y) in link.items():
-        if x in soft:
-            if y in soft:  # inside a chain, or on a closed cycle
-                continue
-            x, y = y, x
-        elif y not in soft:  # a chain of one
+        if x == cid:  # the last member of a closed cycle
+            kept.append((cid, 0))
+            nodes.append((cid, cid))
+            continue
+        if x in link:
+            link[x][link[x].index(cid)] = y
+        if y in link:
+            link[y][link[y].index(cid)] = x
+        elif x not in link:
             nodes.append((x, y) if x <= y else (y, x))
-            singles += 1
-            continue
-        if cid in walked:  # the far end of a chain already walked
-            continue
-        # `cid` ends a chain at anchor x: walk it to the anchor at its other end.
-        walked.add(cid)
-        y = walk(cid, y)
-        nodes.append((x, y) if x <= y else (y, x))
-
-    if len(walked) + singles < len(soft):  # what no chain reached lies on closed cycles
-        for comp in reversed(c.components):
-            cid = comp.id
-            if cid in soft and cid not in walked:
-                soft.discard(cid)  # kept, so the walk round the cycle ends back at it
-                walk(cid, link[cid][0])
-                nodes.append((cid, cid))
 
     nodes.sort()
-    model = StableHyperellipticModel(
-        components=tuple(sorted((comp.id, comp.genus) for comp in c.components if comp.id not in soft)),
-        nodes=tuple(nodes),
-        g=c.g,
-    )
+    kept.sort()
+    model = StableHyperellipticModel(components=tuple(kept), nodes=tuple(nodes), g=c.g)
     check(model.arithmetic_genus == c.g, "contraction changed the genus")
     return model

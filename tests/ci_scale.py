@@ -2,7 +2,8 @@
 count, the m = 16 count under a memory and a time bound, the m = 14
 identities, the exponent-side square up to 2g+2 = 30, a stable model with 9!
 relabelings under a memory bound, the closed-form stable model of a
-10^5-leaf star, and 10^5-vertex trees through `from_dict` against
+10^5-leaf star, the stable models of a 10^5-component soft chain and of two
+10^5-component soft cycles, and 10^5-vertex trees through `from_dict` against
 `json.loads`, `canonical_code`, five edge contractions and every tree
 command, with the peak RSS of `stability` on one of them.
 
@@ -38,6 +39,7 @@ from conftest import (
     check_branch_identity, check_exponent_square, checkout_env, dissymmetry_count, random_stable_tree,
     relabeled, root_blocks, roots_refine, run_python, square_partitions, traced_peak,
 )
+from test_covers import chain_cover, cycle_cover
 
 N = 10**5
 
@@ -186,6 +188,26 @@ def test_star_model_has_its_closed_form_at_10_5_leaves():
     assert model.components == tuple((cid, 0) for cid in sheets)
     assert model.nodes == (sheets,) * N
     assert model.g == N - 1
+
+
+@pytest.mark.parametrize("make, anchored", [(chain_cover, True), (cycle_cover, False), (cycle_cover, True)],
+                         ids=["anchored-chain", "unanchored-cycle", "anchored-cycle"])
+def test_stable_model_of_10_5_soft_components_under_2_s(make, anchored):
+    # Hand covers in a shuffled component order, past the reach of the quadratic
+    # fixpoint oracle, so the model is stated exactly instead.
+    cover = make(N, anchored, seed=0)
+    start = time.perf_counter()
+    model = stable_model(cover)
+    wall = time.perf_counter() - start
+    print(f"{make.__name__}, anchored={anchored}: stable model of {len(cover.components)} components"
+          f" in {wall:.3f} s")
+    if make is chain_cover:  # the two genus-1 anchors, joined by one node
+        expected = ((0, 1), (N + 1, 1)), ((0, N + 1),)
+    else:  # one self-node on the anchor, or else on the last component in component order
+        cid = 0 if anchored else cover.components[-1].id
+        expected = ((cid, int(anchored)),), ((cid, cid),)
+    assert (model.components, model.nodes) == expected
+    assert wall < 2, f"{wall:.2f} s, bound 2 s"
 
 
 def test_canonical_codes_at_10_5_vertices_each_under_2_s(big_trees):

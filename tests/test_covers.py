@@ -278,6 +278,43 @@ class TestStableModel:
         assert code1 == code2
 
 
+class TestDroppedComponents:
+    """Section 5 across the two layers: the components `stable_model` drops are
+    exactly those over the weight-2 leaves.  A genus-0 component with two node
+    ends and no self-node lies over a vertex of weight w with r ramified and s
+    split edges, where w + r = 2 and r + 2s = 2; stability (w + r + s >= 3)
+    leaves w = 2, s = 1: a weight-2 leaf."""
+
+    @staticmethod
+    def dropped_and_leaves(t):
+        cover = build_cover(t)
+        model = stable_model(cover)
+        degree = Counter(v for edge in t.edges for v in edge)
+        leaves = {v for v, w in t.vertices if w == 2 and degree[v] == 1}
+        dropped = {c.id for c in cover.components} - {cid for cid, _ in model.components}
+        return dropped, {c.id for c in cover.components if c.base_vertex in leaves}, cover, model
+
+    def test_every_even_class_up_to_12(self):
+        total = 0
+        for m in range(4, 13, 2):
+            for t in enumerate_stable_trees(m, bound=12).trees:
+                dropped, over_leaves, cover, model = self.dropped_and_leaves(t)
+                if t == path_tree(2, 2):
+                    # Both leaves: a closed soft 2-cycle, which keeps its last component.
+                    assert over_leaves == {0, 1} and dropped == {0}
+                    assert model.components == ((1, 0),) and model.nodes == ((1, 1),)
+                else:
+                    assert dropped == over_leaves, t
+                total += len(dropped)
+        assert total == 3519
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_trees(self, seed):
+        t = random_stable_tree(seed, n=50 + 50 * seed, extra=seed)
+        dropped, over_leaves, _, _ = self.dropped_and_leaves(t)
+        assert dropped == over_leaves and dropped
+
+
 class TestModelCanonicalCode:
     """The model code against the index-bookkeeping permutation oracle."""
 
@@ -433,7 +470,10 @@ def cycle_cover(k: int, anchored: bool, seed: int) -> CoverModel:
 
 
 class TestStableModelOffThePipeline:
-    """`stable_model` on chains and cycles the tree pipeline never builds."""
+    """`stable_model` on chains and cycles built by hand.  The tree pipeline
+    builds only chains of one (the component over a weight-2 leaf) and one
+    closed cycle: the two soft components over `path_tree(2, 2)` at m = 4,
+    joined by two nodes (see `TestDroppedComponents`)."""
 
     @staticmethod
     def check(cover: CoverModel) -> StableHyperellipticModel:
