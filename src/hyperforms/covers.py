@@ -10,8 +10,8 @@ pair of nodes.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import chain, compress, groupby, permutations, product, starmap
-from operator import eq
+from itertools import chain, compress, groupby, permutations, product, repeat, starmap
+from operator import eq, itemgetter, mod
 
 from .trees import WeightedTree, arithmetic_genus, bfs, check, require_even, without_collector
 
@@ -74,7 +74,7 @@ def build_cover(t: WeightedTree) -> CoverModel:
     """
     g = require_even(t)
     _, parent, below, _, ends = t._rooted  # on positions: vertex i is `t.vertices[i]`
-    branch = [w for _, w in t.vertices]
+    branch = [*map(itemgetter(1), t.vertices)]
     ramified: list[int] = []
     for a, b in ends:
         odd = below[a if parent[a] == b else b] & 1
@@ -83,7 +83,7 @@ def build_cover(t: WeightedTree) -> CoverModel:
             branch[a] += 1
             branch[b] += 1
 
-    check(all(bc % 2 == 0 for bc in branch), "branch count must be even")
+    check(not any(map(mod, branch, repeat(2))), "branch count must be even")
     new = tuple.__new__  # records built as `_grown` builds trees: no per-field call
     components: list[CoverComponent] = []
     # Base vertex position -> (first, last) component over it: sheets 0 and 1
@@ -181,6 +181,7 @@ class StableHyperellipticModel(namedtuple("StableHyperellipticModel", "component
         return target, tuple(divmod(node, k) for node in best)
 
 
+@without_collector
 def stable_model(c: CoverModel) -> StableHyperellipticModel:
     """Contract genus-0 components meeting the rest of the curve in 2 points.
 
@@ -195,12 +196,15 @@ def stable_model(c: CoverModel) -> StableHyperellipticModel:
     closed cycle of soft components (a whole curve of genus 1) is left as its
     last component in component order, linked to itself twice: it is kept
     with one self-node.  Arithmetic genus is preserved.
+
+    It runs with the cyclic collector paused, as `build_cover` does.
     """
-    pairs = [node.components for node in c.nodes]
+    pairs = [*map(itemgetter(2), c.nodes)]  # each node's `components`
     ends = Counter(chain.from_iterable(pairs))
     looped = {a for a, _ in compress(pairs, starmap(eq, pairs))}
+    id_genus = [*map(itemgetter(0, 4), c.components)]  # each component's (id, genus)
     # A soft component's two neighbours, one per node end, in component order.
-    link: dict[int, list[int]] = {cid: [] for cid, _, _, _, genus in c.components
+    link: dict[int, list[int]] = {cid: [] for cid, genus in id_genus
                                   if not genus and ends[cid] == 2 and cid not in looped}
 
     nodes: list[tuple[int, int]] = []  # the nodes with no soft end stay as they are
@@ -215,8 +219,7 @@ def stable_model(c: CoverModel) -> StableHyperellipticModel:
         else:
             nodes.append(pair if a <= b else (b, a))
 
-    kept: list[tuple[int, int]] = [(comp.id, comp.genus) for comp in c.components
-                                   if comp.id not in link]
+    kept: list[tuple[int, int]] = [pair for pair in id_genus if pair[0] not in link]
     # A link never names a soft component spliced out before: it was replaced then.
     for cid, (x, y) in link.items():
         if x == cid:  # the last member of a closed cycle

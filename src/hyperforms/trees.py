@@ -12,7 +12,7 @@ import json
 from bisect import bisect, bisect_left
 from collections import deque, namedtuple
 from functools import cached_property, wraps
-from itertools import chain, compress, islice, repeat, starmap
+from itertools import chain, compress, islice, repeat
 from operator import eq, getitem, itemgetter
 
 DEFAULT_BOUND = 10  # the census's default cap on m; here so the CLI parser need not load it
@@ -137,7 +137,10 @@ Rooted = namedtuple("Rooted", "order parent below degree edges")
 def peel(vertices: tuple, edges: tuple) -> Rooted:
     """The rooted table of a graph with distinct sorted ids and len(vertices) - 1
     edges, by one FIFO peel of leaves: it reaches every vertex exactly when the
-    graph is a tree, and otherwise stops short.
+    graph is a tree, and otherwise stops short.  Self-loops and repeated edges
+    may be among the edges: a vertex on a loop, a repeated edge or a cycle
+    never becomes a leaf, and a peeled leaf has exactly one edge to an
+    unpeeled vertex, so its XOR still names that vertex.
 
     One pass over the edges counts degrees and XORs each vertex's neighbour
     positions together.  A leaf's XOR is then its one unpeeled neighbour, its
@@ -159,7 +162,7 @@ def peel(vertices: tuple, edges: tuple) -> Rooted:
         parent[a] ^= b
         parent[b] ^= a
     left = degree.copy()
-    below = [w for _, w in vertices]
+    below = [*map(itemgetter(1), vertices)]
     order = [v for v in range(n) if degree[v] < 2]  # degree 0 only when n == 1
     for v in order:  # the list grows while it is read, so it is the queue
         if not left[v]:  # every neighbour peeled: the root, or in a non-tree a component's last
@@ -210,20 +213,33 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
             edges = tuple(sorted([(a, b) if a < b else (b, a) for a, b in edges]))
         except (TypeError, ValueError):
             raise InvalidTreeError("each edge must be an array of two vertex ids") from None
-        if any(starmap(eq, edges)) or not weight_of.keys() >= set(chain.from_iterable(edges)):
+        # n - 1 edges whose ends are ids, all reached by the peel, make a tree:
+        # a self-loop, a repeated edge or a cycle keeps its vertices from ever
+        # being peeled.  Every end lies between the least and greatest id, which
+        # on ids 0..n-1 (positions) makes it an id, and must be checked before
+        # the peel reads an end as a position (-1 would read as the last);
+        # other ids are mapped, and an unknown one is a `KeyError`.
+        n = len(verts)
+        rooted = None
+        if len(edges) == n - 1 and (not edges or edges[0][0] >= verts[0][0]
+                                    and max(map(itemgetter(1), edges)) <= verts[-1][0]):
+            try:
+                rooted = peel(verts, edges)
+            except KeyError:
+                pass
+        if rooted is None or len(rooted.order) != n:  # not a tree: name the first fault
             for a, b in edges:
                 if a == b:
                     raise InvalidTreeError(f"self-loop at vertex {a}")
                 if a not in weight_of or b not in weight_of:
                     raise InvalidTreeError(f"edge ({a},{b}) uses unknown vertex")
-        if len(set(edges)) != len(edges):
-            raise InvalidTreeError("repeated edge")
-        if len(edges) != len(verts) - 1:
-            raise InvalidTreeError("edge count does not match a tree")
-        self = tuple.__new__(cls, (verts, edges))
-        self.__dict__["weight_of"] = weight_of  # the `cached_property` table, filled here
-        if len(self._rooted.order) != len(verts):  # the peel reached every vertex
+            if len(set(edges)) != len(edges):
+                raise InvalidTreeError("repeated edge")
+            if len(edges) != n - 1:
+                raise InvalidTreeError("edge count does not match a tree")
             raise InvalidTreeError("graph is disconnected")
+        self = tuple.__new__(cls, (verts, edges))
+        self.__dict__.update(weight_of=weight_of, _rooted=rooted)  # the `cached_property` tables, filled here
         return self
 
     _make = classmethod(checked_make)
@@ -281,13 +297,13 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
     @cached_property
     def m(self) -> int:
         """Total weight: the number of marked points on the curve."""
-        return sum(w for _, w in self.vertices)
+        return sum(map(itemgetter(1), self.vertices))
 
     @cached_property
     def _rooted(self) -> Rooted:
-        """The tree's one walk (`peel`), which `__new__` also reads to prove it
-        a tree, and which serves the degrees, side weights, cover parities and
-        canonical code."""
+        """The tree's one walk (`peel`), which `__new__` runs to prove the
+        graph a tree and keeps, and which serves the degrees, side weights,
+        cover parities and canonical code."""
         return peel(self.vertices, self.edges)
 
     @cached_property
@@ -302,15 +318,18 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         return tuple(v for v, _ in self.vertices)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        try:
-            return self.adjacency[v]
-        except KeyError:
-            raise InvalidTreeError(f"unknown vertex id {v}") from None
+        ns = self.adjacency.get(v) if is_int(v) else None  # not True or 1.0 for vertex 1
+        if ns is None:
+            raise InvalidTreeError(f"unknown vertex id {v}")
+        return ns
 
     # -- serialization ----------------------------------------------------
 
     @classmethod
+    @without_collector
     def from_dict(cls, doc: dict) -> "WeightedTree":
+        """The checked tree of a JSON document, read with the cyclic collector
+        paused (`without_collector`)."""
         vertices = json_array(doc, "vertices", InvalidTreeError)
         edges = json_array(doc, "edges", InvalidTreeError, required=False)
         try:
@@ -421,12 +440,10 @@ def complementary_subtree_weights(t: WeightedTree, v: int) -> list[int]:
     call is O(n).
     """
     verts = t.vertices
-    try:  # the position of `v`, by bisection: (v, w) sorts after (v,) and before any larger id
-        i = bisect_left(verts, (v,))
-        known = verts[i][0] == v
-    except (IndexError, TypeError):  # past the last id, or an id that does not compare with them
-        known = False
-    if not known:
+    # The position of `v`, by bisection: (v, w) sorts after (v,) and before any
+    # larger id.  Anything but an integer (True, 1.0) is placed past the last id.
+    i = bisect_left(verts, (v,)) if is_int(v) else len(verts)
+    if i == len(verts) or verts[i][0] != v:
         raise InvalidTreeError(f"unknown vertex id {v}")
     _, parent, below, _, _ = t._rooted
     sides = [*compress(below, map(eq, parent, repeat(i)))]
@@ -486,6 +503,7 @@ def _extended_code(weight: int, below: list) -> CanonicalCode | deque:
     return heavy
 
 
+@without_collector
 def canonical_code(t: WeightedTree) -> CanonicalCode:
     """Integer sequence identifying the weighted tree up to isomorphism.
 
@@ -502,9 +520,10 @@ def canonical_code(t: WeightedTree) -> CanonicalCode:
     token is copied O(log n) times on n vertices: once per layer in the first
     log2(n) layers (`rooted_code`), then only into a code at least twice as
     long, or once into a deque that `_extended_code` extends in place.
+    It runs with the cyclic collector paused (`without_collector`).
     """
     order, parent, _, _, _ = t._rooted
-    weight = [w for _, w in t.vertices]
+    weight = [*map(itemgetter(1), t.vertices)]
     n = len(order)
     kids: list[list] = [[] for _ in order]
     height = [0] * n

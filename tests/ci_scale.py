@@ -5,7 +5,9 @@ relabelings under a memory bound, the closed-form stable model of a
 10^5-leaf star, the stable models of a 10^5-component soft chain and of two
 10^5-component soft cycles, and 10^5-vertex trees through `from_dict` against
 `json.loads`, `canonical_code`, five edge contractions and every tree
-command, with the peak RSS of `stability` on one of them.
+command, with the peak RSS of `stability` on one of them.  The census at
+m = 15 and `from_dict`, `stable_model` and `canonical_code` on the 10^5-vertex
+trees must run no collection of the cyclic collector.
 
 The name does not match `test_*.py`, so a plain `pytest` run leaves this
 module out; pytest collects it only when it is named on the command line:
@@ -56,6 +58,19 @@ def big_trees() -> list:
                        [(i, i + 1) for i in range(k - 1)] + [(i, k + i) for i in range(k)])
     return [("path", path_tree(2, *[1] * (N - 2), 2)), ("caterpillar", caterpillar),
             ("random", random_stable_tree(1, n=N))]
+
+
+def uncollected(fn, *args):
+    """`fn(*args)` and its wall time in seconds; no generation of the cyclic
+    collector may count a collection during the call."""
+    gc.collect()  # an empty young generation: no collection is due before the call
+    before = gc.get_stats()
+    start = time.perf_counter()
+    result = fn(*args)
+    wall = time.perf_counter() - start
+    after = gc.get_stats()  # an exact count, read before the collector can run again
+    assert [s["collections"] for s in after] == [s["collections"] for s in before], (fn.__name__, before, after)
+    return result, wall
 
 
 def measured(args: list[str]) -> tuple[int, str, str, float, float]:
@@ -114,13 +129,7 @@ def test_stability_of_a_10_5_vertex_tree_under_110_mb(tmp_path):
 
 
 def test_census_codes_roots_and_documents_at_m15():
-    gc.collect()  # an empty young generation: no collection is due before the call
-    before = gc.get_stats()
-    start = time.perf_counter()
-    census = enumerate_stable_trees(15, bound=15)
-    wall = time.perf_counter() - start
-    after = gc.get_stats()  # an exact count, read before the collector can run again
-    assert [s["collections"] for s in after] == [s["collections"] for s in before], (before, after)
+    census, wall = uncollected(enumerate_stable_trees, 15, 15)
     print(f"census m = 15 in {wall:.2f} s, no collection")
     codes = census.codes
     assert len(census) == 31311 == dissymmetry_count(15), len(census)
@@ -241,6 +250,19 @@ def test_from_dict_at_10_5_vertices_within_4_json_loads(big_trees):
     print(f"random: from_dict {timings['from_dict']:.3f} s, json.loads {timings['json.loads']:.3f} s,"
           f" ratio {ratio:.2f} (3.4-3.6 before the leaf peel, 1.6-2.0 with it)")
     assert ratio <= 4, f"from_dict takes {ratio:.2f} times json.loads, bound 4"
+
+
+def test_tree_layers_at_10_5_vertices_run_no_collection(big_trees):
+    for name, t in big_trees:
+        read, wall = uncollected(WeightedTree.from_dict, t.to_dict())
+        assert read == t, name
+        cover = build_cover(t)
+        model, model_wall = uncollected(stable_model, cover)
+        assert model.arithmetic_genus == cover.g, name
+        code, code_wall = uncollected(canonical_code, t)
+        assert len(code) == 3 * N, name
+        print(f"{name}: from_dict {wall:.3f} s, stable_model {model_wall:.3f} s,"
+              f" canonical_code {code_wall:.3f} s, no collection")
 
 
 def test_roots_refine_along_five_seeded_edges_at_10_5_vertices(big_trees):

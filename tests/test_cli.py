@@ -12,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import hyperforms.census as census_mod
 import hyperforms.central as central_mod
-from hyperforms import WeightedTree, build_cover, canonical_code, covers, enumerate_stable_trees, path_tree
+import hyperforms.trees as trees_mod
+from hyperforms import (
+    WeightedTree, build_cover, canonical_code, covers, enumerate_stable_trees, path_tree, stable_model,
+)
 from hyperforms.cli import COMMANDS, build_parser, main
 from hyperforms.trees import MAX_LISTED, InvariantError, check
 from conftest import checkout_env, over_long_integer, random_stable_tree, tree_from_json
@@ -822,21 +825,31 @@ class TestCollector:
         assert gc.isenabled() is prior
 
 
+LAYERS = ["census", "cover", "from_dict", "stable_model", "canonical_code"]
+
+
 class TestLibraryCollector:
-    """The census and the cover builder, like `main`, run with the cyclic
+    """The census and every tree-sized layer, like `main`, run with the cyclic
     collector off and leave it as the caller had it, on every exit."""
 
     prior = TestCollector.prior
 
     @staticmethod
     def call(name):
-        """A census or a cover call whose result holds O(n) named-tuple records,
-        as (function, arguments); the cover's tree is built here, outside it."""
+        """A census, or a call on a 1,000-vertex tree, its document or its cover,
+        that allocates O(n) tracked containers, as (function, arguments); the
+        input is built here, outside the call."""
         if name == "census":
             return enumerate_stable_trees, (12, 12)
-        return build_cover, (random_stable_tree(seed=1, n=1000),)
+        t = random_stable_tree(seed=1, n=1000)
+        return {
+            "cover": (build_cover, (t,)),
+            "from_dict": (WeightedTree.from_dict, (t.to_dict(),)),
+            "stable_model": (stable_model, (build_cover(t),)),
+            "canonical_code": (canonical_code, (t,)),
+        }[name]
 
-    @pytest.mark.parametrize("name", ["census", "cover"])
+    @pytest.mark.parametrize("name", LAYERS)
     def test_no_collection_during_the_call(self, prior, name):
         fn, args = self.call(name)
         gc.collect()  # an empty young generation: no collection is due before the call
@@ -851,16 +864,22 @@ class TestLibraryCollector:
     @pytest.mark.parametrize("fn, args", [
         (enumerate_stable_trees, (2,)),
         (build_cover, (path_tree(3, 4),)),
-    ], ids=["census-m-2", "cover-odd-weight"])
+        (WeightedTree.from_dict, ({"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}],
+                                   "edges": [[0, 0]]},)),
+    ], ids=["census-m-2", "cover-odd-weight", "from_dict-self-loop"])
     def test_restored_after_a_precondition_error(self, prior, fn, args):
         with pytest.raises(ValueError):
             fn(*args)
         assert gc.isenabled() is prior
 
+    # Each patched inner call raises partway through its layer's work.
     @pytest.mark.parametrize("name, module, inner", [
         ("census", census_mod, "_make_census"),
         ("cover", covers, "require_even"),
-    ], ids=["census", "cover"])
+        ("from_dict", trees_mod, "peel"),
+        ("stable_model", covers, "arithmetic_genus"),
+        ("canonical_code", trees_mod, "rooted_code"),
+    ], ids=LAYERS)
     def test_restored_after_an_invariant_failure(self, monkeypatch, prior, name, module, inner):
         fn, args = self.call(name)
         monkeypatch.setattr(module, inner, lambda *a: check(False, "patched"))

@@ -183,6 +183,32 @@ class TestErrorPrecedence:
         with pytest.raises(InvalidTreeError, match=f"^{re.escape(error)}$"):
             WeightedTree(vertices, edges)
 
+    # Exactly n - 1 edges: the edge count passes, so the fault is found by the
+    # check of the ends before the peel or by the peel stopping short, and is
+    # then named as the item-by-item checks name it.  On ids 0..n-1 an end -1
+    # read as the last position would make the edges a tree, and an end n
+    # would read past the last.
+    @pytest.mark.parametrize(
+        "ids, edges, error",
+        [
+            ((0, 1, 2), ((0, 1), (2, 2)), "self-loop at vertex 2"),
+            ((0, 1, 2), ((0, 1), (1, 0)), "repeated edge"),
+            ((0, 1, 2), ((0, 1), (-1, 0)), "edge (-1,0) uses unknown vertex"),
+            ((0, 1, 2), ((0, 1), (1, 3)), "edge (1,3) uses unknown vertex"),
+            ((10, 11, 12), ((10, 11), (12, 12)), "self-loop at vertex 12"),
+            ((10, 11, 12), ((10, 11), (11, 10)), "repeated edge"),
+            ((10, 11, 12), ((10, 11), (9, 12)), "edge (9,12) uses unknown vertex"),
+            ((10, 11, 12), ((10, 11), (11, 13)), "edge (11,13) uses unknown vertex"),
+            ((10, 12, 14), ((10, 12), (11, 14)), "edge (11,14) uses unknown vertex"),
+        ],
+        ids=["self-loop", "repeated", "end-minus-1", "end-n",
+             "shifted-self-loop", "shifted-repeated", "shifted-below", "shifted-above",
+             "gap-between-ids"],
+    )
+    def test_fault_among_n_minus_1_edges(self, ids, edges, error):
+        with pytest.raises(InvalidTreeError, match=f"^{re.escape(error)}$"):
+            WeightedTree(tuple((v, 2) for v in ids), edges)
+
     def test_int_subclass_is_accepted(self):
         t = WeightedTree(((Id(1), 2), (Id(0), Id(2))), ((Id(1), 0),))
         plain = WeightedTree(((0, 2), (1, 2)), ((0, 1),))
@@ -687,6 +713,16 @@ class TestComplementaryWeights:
     def test_unknown_vertex(self):
         with pytest.raises(InvalidTreeError, match="^unknown vertex id 3$"):
             complementary_subtree_weights(tree({0: 5}), 3)
+
+    # The constructor takes only integer ids, so True and 1.0 name no vertex,
+    # although they equal and hash as vertex 1.
+    @pytest.mark.parametrize("v", [True, 1.0], ids=["bool", "float"])
+    def test_id_that_is_not_an_integer(self, v):
+        t = path_tree(2, 1, 1, 2)
+        for ask in (t.neighbors, lambda v: complementary_subtree_weights(t, v)):
+            with pytest.raises(InvalidTreeError, match=f"^unknown vertex id {v}$"):
+                ask(v)
+        assert t.neighbors(Id(1)) == (0, 2) and complementary_subtree_weights(t, Id(1)) == [2, 3]
 
     # Rooted at vertex 0, these vertices have a parent, whose side weighs the rest.
     @pytest.mark.parametrize(
