@@ -17,8 +17,7 @@ _MODULE = {name: module for module, names in {
     "reduction": "BlowupChain ExponentVector ReductionOutput blowup_chain reduce",
     "strata": "StratumLabel classify_stratum image_dimension",
     "trees": "CanonicalCode InvalidTreeError InvariantError StabilityReport UnstableTreeError "
-             "WeightedTree canonical_code complementary_subtree_weights path_tree "
-             "star_tree tree validate_stable",
+             "WeightedTree canonical_code path_tree star_tree tree validate_stable",
 }.items() for name in names.split()}
 __all__ = sorted(_MODULE)
 __version__ = "0.1.0"

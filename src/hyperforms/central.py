@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress, repeat
-from operator import ge
+from operator import eq, ge
 
 from .forms import BinaryFormClass
-from .trees import (MAX_LISTED, WeightedTree, check, checked_make, complementary_subtree_weights,
-                    require_even, require_stable)
+from .trees import MAX_LISTED, WeightedTree, check, checked_make, require_even, require_stable
 
 
 class CentralResult(namedtuple("CentralResult", "vertex edge")):
@@ -56,7 +55,11 @@ def _central(t: WeightedTree) -> tuple[CentralResult, tuple[int, ...]]:
     if 2 * below[i] == m:
         kept = CentralResult(edge=tuple(sorted((t.vertices[parent[i]][0], v)))), ()
     else:
-        sides = complementary_subtree_weights(t, v)
+        # A child's side weighs its subtree; the parent's, which the root lacks, the rest.
+        sides = [*compress(below, map(eq, parent, repeat(i)))]
+        if parent[i] >= 0:
+            sides.append(m - below[i])
+        sides.sort()
         check(all(2 * w < m for w in sides), "central vertex has a side weighing at least m/2")
         kept = CentralResult(vertex=v), tuple(sides)
     t.__dict__["_centre"] = kept

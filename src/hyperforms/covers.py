@@ -13,7 +13,7 @@ from collections import Counter, namedtuple
 from itertools import chain, compress, groupby, permutations, product, repeat, starmap
 from operator import eq, itemgetter, mod
 
-from .trees import WeightedTree, arithmetic_genus, bfs, check, require_even, without_collector
+from .trees import WeightedTree, arithmetic_genus, check, require_even, without_collector
 
 RAMIFIED = "ramified"
 SPLIT = "split"
@@ -118,7 +118,13 @@ def build_cover(t: WeightedTree) -> CoverModel:
             nodes.append(new(CoverNode, (edge, SPLIT, (a, b))))
             nodes.append(new(CoverNode, (edge, SPLIT, (a1, b1))))
 
-    check(len(bfs(adj, 0)[0]) == len(adj), "admissible double cover must be connected")
+    reached, seen = [0], [True] + [False] * (len(adj) - 1)
+    for u in reached:  # the list grows while it is read, so it is the queue
+        for w in adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                reached.append(w)
+    check(len(reached) == len(adj), "admissible double cover must be connected")
     cover = CoverModel(tuple(components), tuple(nodes), g)
     check(cover.arithmetic_genus == g, "arithmetic genus mismatch")
     return cover

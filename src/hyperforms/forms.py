@@ -78,6 +78,8 @@ def classify(f: BinaryFormClass) -> GitClass:
 
 def moduli_dimension(m: int) -> int:
     """Dimension of the moduli of semistable degree-m forms: m - 3."""
+    if not is_int(m):
+        raise ValueError(f"degree must be an integer, got {m!r}")
     if m < 3:
         raise ValueError(f"degree must be >= 3, got {m}")
     return m - 3

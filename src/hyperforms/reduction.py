@@ -147,6 +147,8 @@ def blowup_chain(n: int) -> BlowupChain:
 
     n = 2i gives (2, 4, ..., 2i); n = 2i+1 gives (2, 4, ..., 2i, 2i+1, 4i+2).
     """
+    if not is_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > MAX_LISTED:  # refused before the chain is built

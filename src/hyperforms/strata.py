@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .trees import WeightedTree, check, require_even
+from .trees import WeightedTree, check, is_int, require_even
 
 INTERIOR = "interior"
 DELTA = "delta"
@@ -86,6 +86,8 @@ def count_strata(trees: list[WeightedTree], g: int) -> tuple[tuple[str, int], ..
 def image_dimension(label: StratumLabel, g: int) -> int | None:
     """Dimension of the image of the stratum under the map to binary forms,
     or None where the paper gives no closed form: a deeper stratum, or g < 2."""
+    if not is_int(g):
+        raise ValueError(f"g must be an integer, got {g!r}")
     if g < 2 or label.kind == DEEPER:
         return None
     if label.kind == INTERIOR:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import gc
 import json
-from bisect import bisect, bisect_left
+from bisect import bisect
 from collections import deque, namedtuple
 from functools import cached_property, wraps
-from itertools import chain, compress, islice, repeat
-from operator import eq, getitem, itemgetter
+from itertools import chain, islice
+from operator import getitem, itemgetter
 
 DEFAULT_BOUND = 10  # the census's default cap on m; here so the CLI parser need not load it
 # The largest central vertex weight (`contract_F_m`), exponent (`blowup_chain`)
@@ -76,23 +76,6 @@ def json_array(doc, field: str, error: type[ValueError] = ValueError, required=T
 
 
 CanonicalCode = tuple[int, ...]
-
-
-def bfs(adj, root: int) -> tuple[list[int], dict]:
-    """Breadth-first order from `root` and each reached vertex's parent.
-
-    The root's parent is None.  One walk goes through here: `build_cover`'s
-    connectivity check, over lists indexed by component id.  A tree is walked
-    once, by its leaf peel (`peel`), and the census walks its tails.
-    """
-    parent: dict = {root: None}
-    order = [root]
-    for u in order:  # the list grows while it is read, so it is the queue
-        for w in adj[u]:
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-    return order, parent
 
 
 def arithmetic_genus(genera: list[int], nodes: int) -> int:
@@ -361,13 +344,11 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_dot(self) -> str:
-        lines = ["graph tree {"]
-        for v, w in self.vertices:
-            lines.append(f'  v{v} [label="{v}:{w}"];')
-        for a, b in self.edges:
-            lines.append(f"  v{a} -- v{b};")
-        lines.append("}")
-        return "\n".join(lines)
+        # A DOT identifier holds no "-": id -3 is named n3, apart from v3 for id 3.
+        name = {v: f"v{v}" if v >= 0 else f"n{-v}" for v, _ in self.vertices}
+        vertices = (f'  {name[v]} [label="{v}:{w}"];' for v, w in self.vertices)
+        edges = (f"  {name[a]} -- {name[b]};" for a, b in self.edges)
+        return "\n".join(["graph tree {", *vertices, *edges, "}"])
 
 
 def tree(weights: dict[int, int], edges=()) -> WeightedTree:
@@ -429,28 +410,6 @@ def require_even(t: WeightedTree) -> int:
     if t.m % 2:
         raise ValueError(f"total weight must be even, got m={t.m}")
     return (t.m - 2) // 2
-
-
-def complementary_subtree_weights(t: WeightedTree, v: int) -> list[int]:
-    """Weights of the subtrees hanging off each edge at `v`, sorted.
-
-    Read off the rooted table by position: a child's side weighs its subtree,
-    and the parent's side, which the root lacks, weighs the rest of the tree.
-    The children are found by one C-level scan of the parent table, so each
-    call is O(n).
-    """
-    verts = t.vertices
-    # The position of `v`, by bisection: (v, w) sorts after (v,) and before any
-    # larger id.  Anything but an integer (True, 1.0) is placed past the last id.
-    i = bisect_left(verts, (v,)) if is_int(v) else len(verts)
-    if i == len(verts) or verts[i][0] != v:
-        raise InvalidTreeError(f"unknown vertex id {v}")
-    _, parent, below, _, _ = t._rooted
-    sides = [*compress(below, map(eq, parent, repeat(i)))]
-    if parent[i] >= 0:
-        sides.append(t.m - below[i])
-    sides.sort()
-    return sides
 
 
 # -- canonical encoding ---------------------------------------------------

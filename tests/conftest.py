@@ -40,7 +40,7 @@ from hyperforms.trees import CanonicalCode, InvalidTreeError, tree
 
 def walk(adj, root: int, cut: int | None = None) -> tuple[list[int], dict]:
     """Breadth-first order from `root` and each reached vertex's parent,
-    never entering `cut`: the oracles' own walk, apart from `trees.bfs`."""
+    never entering `cut`: the oracles' own walk, apart from the library's leaf peel."""
     parent: dict = {root: None}
     order = [root]
     for u in order:
@@ -388,7 +388,7 @@ def leaf_strip_cover(t: WeightedTree):
 
 def cover_connected(cover: CoverModel) -> bool:
     """Whether the cover's components form one connected curve: a walk over
-    its nodes by component id, apart from the `bfs` in `build_cover`."""
+    its nodes by component id, apart from the walk inside `build_cover`."""
     adj: dict[int, set[int]] = {c.id: set() for c in cover.components}
     for node in cover.nodes:
         a, b = node.components

@@ -16,14 +16,14 @@ from hyperforms import (
     tree,
     validate_stable,
 )
-from hyperforms.trees import MAX_LISTED, bfs
-from conftest import brute_force_census, dissymmetry_count, run_python, tree_centers
+from hyperforms.trees import MAX_LISTED
+from conftest import brute_force_census, dissymmetry_count, run_python, tree_centers, walk
 
 
 def walk_depth(t) -> int:
     """Steps from the census root (id 0) to the farther center of the tree:
     the depth of the deepest vertex the census walk roots a code at."""
-    _, parent = bfs(t.adjacency, 0)
+    _, parent = walk(t.adjacency, 0)
     depths = []
     for c in tree_centers(t):
         depth = 0

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperforms.census as census_mod
-import hyperforms.central as central_mod
 import hyperforms.trees as trees_mod
 from hyperforms import (
     WeightedTree, build_cover, canonical_code, covers, enumerate_stable_trees, path_tree, stable_model,
@@ -648,8 +647,13 @@ class TestErrors:
         }
 
     def test_central_walk_invariant_failure_exits_1(self, run, monkeypatch):
-        monkeypatch.setattr(central_mod, "complementary_subtree_weights",
-                            lambda t, v: [t.m] * len(t.neighbors(v)))
+        # Every subtree weighing m makes all three neighbours of the centre heavy.
+        peel = trees_mod.peel
+
+        def heavy(vertices, edges):
+            return peel(vertices, edges)._replace(below=[sum(w for _, w in vertices)] * len(vertices))
+
+        monkeypatch.setattr(trees_mod, "peel", heavy)
         star = tree_doc(0, 3, 3, 3, edges=[[0, 1], [0, 2], [0, 3]])
         status, out = run(["central"], stdin=star)
         assert status == 1

@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 import hyperforms
 from hyperforms import (
+    InvariantError,
+    StabilityReport,
     build_cover,
     canonical_code,
     contract_F_m,
@@ -69,6 +71,21 @@ class TestBuildCover:
     def test_odd_m_rejected(self):
         with pytest.raises(ValueError):
             build_cover(tree({0: 5}))
+
+    def test_disconnected_cover_raises_invariant_error(self):
+        # Passed as stable, two weightless vertices are both unbranched: their
+        # sheets pair off across the split edge into two curves.
+        t = path_tree(0, 0)
+        t.__dict__["_stability"] = StabilityReport(stable=True, violations=())
+        with pytest.raises(InvariantError, match="^admissible double cover must be connected$"):
+            build_cover(t)
+
+    def test_odd_branch_count_raises_invariant_error(self):
+        # An even weight below the edge leaves it split, so no branch point is added.
+        t = path_tree(3, 5)
+        t.__dict__["_rooted"] = t._rooted._replace(below=[4, 8])
+        with pytest.raises(InvariantError, match="^branch count must be even$"):
+            build_cover(t)
 
     def test_two_elliptic_components(self):
         # both subtree sides odd: one ramified node, genera (1, 1)

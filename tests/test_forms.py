@@ -98,3 +98,8 @@ class TestModuliDimension:
     def test_rejects_small_degree(self):
         with pytest.raises(ValueError):
             moduli_dimension(2)
+
+    @pytest.mark.parametrize("m", [3.5, 4.0, True], ids=["fraction", "whole-float", "bool"])
+    def test_rejects_a_degree_that_is_not_an_integer(self, m):
+        with pytest.raises(ValueError, match=f"^degree must be an integer, got {m!r}$"):
+            moduli_dimension(m)

@@ -169,6 +169,11 @@ class TestBlowupChain:
         with pytest.raises(ValueError):
             blowup_chain(1)
 
+    @pytest.mark.parametrize("n", [3.0, True, "3"], ids=["float", "bool", "str"])
+    def test_rejects_n_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+            blowup_chain(n)
+
     @pytest.mark.parametrize("n", range(2, 13))
     def test_stated_sequences(self, n):
         chain = blowup_chain(n).multiplicities

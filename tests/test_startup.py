@@ -3,7 +3,6 @@ command loads only the layers it runs.  Each check runs in a fresh interpreter,
 since this test process has imported every module."""
 
 import importlib
-import inspect
 import json
 import subprocess
 import sys
@@ -13,7 +12,6 @@ import pytest
 import hyperforms
 from hyperforms import path_tree
 from hyperforms.reduction import Tail
-from hyperforms.trees import bfs
 from conftest import checkout_env, run_python
 
 # Every public name, by its defining submodule.
@@ -25,16 +23,16 @@ EXPORTS = {
     "reduction": ["BlowupChain", "ExponentVector", "ReductionOutput", "blowup_chain", "reduce"],
     "strata": ["StratumLabel", "classify_stratum", "image_dimension"],
     "trees": ["CanonicalCode", "InvalidTreeError", "InvariantError", "StabilityReport",
-              "UnstableTreeError", "WeightedTree", "canonical_code",
-              "complementary_subtree_weights", "path_tree", "star_tree", "tree",
-              "validate_stable"],
+              "UnstableTreeError", "WeightedTree", "canonical_code", "path_tree", "star_tree",
+              "tree", "validate_stable"],
 }
 # Names that left the library: restated definitions, now test oracles in
 # `conftest`, and one-caller helpers folded into their callers.
 REMOVED = {"central": ["half_weight_edge"],
            "covers": ["branch_count", "edge_is_ramified", "connected"],
            "reduction": ["tail_genus", "attachment_points"],
-           "strata": ["delta", "xi"], "trees": ["isomorphic", "decode"]}
+           "strata": ["delta", "xi"],
+           "trees": ["isomorphic", "decode", "bfs", "complementary_subtree_weights"]}
 REMOVED_METHODS = [("BinaryFormClass", "roots"), ("BinaryFormClass", "from_multiplicities"),
                    ("StableHyperellipticModel", "special_points"), ("WeightedTree", "degree"),
                    ("WeightedTree", "from_json"), ("CoverModel", "is_connected"),
@@ -116,10 +114,6 @@ def test_removed_method_is_gone(record, name):
 def test_tail_is_a_plain_record():
     # `ReductionOutput.to_dict` writes each tail's `_asdict()`.
     assert not hasattr(Tail, "to_dict")
-
-
-def test_bfs_takes_no_cut():
-    assert list(inspect.signature(bfs).parameters) == ["adj", "root"]
 
 
 def test_star_import_binds_every_export():

@@ -147,6 +147,11 @@ class TestImageDimension:
     def test_genus_below_two_rejected(self, g):
         assert image_dimension(StratumLabel(INTERIOR), g) is None
 
+    @pytest.mark.parametrize("g", [2.5, 3.0, True], ids=["fraction", "whole-float", "bool"])
+    def test_genus_that_is_not_an_integer_rejected(self, g):
+        with pytest.raises(ValueError, match=f"^g must be an integer, got {g!r}$"):
+            image_dimension(StratumLabel(INTERIOR), g)
+
     def test_none_exactly_where_no_closed_form(self):
         """Every stable even class with m <= 12: None on the deeper strata and
         at m = 4 (g = 1); otherwise 0 at the semistable point, else the number

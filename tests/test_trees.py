@@ -18,7 +18,6 @@ from hyperforms import (
     build_cover,
     canonical_code,
     classify_stratum,
-    complementary_subtree_weights,
     contract_F_m,
     enumerate_stable_trees,
     f_g_exponents,
@@ -240,15 +239,17 @@ class TestOneWalk:
         )
 
     def test_from_dict_then_side_weight_walks_once(self, walks):
-        t = self.from_dict()
-        assert complementary_subtree_weights(t, 1) == [2, 3]
-        assert complementary_subtree_weights(t, 2) == [2, 3]
-        assert walks == [4]
+        # the sides at the centre are read off the walk that proved the document a tree
+        t = WeightedTree.from_dict(
+            {"vertices": [{"id": i, "weight": w} for i, w in enumerate([2, 1, 2])], "edges": [[0, 1], [1, 2]]}
+        )
+        assert contract_F_m(t) == BinaryFormClass([2, 2, 1])
+        assert walks == [3]
 
     def test_grown_tree_walks_on_first_use(self, walks):
         t = WeightedTree._grown([0, 2, 2, 2], [0, 0, 0], pair_table(6))
         assert walks == []
-        assert complementary_subtree_weights(t, 3) == [4]
+        assert find_central(t) == CentralResult(vertex=0)
         assert walks == [4]
 
     def test_canonical_code_after_from_dict_does_not_walk_again(self, walks):
@@ -700,75 +701,91 @@ class TestGrownTree:
         assert t.edges == tuple(zip(up, range(1, len(weights))))
 
 
-class TestComplementaryWeights:
-    def test_star_center(self):
-        assert complementary_subtree_weights(star_tree(0, 2, 2, 2), 0) == [2, 2, 2]
-
-    def test_path_leaf(self):
-        assert complementary_subtree_weights(path_tree(2, 1, 2), 0) == [3]
-
-    def test_single_vertex(self):
-        assert complementary_subtree_weights(tree({0: 5}), 0) == []
-
-    def test_unknown_vertex(self):
-        with pytest.raises(InvalidTreeError, match="^unknown vertex id 3$"):
-            complementary_subtree_weights(tree({0: 5}), 3)
-
+class TestNeighbors:
     # The constructor takes only integer ids, so True and 1.0 name no vertex,
     # although they equal and hash as vertex 1.
     @pytest.mark.parametrize("v", [True, 1.0], ids=["bool", "float"])
     def test_id_that_is_not_an_integer(self, v):
         t = path_tree(2, 1, 1, 2)
-        for ask in (t.neighbors, lambda v: complementary_subtree_weights(t, v)):
-            with pytest.raises(InvalidTreeError, match=f"^unknown vertex id {v}$"):
-                ask(v)
-        assert t.neighbors(Id(1)) == (0, 2) and complementary_subtree_weights(t, Id(1)) == [2, 3]
+        with pytest.raises(InvalidTreeError, match=f"^unknown vertex id {v}$"):
+            t.neighbors(v)
+        assert t.neighbors(Id(1)) == (0, 2)
 
-    # Rooted at vertex 0, these vertices have a parent, whose side weighs the rest.
+
+class TestComplementaryWeights:
+    """The weights of the complementary subtrees at the central vertex, as
+    `find_central` reads them at the centre's position in the rooted table."""
+
+    @staticmethod
+    def sides(t) -> list[int]:
+        result, sides = central_mod._central(t)
+        assert result.vertex is not None, t
+        return list(sides)
+
+    def test_star_center(self):
+        assert self.sides(star_tree(0, 2, 2, 2)) == [2, 2, 2]
+
+    def test_path_leaf(self):
+        t = path_tree(5, 1, 2)
+        assert find_central(t) == CentralResult(vertex=0) and self.sides(t) == [3]
+
+    def test_single_vertex(self):
+        assert self.sides(tree({0: 5})) == []
+
+    # The centre is not the root of the peel, so its parent's side weighs the rest.
     @pytest.mark.parametrize(
         "t, v, sides",
         [
-            (path_tree(2, 1, 2), 1, [2, 2]),
-            (path_tree(2, 1, 2), 2, [3]),
-            (path_tree(2, 1, 1, 2), 2, [2, 3]),
-            (star_tree(0, 2, 2, 2), 3, [4]),
-            (tree({0: 2, 1: 1, 2: 3, 3: 2}, [(0, 1), (1, 2), (1, 3)]), 1, [2, 2, 3]),
+            (path_tree(2, 2, 1, 2), 1, [2, 3]),
+            (path_tree(2, 1, 1, 1, 6), 4, [5]),
+            (path_tree(2, 3, 1, 1, 2), 1, [2, 4]),
+            (star_tree(0, 2, 2, 5), 3, [4]),
+            (tree({0: 3, 1: 1, 2: 3, 3: 1, 4: 1, 5: 2}, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5)]),
+             1, [3, 3, 4]),
         ],
         ids=["path-middle", "path-end", "path-inner", "star-leaf", "branch-vertex"],
     )
     def test_non_root_vertex(self, t, v, sides):
-        assert complementary_subtree_weights(t, v) == sides
+        assert find_central(t) == CentralResult(vertex=v)
+        assert t._rooted.parent[t.ids.index(v)] >= 0
+        assert self.sides(t) == sides
 
     @staticmethod
     def by_oracle(t, v):
         return sorted(side_weight(t, (v, u), toward=u) for u in t.neighbors(v))
 
+    @staticmethod
+    def centred(trees):
+        """The trees with a central vertex, each with its centre."""
+        return [(t, c.vertex) for t in trees if (c := find_central(t)).vertex is not None]
+
     def test_matches_oracle_on_every_class_to_10(self):
         checked = 0
         for m in range(3, 11):
-            for t in enumerate_stable_trees(m).trees:
-                for v in t.ids:
-                    assert complementary_subtree_weights(t, v) == self.by_oracle(t, v), (t, v)
-                    checked += 1
-        assert checked > 1000
+            for t, c in self.centred(enumerate_stable_trees(m).trees):
+                assert self.sides(t) == self.by_oracle(t, c), t
+                checked += 1
+        assert checked > 200
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_oracle_on_relabeled_random_trees(self, seed):
         t = relabeled(random_stable_tree(seed, n=300, extra=seed), seed)
-        for v in t.ids:
-            assert complementary_subtree_weights(t, v) == self.by_oracle(t, v), (t, v)
+        (v, w), *rest = t.vertices
+        odd = WeightedTree(((v, w + 1), *rest), t.edges)  # odd weight: never a half-weight edge
+        for t, c in self.centred([t, odd]):
+            assert self.sides(t) == self.by_oracle(t, c), t
 
     @pytest.mark.parametrize("k", [3, 4, 50])
     def test_matches_oracle_on_stars(self, k):
-        for t in (star_tree(0, *[2] * k), relabeled(star_tree(1, *range(2, k + 2)), k)):
-            for v in t.ids:
-                assert complementary_subtree_weights(t, v) == self.by_oracle(t, v), (t, v)
+        stars = self.centred([star_tree(0, *[2] * k), relabeled(star_tree(1, *range(2, k + 2)), k)])
+        assert len(stars) == 2
+        for t, c in stars:
+            assert self.sides(t) == self.by_oracle(t, c), t
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_weights_sum_to_m(self, m):
-        for t in enumerate_stable_trees(m).trees:
-            for v in t.ids:
-                assert t.weight_of[v] + sum(complementary_subtree_weights(t, v)) == m
+        for t, c in self.centred(enumerate_stable_trees(m).trees):
+            assert t.weight_of[c] + sum(self.sides(t)) == m
 
 
 class TestSerialization:
@@ -817,6 +834,16 @@ class TestSerialization:
     def test_dot_labels(self):
         dot = path_tree(2, 4).to_dot()
         assert '"0:2"' in dot and '"1:4"' in dot and "v0 -- v1" in dot
+
+    def test_dot_names_negative_ids_apart(self):
+        assert tree({7: 3, -3: 5}, [(7, -3)]).to_dot() == (
+            'graph tree {\n  n3 [label="-3:5"];\n  v7 [label="7:3"];\n  n3 -- v7;\n}')
+        # -3 and 3 in one tree: distinct DOT identifiers, each id kept in its label
+        dot = tree({-3: 2, 0: 0, 3: 2, 5: 2}, [(-3, 0), (0, 3), (0, 5)]).to_dot()
+        names = re.findall(r"^  (\S+) \[label=\"(-?\d+):", dot, re.M)
+        assert names == [("n3", "-3"), ("v0", "0"), ("v3", "3"), ("v5", "5")]
+        assert all(re.fullmatch(r"[A-Za-z_]\w*", name) for name, _ in names)
+        assert "n3 -- v0;" in dot
 
 
 class TestInvariantCheck:
