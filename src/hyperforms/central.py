@@ -35,13 +35,14 @@ class CentralResult(namedtuple("CentralResult", "vertex edge")):
         return {"kind": "central_vertex", "vertex": self.vertex}
 
 
-def _central(t: WeightedTree) -> tuple[CentralResult, tuple[int, ...]]:
+def _central(t: WeightedTree) -> tuple[CentralResult, tuple[int, ...], int]:
     """`find_central`, with the side weights at the central vertex that its
-    check computed (none for the half-weight edge).
+    check computed and the vertex's own weight, read at its position: Section
+    3's witness that it is central (no sides and weight 0 for the half-weight edge).
 
-    Kept with the tree's cached tables, as `_centre`, the way `validate_stable`
-    keeps its report: `find_central`, `contract_F_m` and `f_g_exponents`
-    scan a tree once between them."""
+    Kept with the tree's cached tables, as `_centre`, beside the stability
+    report: `find_central`, `contract_F_m` and `f_g_exponents` scan a tree
+    once between them."""
     kept = t.__dict__.get("_centre")
     if kept is not None:
         return kept
@@ -53,7 +54,7 @@ def _central(t: WeightedTree) -> tuple[CentralResult, tuple[int, ...]]:
     i = min(heavy, key=below.__getitem__)  # a position; ids only from here on
     v = t.vertices[i][0]
     if 2 * below[i] == m:
-        kept = CentralResult(edge=tuple(sorted((t.vertices[parent[i]][0], v)))), ()
+        kept = CentralResult(edge=tuple(sorted((t.vertices[parent[i]][0], v)))), (), 0
     else:
         # A child's side weighs its subtree; the parent's, which the root lacks, the rest.
         sides = [*compress(below, map(eq, parent, repeat(i)))]
@@ -61,7 +62,7 @@ def _central(t: WeightedTree) -> tuple[CentralResult, tuple[int, ...]]:
             sides.append(m - below[i])
         sides.sort()
         check(all(2 * w < m for w in sides), "central vertex has a side weighing at least m/2")
-        kept = CentralResult(vertex=v), tuple(sides)
+        kept = CentralResult(vertex=v), tuple(sides), t.vertices[i][1]
     t.__dict__["_centre"] = kept
     return kept
 
@@ -84,10 +85,9 @@ def contract_F_m(t: WeightedTree) -> BinaryFormClass:
     each marked point on the central component becomes a simple root.  A tree
     with a half-weight edge maps to the semistable point.
     """
-    result, sides = _central(t)
+    result, sides, simple = _central(t)
     if result.edge is not None:
         return BinaryFormClass(semistable_point=True)
-    simple = t.weight_of[result.vertex]
     if simple > MAX_LISTED:  # refused before `(1,) * simple` is built
         raise ValueError(f"central vertex weight {simple} exceeds {MAX_LISTED}: "
                          "too many simple roots to list")

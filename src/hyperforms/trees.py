@@ -222,7 +222,7 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
                 raise InvalidTreeError("edge count does not match a tree")
             raise InvalidTreeError("graph is disconnected")
         self = tuple.__new__(cls, (verts, edges))
-        self.__dict__.update(weight_of=weight_of, _rooted=rooted)  # the `cached_property` tables, filled here
+        self.__dict__["_rooted"] = rooted  # the `cached_property` table, filled here
         return self
 
     _make = classmethod(checked_make)
@@ -241,7 +241,7 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         ascending order, already the sorted normal form of `__new__`, so they
         are not sorted.  The ids are 0..n-1, so they are the peel's positions
         as they are; the peel (`_rooted`) runs on first use, like every other
-        cached table, and `adjacency` is built only if a caller asks for it.
+        cached table.
 
         The vertex pairs (v, weights[v]) and edge pairs (up[v - 1], v) are
         looked up in `pairs`, a `pair_table` shared by every tree of one
@@ -265,19 +265,6 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         return tuple.__new__(cls, (tuple(map(getitem, vertex_rows, weights)), edges))
 
     @cached_property
-    def weight_of(self) -> dict[int, int]:
-        return dict(self.vertices)
-
-    @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        # Sorted edges give lower neighbours, then higher ones, both ascending.
-        adj: dict[int, list[int]] = {v: [] for v, _ in self.vertices}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return {v: tuple(ns) for v, ns in adj.items()}
-
-    @cached_property
     def m(self) -> int:
         """Total weight: the number of marked points on the curve."""
         return sum(map(itemgetter(1), self.vertices))
@@ -291,20 +278,17 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
 
     @cached_property
     def _stability(self) -> "StabilityReport":
-        """`validate_stable`'s report, kept so that one scan serves every layer
-        that requires a stable tree, and `validate_stable` itself.  The
-        central vertex is kept alike, as `_centre` (see `central._central`)."""
-        return validate_stable(self)
+        """The stability scan (`validate_stable`), kept so that one scan serves
+        every layer that requires a stable tree.  The central vertex is kept
+        alike, as `_centre` (see `central._central`)."""
+        violations = tuple(
+            (v, w, d) for (v, w), d in zip(self.vertices, self._rooted.degree) if w + d < 3
+        )
+        return StabilityReport(stable=not violations, violations=violations)
 
     @property
     def ids(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.vertices)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        ns = self.adjacency.get(v) if is_int(v) else None  # not True or 1.0 for vertex 1
-        if ns is None:
-            raise InvalidTreeError(f"unknown vertex id {v}")
-        return ns
 
     # -- serialization ----------------------------------------------------
 
@@ -319,11 +303,9 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
             vertices = tuple(map(itemgetter("id", "weight"), vertices))
         except (KeyError, TypeError) as exc:
             raise InvalidTreeError("each vertex must be an object with an id and a weight") from exc
-        try:  # the constructor checks this too, but after the ids and weights
-            pairs = set(map(len, edges)) <= {2}
-        except TypeError:  # an edge that is not an array
-            pairs = False
-        if not pairs:
+        # The constructor checks the shape too, but after the ids and weights;
+        # an object or a string may hold two items, but is not an array.
+        if not ({*map(type, edges)} <= {list, tuple} and {*map(len, edges)} <= {2}):
             raise InvalidTreeError("each edge must be an array of two vertex ids")
         tree = cls(vertices, edges)
         m = doc.get("m", tree.m)
@@ -379,16 +361,9 @@ StabilityReport = namedtuple("StabilityReport", "stable violations")
 def validate_stable(t: WeightedTree) -> StabilityReport:
     """Check weight + degree >= 3 at every vertex.
 
-    The report is kept with the tree's cached tables (`_stability`), so a
-    tree is scanned once, whichever asks first: this call or a layer that
-    requires a stable tree."""
-    report = t.__dict__.get("_stability")
-    if report is None:
-        violations = tuple(
-            (v, w, d) for (v, w), d in zip(t.vertices, t._rooted.degree) if w + d < 3
-        )
-        report = t.__dict__["_stability"] = StabilityReport(stable=not violations, violations=violations)
-    return report
+    The report is the tree's cached table `_stability`, so a tree is scanned
+    once, whichever asks first: this call or a layer that requires a stable tree."""
+    return t._stability
 
 
 def require_stable(t: WeightedTree) -> WeightedTree:

@@ -1,5 +1,6 @@
-"""Scale checks one step past the suite: the m = 15 census documents and
-count, the m = 16 count under a memory and a time bound, the m = 14
+"""Scale checks one step past the suite: the m = 15 census documents, count
+and fibres of `contract_F_m`, the fibre sizes summing to the census count at
+m = 60, the m = 16 count under a memory and a time bound, the m = 14
 identities, the exponent-side square up to 2g+2 = 30, a stable model with 9!
 relabelings under a memory bound, the closed-form stable model of a
 10^5-leaf star, the stable models of a 10^5-component soft chain and of two
@@ -14,7 +15,7 @@ module out; pytest collects it only when it is named on the command line:
 
     PYTHONPATH=src python -m pytest -q -s tests/ci_scale.py
 
-It takes about 45 s on a shared 2-core VM.  Every time bound is about twice
+It takes about 60 s on a shared 2-core VM.  Every time bound is about twice
 the slowest run measured there.
 """
 
@@ -34,13 +35,14 @@ from pathlib import Path
 import pytest
 
 from hyperforms import (
-    CentralResult, WeightedTree, build_cover, canonical_code, classify_stratum, enumerate_stable_trees, find_central,
-    path_tree, stable_model, star_tree, tree,
+    CentralResult, WeightedTree, build_cover, canonical_code, classify_stratum, contract_F_m, enumerate_stable_trees,
+    find_central, path_tree, stable_model, star_tree, tree,
 )
 from conftest import (
     check_branch_identity, check_exponent_square, checkout_env, dissymmetry_count, random_stable_tree,
     relabeled, root_blocks, roots_refine, run_python, square_partitions, traced_peak,
 )
+from test_central import fibres
 from test_covers import chain_cover, cycle_cover
 
 N = 10**5
@@ -137,6 +139,7 @@ def test_census_codes_roots_and_documents_at_m15():
     assert all(canonical_code(t) == code for code, t in census.classes), "code mismatch"
     roots = (CentralResult(vertex=0), CentralResult(edge=(0, 1)))
     assert all(find_central(t) in roots for t in census.trees), "class not rooted at its centre"
+    assert Counter(map(contract_F_m, census.trees)) == fibres(15), "a fibre of contract_F_m changed size"
     # sha256 of `enumerate --m 15 --bound 15` stdout: any change to a class, the class order,
     # the ids, weights or edges of a tree, or the stratum counts changes a digest
     digests = {"json": "273cf4b43a1bb941a48d70d6b65ac1dde152ee2655be00475a3bb5362d62e128",
@@ -146,6 +149,12 @@ def test_census_codes_roots_and_documents_at_m15():
                               capture_output=True, env=checkout_env())
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert hashlib.sha256(proc.stdout).hexdigest() == digest, f"{fmt} document changed"
+
+
+def test_fibre_sizes_sum_to_the_census_count_at_m60():
+    sizes = fibres(60)
+    assert sum(sizes.values()) == dissymmetry_count(60), len(sizes)
+    print(f"fibre sizes of {len(sizes)} forms sum to the m = 60 census count")
 
 
 def test_branch_identity_at_the_central_vertex_at_m14():

@@ -11,7 +11,7 @@ import sys
 import tracemalloc
 from collections import Counter, defaultdict
 from itertools import chain, permutations, product
-from math import comb
+from math import comb, prod
 from operator import le, lt
 from pathlib import Path
 
@@ -32,11 +32,22 @@ from hyperforms import (
 )
 from hyperforms.census import Census, _make_census
 from hyperforms.covers import CoverModel, StableHyperellipticModel, arithmetic_genus
+from hyperforms.forms import BinaryFormClass
 from hyperforms.reduction import ReductionOutput
 from hyperforms.trees import CanonicalCode, InvalidTreeError, tree
 
 
 # -- the paper's definitions, one edge or vertex at a time ----------------
+
+def adjacency(t: WeightedTree) -> dict[int, list[int]]:
+    """Each vertex's neighbours by id, read off `t.edges`: the oracles' own
+    id-keyed view, which the library does not keep."""
+    adj: dict[int, list[int]] = {v: [] for v, _ in t.vertices}
+    for a, b in t.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
 
 def walk(adj, root: int, cut: int | None = None) -> tuple[list[int], dict]:
     """Breadth-first order from `root` and each reached vertex's parent,
@@ -51,14 +62,16 @@ def walk(adj, root: int, cut: int | None = None) -> tuple[list[int], dict]:
     return order, parent
 
 
-def rooted(t: WeightedTree) -> tuple[dict, dict[int, int]]:
+def rooted(t: WeightedTree) -> tuple[dict, dict[int, int], dict[int, list[int]], dict[int, int]]:
     """Parent and subtree weight of every vertex, rooted at the first id by
-    one `walk`: the oracles' own table, apart from the library's `t._rooted`."""
-    order, parent = walk(t.adjacency, t.vertices[0][0])
-    below = dict(t.weight_of)
+    one `walk`, with the `adjacency` it walked and the vertex weights: the
+    oracles' own id-keyed table, apart from the library's `t._rooted`."""
+    adj, weight = adjacency(t), dict(t.vertices)
+    order, parent = walk(adj, t.vertices[0][0])
+    below = dict(weight)
     for v in reversed(order[1:]):  # children before parents
         below[parent[v]] += below[v]
-    return parent, below
+    return parent, below, adj, weight
 
 
 def side_weight(t: WeightedTree, edge: tuple[int, int], toward: int, table=None) -> int:
@@ -72,7 +85,7 @@ def side_weight(t: WeightedTree, edge: tuple[int, int], toward: int, table=None)
         away = a
     else:
         raise InvalidTreeError(f"vertex {toward} not an endpoint of {edge}")
-    parent, below = table or rooted(t)
+    parent, below, _, _ = table or rooted(t)
     if parent.get(toward) == away:
         return below[toward]
     if parent.get(away) == toward:
@@ -83,7 +96,8 @@ def side_weight(t: WeightedTree, edge: tuple[int, int], toward: int, table=None)
 def is_central(t: WeightedTree, v: int, table=None) -> bool:
     """Direct test of the definition: every complementary subtree < m/2."""
     table = table or rooted(t)
-    return all(2 * side_weight(t, (v, u), u, table) < t.m for u in t.neighbors(v))
+    _, _, adj, _ = table
+    return all(2 * side_weight(t, (v, u), u, table) < t.m for u in adj[v])
 
 
 def half_weight_edge(t: WeightedTree) -> tuple[int, int] | None:
@@ -111,7 +125,7 @@ def contracted(t: WeightedTree, edge: tuple[int, int]) -> WeightedTree:
     """T/e: the ends of `edge`, an edge of `t` as `t.edges` lists it, merged
     into its first end, which carries both weights.  T/e is stable if T is."""
     u, v = edge
-    weights = dict(t.weight_of)
+    weights = dict(t.vertices)
     weights[u] += weights.pop(v)
     return tree(weights, [(u if a == v else a, u if b == v else b) for a, b in t.edges if (a, b) != edge])
 
@@ -122,15 +136,15 @@ def root_blocks(t: WeightedTree) -> dict:
     vertex, named by the centre's neighbour on it, or None on the central
     vertex, whose marks are simple roots, one each.  On the semistable point
     the blocks are the two sides of the half-weight edge, named by their ends."""
-    result = find_central(t)
+    result, adj = find_central(t), adjacency(t)
     if result.edge is not None:
         a, b = result.edge
-        side_a = set(walk(t.adjacency, a, cut=b)[0])
-        return {x: a if x in side_a else b for x in t.weight_of}
+        side_a = set(walk(adj, a, cut=b)[0])
+        return {x: a if x in side_a else b for x in adj}
     c = result.vertex
     blocks = {c: None}
-    for n in t.adjacency[c]:
-        blocks.update(dict.fromkeys(walk(t.adjacency, n, cut=c)[0], n))
+    for n in adj[c]:
+        blocks.update(dict.fromkeys(walk(adj, n, cut=c)[0], n))
     return blocks
 
 
@@ -182,7 +196,8 @@ def edge_is_ramified(t: WeightedTree, edge: tuple[int, int], table=None) -> bool
 def branch_count(t: WeightedTree, v: int, table=None) -> int:
     """Marks on v plus incident ramified edges; always even for even m."""
     table = table or rooted(t)
-    return t.weight_of[v] + sum(edge_is_ramified(t, (v, u), table) for u in t.neighbors(v))
+    _, _, adj, weight = table
+    return weight[v] + sum(edge_is_ramified(t, (v, u), table) for u in adj[v])
 
 
 def special_points(model: StableHyperellipticModel, cid: int) -> int:
@@ -197,9 +212,10 @@ def brute_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
     if sorted(w for _, w in t1.vertices) != sorted(w for _, w in t2.vertices):
         return False
     edges1 = set(t1.edges)
+    weight1, weight2 = dict(t1.vertices), dict(t2.vertices)
     for perm in permutations(t2.ids):
         mapping = dict(zip(t1.ids, perm))
-        if any(t1.weight_of[v] != t2.weight_of[mapping[v]] for v in t1.ids):
+        if any(weight1[v] != weight2[mapping[v]] for v in t1.ids):
             continue
         mapped = {tuple(sorted((mapping[a], mapping[b]))) for a, b in edges1}
         if mapped == set(t2.edges):
@@ -210,8 +226,9 @@ def brute_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
 def tree_centers(t: WeightedTree) -> list[int]:
     """The one or two centers of the tree, as the middle of a longest path
     found by two walks."""
-    far = walk(t.adjacency, t.vertices[0][0])[0][-1]
-    order, parent = walk(t.adjacency, far)
+    adj = adjacency(t)
+    far = walk(adj, t.vertices[0][0])[0][-1]
+    order, parent = walk(adj, far)
     path = [order[-1]]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
@@ -229,12 +246,13 @@ def breadth_first_parents(up: list[int]) -> bool:
 def walk_canonical_code(t: WeightedTree) -> CanonicalCode:
     """Tree canonical code from three walks: two to find the centers, one to
     encode the subtrees below them."""
+    adj, weight = adjacency(t), dict(t.vertices)
 
     def node_code(v: int, kids: list[CanonicalCode]) -> CanonicalCode:
-        return (-1, t.weight_of[v], *chain.from_iterable(sorted(kids)), -2)
+        return (-1, weight[v], *chain.from_iterable(sorted(kids)), -2)
 
     def subtree_codes(root: int, cut: int | None = None) -> list[CanonicalCode]:
-        order, parent = walk(t.adjacency, root, cut)
+        order, parent = walk(adj, root, cut)
         kids: dict[int, list[CanonicalCode]] = {root: []}
         for v in order[:0:-1]:  # children before parents, root excluded
             kids.setdefault(parent[v], []).append(node_code(v, kids.pop(v, ())))
@@ -332,16 +350,13 @@ def brute_force_census(m: int, bound: int = 8) -> Census:
     return _make_census(m, _prufer_classes(m).items())
 
 
-def dissymmetry_count(m: int) -> int:
-    """The census count of weight m by the dissymmetry theorem for trees:
-    unrooted = vertex-rooted + edge-rooted - arc-rooted, with no central-vertex
-    lemma.  A tail is a rooted stable tree hanging off one edge.  A weight-w
-    tail, w >= 2, is a root weight w - t over a forest of lighter tails
-    weighing t, and is stable for every t <= w (a forest weighing w holds two
-    tails or more, one weighing w - 1 one or more), so T(w) sums the forest
-    counts, which the Euler transform of T gives.  An arc roots an ordered
-    pair of tails, an edge an unordered one, and only a pair of equal
-    half-weight tails, T(m/2) of them, is its own reverse."""
+def tail_counts(m: int) -> list[int]:
+    """T(w) for w = 0..m, the number of tails of weight w.  A tail is a rooted
+    stable tree hanging off one edge.  A weight-w tail, w >= 2, is a root
+    weight w - t over a forest of lighter tails weighing t, and is stable for
+    every t <= w (a forest weighing w holds two tails or more, one weighing
+    w - 1 one or more), so T(w) sums the forest counts, which the Euler
+    transform of T gives."""
     T = [0] * (m + 1)
     forests = [1] + [0] * m  # forests[t]: multisets of the tails counted so far weighing t
     for w in range(2, m + 1):
@@ -349,12 +364,36 @@ def dissymmetry_count(m: int) -> int:
         # T[w] kinds of weight-w tail: k of them, repeats allowed, in comb(T[w] + k - 1, k) ways
         forests = [sum(comb(T[w] + k - 1, k) * forests[t - k * w] for k in range(t // w + 1))
                    for t in range(m + 1)]
+    return T
+
+
+def dissymmetry_count(m: int) -> int:
+    """The census count of weight m by the dissymmetry theorem for trees:
+    unrooted = vertex-rooted + edge-rooted - arc-rooted, with no central-vertex
+    lemma.  An arc roots an ordered pair of tails (`tail_counts`), an edge an
+    unordered one, and only a pair of equal half-weight tails, T(m/2) of
+    them, is its own reverse."""
+    T = tail_counts(m)
     ordered = sum(T[w] * T[m - w] for w in range(m + 1))
     half = T[m // 2] if m % 2 == 0 else 0
-    # a centre weight c over a forest weighing m - c, less the roots with c + k < 3:
-    # c = 0 with one tail or two (the unordered pairs), c = 1 with one
-    vertex_rooted = sum(forests) - T[m] - (ordered + half) // 2 - T[m - 1]
+    # A centre weight c over k tails lighter than m weighing m - c, T(m) in all, less
+    # the roots with c + k < 3: c = 0 with two tails (the unordered pairs), c = 1 with one.
+    vertex_rooted = T[m] - (ordered + half) // 2 - T[m - 1]
     return vertex_rooted - (ordered - half) // 2
+
+
+def fibre_count(form: BinaryFormClass, T: list[int]) -> int:
+    """The stable trees of weight m = len(T) - 1 that `contract_F_m` sends to
+    `form`, by Section 3's picture of its fibre, with T = `tail_counts(m)`.
+    Over a GIT-stable form, the centre carries the simple roots and one tail
+    of weight n per root of multiplicity n >= 2: for the r_n such roots, a
+    multiset of r_n tails of T(n) kinds.  Over the semistable point, the
+    half-weight edge joins an unordered pair of weight-m/2 tails."""
+    if form.semistable_point:
+        m = len(T) - 1
+        half = T[m // 2] if m % 2 == 0 else 0
+        return half * (half + 1) // 2
+    return prod(comb(T[n] + r - 1, r) for n, r in Counter(form.multiplicities).items() if n >= 2)
 
 
 def leaf_strip_cover(t: WeightedTree):
@@ -364,8 +403,8 @@ def leaf_strip_cover(t: WeightedTree):
     its node and passes one extra mark to its neighbour.  Returns the set of
     ramified edges and the branch count of every vertex.
     """
-    weights = dict(t.weight_of)
-    adj = {v: set(t.neighbors(v)) for v in t.ids}
+    weights = dict(t.vertices)
+    adj = {v: set(ns) for v, ns in adjacency(t).items()}
     remaining = set(t.ids)
     ramified: set[tuple[int, int]] = set()
     branch: dict[int, int] = {}
@@ -504,11 +543,11 @@ def relabeled(t: WeightedTree, seed: int) -> WeightedTree:
     )
 
 
-def branch_subcover(t: WeightedTree, cover: CoverModel, v: int, u: int) -> tuple[int, int, bool]:
-    """The part of `cover` over the branch of `t` at `v` through its neighbour
-    `u`: its arithmetic genus, the number of nodes joining it to the rest of
-    the cover, and whether it is connected."""
-    base = set(walk(t.adjacency, u, cut=v)[0])
+def branch_subcover(tree_adj: dict, cover: CoverModel, v: int, u: int) -> tuple[int, int, bool]:
+    """The part of `cover` over the branch at `v` through its neighbour `u`
+    of the tree with adjacency `tree_adj`: its arithmetic genus, the number of
+    nodes joining it to the rest of the cover, and whether it is connected."""
+    base = set(walk(tree_adj, u, cut=v)[0])
     genus = {c.id: c.genus for c in cover.components if c.base_vertex in base}
     adj: dict[int, list[int]] = {cid: [] for cid in genus}
     internal = crossing = 0
@@ -534,13 +573,14 @@ def check_branch_identity(t: WeightedTree) -> int:
         return 0
     v = central.vertex
     cover, table = build_cover(t), rooted(t)
-    for u in t.neighbors(v):
+    _, _, adj, _ = table
+    for u in adj[v]:
         n = side_weight(t, (v, u), u, table)
-        genus, crossing, connected = branch_subcover(t, cover, v, u)
+        genus, crossing, connected = branch_subcover(adj, cover, v, u)
         assert connected, (t, u, "disconnected")
         assert genus == (n - 1) // 2, (t, u)
         assert crossing == (1 if n % 2 else 2), (t, u)
-    return len(t.neighbors(v))
+    return len(adj[v])
 
 
 def reconstructed_exponents(t: WeightedTree):
@@ -550,9 +590,10 @@ def reconstructed_exponents(t: WeightedTree):
         return None
     v = result.vertex
     cover, table = build_cover(t), rooted(t)
-    mults = [1] * t.weight_of[v]
-    for u in t.neighbors(v):
-        h, _, connected = branch_subcover(t, cover, v, u)
+    _, _, adj, weight = table
+    mults = [1] * weight[v]
+    for u in adj[v]:
+        h, _, connected = branch_subcover(adj, cover, v, u)
         assert connected, "branch subcover is disconnected"
         w = side_weight(t, (v, u), u, table)
         mults.append(2 * h + 1 if w % 2 else 2 * h + 2)
@@ -591,6 +632,18 @@ def partitions(total: int, top: int):
     for first in range(min(total, top), 0, -1):
         for rest in partitions(total - first, first):
             yield (first, *rest)
+
+
+def compositions(total, max_part=None):
+    """Every ordered sequence of positive integers summing to `total`, with no
+    part above `max_part` when given."""
+    if total == 0:
+        yield ()
+        return
+    top = total if max_part is None else min(total, max_part)
+    for first in range(1, top + 1):
+        for rest in compositions(total - first, max_part):
+            yield (first,) + rest
 
 
 def square_partitions(max_m: int):

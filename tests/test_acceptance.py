@@ -21,6 +21,7 @@ from hyperforms.strata import DELTA, SEMISTABLE_IMAGE, XI, StratumLabel
 from conftest import (
     branch_count,
     brute_force_census,
+    compositions,
     edge_is_ramified,
     half_weight_edge,
     is_central,
@@ -97,14 +98,6 @@ def test_criterion_4_generic_divisor_covers():
 
 
 def test_criterion_5_stable_reduction():
-    def compositions(total, max_part):
-        if total == 0:
-            yield ()
-            return
-        for first in range(1, min(total, max_part) + 1):
-            for rest in compositions(total - first, max_part):
-                yield (first,) + rest
-
     checked = 0
     for g in range(2, 6):
         for comp in compositions(2 * g + 2, 2 * g):

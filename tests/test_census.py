@@ -17,13 +17,13 @@ from hyperforms import (
     validate_stable,
 )
 from hyperforms.trees import MAX_LISTED
-from conftest import brute_force_census, dissymmetry_count, run_python, tree_centers, walk
+from conftest import adjacency, brute_force_census, dissymmetry_count, run_python, tree_centers, walk
 
 
 def walk_depth(t) -> int:
     """Steps from the census root (id 0) to the farther center of the tree:
     the depth of the deepest vertex the census walk roots a code at."""
-    _, parent = walk(t.adjacency, 0)
+    _, parent = walk(adjacency(t), 0)
     depths = []
     for c in tree_centers(t):
         depth = 0
@@ -114,7 +114,7 @@ class TestEnumerate:
             for t in enumerate_stable_trees(m, bound=12).trees:
                 centres = tree_centers(t)
                 if len(centres) == 2:
-                    wu, wv = map(t.weight_of.__getitem__, centres)
+                    wu, wv = map(dict(t.vertices).__getitem__, centres)
                     orders.add((wu > wv) - (wu < wv))
         assert orders == {-1, 0, 1}
 
@@ -203,7 +203,7 @@ class TestCentralGenerator:
             checked = tree(dict(t.vertices), t.edges)
             assert t.vertices == checked.vertices
             assert t.edges == checked.edges
-            assert t.adjacency == checked.adjacency
+            assert adjacency(t) == adjacency(checked)
 
     @pytest.mark.parametrize("m", range(3, 13))
     def test_forest_table_holds_each_multiset_once(self, m, monkeypatch):
@@ -265,9 +265,10 @@ class TestCentralGenerator:
         assert calls == []
 
     @pytest.mark.parametrize("m", [9, 12, 13])
-    def test_adjacency_built_on_demand(self, m):
+    def test_trees_keep_no_id_keyed_tables(self, m):
         trees = enumerate_stable_trees(m, bound=13).trees
-        assert not any("adjacency" in t.__dict__ for t in trees)
+        for name in ("weight_of", "adjacency", "neighbors"):
+            assert not any(hasattr(t, name) for t in trees)
 
     @pytest.mark.parametrize("m", range(4, 13, 2))
     def test_stratum_counts_match_checked_classification(self, m):

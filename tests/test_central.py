@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from hyperforms import (
@@ -14,8 +16,8 @@ from hyperforms import (
 from hyperforms.forms import BinaryFormClass, GitClass, classify
 
 from conftest import (
-    central_by_definition, coarsens, contracted, half_weight_edge, is_central, random_stable_tree,
-    relabeled, roots_refine, side_weight,
+    central_by_definition, coarsens, contracted, dissymmetry_count, fibre_count, half_weight_edge,
+    is_central, partitions, random_stable_tree, relabeled, roots_refine, side_weight, tail_counts,
 )
 
 
@@ -152,6 +154,30 @@ class TestContract:
                 continue
             assert form.degree == m
             assert all(2 * n < m for n in form.multiplicities)
+
+
+def fibres(m: int) -> dict:
+    """Every value of `contract_F_m` on stable trees of weight m, with the size
+    of its fibre (`fibre_count`): the GIT-stable forms of degree m, whose
+    multiplicities are all below m/2, and for even m the semistable point."""
+    T = tail_counts(m)
+    forms = [BinaryFormClass(p) for p in partitions(m, (m - 1) // 2)]
+    if m % 2 == 0:
+        forms.append(BinaryFormClass(semistable_point=True))
+    return {form: fibre_count(form, T) for form in forms}
+
+
+class TestFibres:
+    """Section 3's map on the census, fibre by fibre: the trees over a form
+    are its centre's tails, counted apart from the census."""
+
+    @pytest.mark.parametrize("m", range(3, 15))
+    def test_census_falls_into_the_fibres(self, m):
+        assert Counter(map(contract_F_m, enumerate_stable_trees(m, bound=14).trees)) == fibres(m)
+
+    @pytest.mark.parametrize("m", range(3, 31))
+    def test_fibres_sum_to_the_census_count(self, m):
+        assert sum(fibres(m).values()) == dissymmetry_count(m)
 
 
 class TestDegeneration:

@@ -519,6 +519,8 @@ class TestErrors:
             ("reduce", {"nope": 1}, "missing field 'exponents'"),
             ("reduce", {"exponents": 5}, "field 'exponents' must be an array"),
             ("reduce", {"exponents": [3, 1]}, "exponents must sum to 2g+2 with g >= 2, got sum 4"),
+            ("stability", {"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}],
+                           "edges": [{"a": 0, "b": 1}]}, "each edge must be an array of two vertex ids"),
         ],
     )
     def test_malformed_document_names_the_field(self, run, command, doc, error):

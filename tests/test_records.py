@@ -23,6 +23,7 @@ from hyperforms import (
     tree,
     validate_stable,
 )
+from hyperforms.trees import peel
 from conftest import cyclic_garbage, partitions, random_stable_tree, run_python, special_points
 
 
@@ -71,7 +72,7 @@ def test_records_hold_only_their_fields(name):
 
 
 class TestCachedTables:
-    @pytest.mark.parametrize("name", ["m", "adjacency", "weight_of", "_rooted"])
+    @pytest.mark.parametrize("name", ["m", "_rooted", "_stability"])
     @pytest.mark.parametrize("computed", [True, False], ids=["computed", "fresh"])
     def test_tree_tables_cannot_be_overwritten(self, name, computed):
         t = path_tree(3, 5)
@@ -81,7 +82,7 @@ class TestCachedTables:
             setattr(t, name, 99)
         with pytest.raises(AttributeError):
             delattr(t, name)
-        assert t.m == 8 and t.adjacency == {0: (1,), 1: (0,)}
+        assert t.m == 8 and t._rooted == peel(t.vertices, t.edges) and t._stability == (True, ())
 
     def test_model_table_cannot_be_overwritten(self):
         model = stable_model(build_cover(path_tree(3, 5)))
@@ -92,8 +93,15 @@ class TestCachedTables:
 
     def test_tables_still_cached(self):
         t = path_tree(3, 5)
-        assert t.adjacency is t.adjacency
-        assert "adjacency" in t.__dict__
+        assert t._stability is t._stability
+        assert "_stability" in t.__dict__
+
+    @pytest.mark.parametrize("name", ["weight_of", "adjacency", "neighbors"])
+    def test_checked_tree_keeps_no_id_keyed_table(self, name):
+        t = WeightedTree.from_dict(path_tree(3, 5).to_dict())
+        for layer in (validate_stable, find_central, contract_F_m, build_cover, canonical_code):
+            layer(t)
+        assert not hasattr(t, name)
 
 
 REJECTED = [

@@ -15,20 +15,9 @@ from hyperforms import (
     star_tree,
 )
 from conftest import (
-    check_exponent_square, model_shape, partitions, reduced_curve_unstable, reduced_shape,
-    square_partitions,
+    adjacency, check_exponent_square, compositions, model_shape, partitions, reduced_curve_unstable,
+    reduced_shape, square_partitions,
 )
-
-
-def compositions(total, max_part=None):
-    """All ordered sequences of positive integers summing to total."""
-    if total == 0:
-        yield ()
-        return
-    top = total if max_part is None else min(total, max_part)
-    for first in range(1, top + 1):
-        for rest in compositions(total - first, max_part):
-            yield (first,) + rest
 
 
 class TestExponentVector:
@@ -193,7 +182,8 @@ class TestDepthOneIdentity:
         checked = 0
         for t in enumerate_stable_trees(m, bound=14).trees:
             v = find_central(t).vertex
-            if v is None or any(len(t.neighbors(u)) > 1 for u in t.neighbors(v)):
+            adj = adjacency(t)
+            if v is None or any(len(adj[u]) > 1 for u in adj[v]):
                 continue
             red = reduce(ExponentVector(contract_F_m(t).multiplicities))
             assert model_shape(stable_model(build_cover(t))) == reduced_shape(red), t
