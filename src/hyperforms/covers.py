@@ -5,15 +5,24 @@ branch points, and two disjoint genus-0 sheets when it carries none.  An edge
 is ramified in the cover exactly when the subtree weights on its two sides are
 odd (both sides, since the total weight is even); otherwise its fiber is a
 pair of nodes.
+
+The stable model follows Section 5's rule for f_g on the boundary: it drops
+exactly the components over the weight-2 leaves (the only soft components:
+genus 0, two node ends, no self-node), and each such leaf's two split nodes
+become one node on its neighbour, a self-node when the neighbour is branched
+and a node between its two sheets when it is not.  Every other component and
+node is kept.  `path_tree(2, 2)`, whose two leaves both weigh 2, keeps its
+second component with one self-node.  `build_cover` reads the model off the
+tree and keeps it on the cover, so `stable_model` models only trees' covers.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import chain, compress, groupby, permutations, product, repeat, starmap
-from operator import eq, itemgetter, mod
+from itertools import chain, groupby, permutations, product, repeat
+from operator import itemgetter, mod
 
-from .trees import WeightedTree, arithmetic_genus, check, require_even, without_collector
+from .trees import WeightedTree, arithmetic_genus, check, read_only, require_even, without_collector
 
 RAMIFIED = "ramified"
 SPLIT = "split"
@@ -26,7 +35,10 @@ CoverNode = namedtuple("CoverNode", "base_edge kind components")
 
 
 class CoverModel(namedtuple("CoverModel", "components nodes g")):
-    __slots__ = ()
+    """`build_cover` keeps the cover's stable model as the table `_model`, as a
+    tree keeps `_rooted`; a cover built any other way has none."""
+
+    __setattr__ = __delattr__ = read_only
 
     @property
     def arithmetic_genus(self) -> int:
@@ -60,7 +72,7 @@ class CoverModel(namedtuple("CoverModel", "components nodes g")):
 
 @without_collector
 def build_cover(t: WeightedTree) -> CoverModel:
-    """Construct the admissible double cover of a stable even-weight tree.
+    """Construct the admissible double cover of a stable even-weight tree, and its model.
 
     It runs with the cyclic collector paused (`trees.without_collector`): its
     `CoverComponent` and `CoverNode` records are named tuples, which the
@@ -71,9 +83,10 @@ def build_cover(t: WeightedTree) -> CoverModel:
     positions: the edge is ramified iff the weight below its lower end is
     odd, and a ramified edge adds one branch point at each end.  The cover
     graph's adjacency is built with its nodes, for the one connectivity walk.
+    The stable model is read off in the same two loops, by Section 5's rule.
     """
     g = require_even(t)
-    _, parent, below, _, ends = t._rooted  # on positions: vertex i is `t.vertices[i]`
+    _, parent, below, degree, ends = t._rooted  # on positions: vertex i is `t.vertices[i]`
     branch = [*map(itemgetter(1), t.vertices)]
     ramified: list[int] = []
     for a, b in ends:
@@ -89,34 +102,58 @@ def build_cover(t: WeightedTree) -> CoverModel:
     # Base vertex position -> (first, last) component over it: sheets 0 and 1
     # over an unbranched vertex, the one component twice over a branched one.
     over: list[tuple[int, int]] = []
+    # The model's (id, genus) pairs, and by position whether the vertex is a
+    # weight-2 leaf, whose component (branched, genus 0) the model drops.
+    kept: list[tuple[int, int]] = []
+    leaf: list[bool] = []
     cid = 0
-    for (v, _), bc in zip(t.vertices, branch):
+    for (v, w), bc, d in zip(t.vertices, branch, degree):
         if bc:
-            components.append(new(CoverComponent, (cid, v, None, bc, bc // 2 - 1)))
+            genus = bc // 2 - 1
+            components.append(new(CoverComponent, (cid, v, None, bc, genus)))
             over.append((cid, cid))
+            soft = w == 2 and d == 1
+            leaf.append(soft)
+            if not soft:
+                kept.append((cid, genus))
             cid += 1
         else:
             components.append(new(CoverComponent, (cid, v, 0, 0, 0)))
             components.append(new(CoverComponent, (cid + 1, v, 1, 0, 0)))
             over.append((cid, cid + 1))
+            leaf.append(False)
+            kept += (cid, 0), (cid + 1, 0)
             cid += 2
 
     # Split nodes over an unbranched vertex go one to each sheet; between two
     # unbranched vertices the sheets are matched first-to-first, last-to-last.
+    # Positions, and so component ids, increase along an edge: every pair is sorted.
     nodes: list[CoverNode] = []
+    model_nodes: list[tuple[int, int]] = []
     adj: list[list[int]] = [[] for _ in components]  # component ids are positions
-    for edge, (a, b), odd in zip(t.edges, ends, ramified):
-        (a, a1), (b, b1) = over[a], over[b]
+    for edge, (i, j), odd in zip(t.edges, ends, ramified):
+        (a, a1), (b, b1) = over[i], over[j]
         adj[a].append(b)
         adj[b].append(a)
         if odd:
             check(a == a1 and b == b1, "ramified node over an unbranched vertex")
-            nodes.append(new(CoverNode, (edge, RAMIFIED, (a, b))))
+            pair = (a, b)
+            nodes.append(new(CoverNode, (edge, RAMIFIED, pair)))
+            model_nodes.append(pair)
         else:
             adj[a1].append(b1)
             adj[b1].append(a1)
-            nodes.append(new(CoverNode, (edge, SPLIT, (a, b))))
-            nodes.append(new(CoverNode, (edge, SPLIT, (a1, b1))))
+            first, last = (a, b), (a1, b1)
+            nodes.append(new(CoverNode, (edge, SPLIT, first)))
+            nodes.append(new(CoverNode, (edge, SPLIT, last)))
+            # A weight-2 leaf's two nodes become one on its neighbour: the
+            # neighbour's (first, last), a self-node or a node between sheets.
+            if leaf[i]:
+                model_nodes.append(over[j])
+            elif leaf[j]:
+                model_nodes.append(over[i])
+            else:
+                model_nodes += first, last
 
     reached, seen = [0], [True] + [False] * (len(adj) - 1)
     for u in reached:  # the list grows while it is read, so it is the queue
@@ -127,6 +164,12 @@ def build_cover(t: WeightedTree) -> CoverModel:
     check(len(reached) == len(adj), "admissible double cover must be connected")
     cover = CoverModel(tuple(components), tuple(nodes), g)
     check(cover.arithmetic_genus == g, "arithmetic genus mismatch")
+    if not kept:  # path_tree(2, 2): its edge gave component 1 the self-node (1, 1)
+        kept.append((1, 0))
+    model_nodes.sort()
+    model = StableHyperellipticModel(tuple(kept), tuple(model_nodes), g)
+    check(model.arithmetic_genus == g, "contraction changed the genus")
+    cover.__dict__["_model"] = model  # the one table, filled here
     return cover
 
 
@@ -187,60 +230,12 @@ class StableHyperellipticModel(namedtuple("StableHyperellipticModel", "component
         return target, tuple(divmod(node, k) for node in best)
 
 
-@without_collector
 def stable_model(c: CoverModel) -> StableHyperellipticModel:
-    """Contract genus-0 components meeting the rest of the curve in 2 points.
-
-    Such a soft component has genus 0, exactly two node ends and no
-    self-node.  Contracting one identifies its two attachment points into one
-    node, so no other component's count of node ends changes, and the soft
-    components are read off the cover once.  They are contracted one at a
-    time, in component order: each is spliced out of its soft neighbours'
-    links, and once neither of its links is soft the node between them is
-    kept.  So each maximal chain of soft components becomes one node between
-    the kept anchors at its two ends, a self-node when they coincide.  A
-    closed cycle of soft components (a whole curve of genus 1) is left as its
-    last component in component order, linked to itself twice: it is kept
-    with one self-node.  Arithmetic genus is preserved.
-
-    It runs with the cyclic collector paused, as `build_cover` does.
-    """
-    pairs = [*map(itemgetter(2), c.nodes)]  # each node's `components`
-    ends = Counter(chain.from_iterable(pairs))
-    looped = {a for a, _ in compress(pairs, starmap(eq, pairs))}
-    id_genus = [*map(itemgetter(0, 4), c.components)]  # each component's (id, genus)
-    # A soft component's two neighbours, one per node end, in component order.
-    link: dict[int, list[int]] = {cid: [] for cid, genus in id_genus
-                                  if not genus and ends[cid] == 2 and cid not in looped}
-
-    nodes: list[tuple[int, int]] = []  # the nodes with no soft end stay as they are
-    for pair in pairs:
-        a, b = pair
-        if a in link:
-            link[a].append(b)
-            if b in link:
-                link[b].append(a)
-        elif b in link:
-            link[b].append(a)
-        else:
-            nodes.append(pair if a <= b else (b, a))
-
-    kept: list[tuple[int, int]] = [pair for pair in id_genus if pair[0] not in link]
-    # A link never names a soft component spliced out before: it was replaced then.
-    for cid, (x, y) in link.items():
-        if x == cid:  # the last member of a closed cycle
-            kept.append((cid, 0))
-            nodes.append((cid, cid))
-            continue
-        if x in link:
-            link[x][link[x].index(cid)] = y
-        if y in link:
-            link[y][link[y].index(cid)] = x
-        elif x not in link:
-            nodes.append((x, y) if x <= y else (y, x))
-
-    nodes.sort()
-    kept.sort()
-    model = StableHyperellipticModel(components=tuple(kept), nodes=tuple(nodes), g=c.g)
-    check(model.arithmetic_genus == c.g, "contraction changed the genus")
-    return model
+    """The stable model that `build_cover` kept on the cover, built by Section
+    5's rule: components as (id, genus) pairs and nodes as id pairs, both
+    sorted.  A cover that `build_cover` did not make has none: `ValueError`."""
+    try:
+        return c.__dict__["_model"]
+    except (AttributeError, KeyError):
+        raise ValueError("stable_model takes a cover made by build_cover;"
+                         " this one was built another way") from None

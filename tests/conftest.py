@@ -10,9 +10,9 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter, defaultdict
-from itertools import chain, permutations, product
+from itertools import chain, compress, permutations, product, starmap
 from math import comb, prod
-from operator import le, lt
+from operator import eq, itemgetter, le, lt
 from pathlib import Path
 
 import pytest
@@ -34,7 +34,7 @@ from hyperforms.census import Census, _make_census
 from hyperforms.covers import CoverModel, StableHyperellipticModel, arithmetic_genus
 from hyperforms.forms import BinaryFormClass
 from hyperforms.reduction import ReductionOutput
-from hyperforms.trees import CanonicalCode, InvalidTreeError, tree
+from hyperforms.trees import CanonicalCode, InvalidTreeError, check, tree
 
 
 # -- the paper's definitions, one edge or vertex at a time ----------------
@@ -481,6 +481,64 @@ def fixpoint_stable_model(c: CoverModel) -> StableHyperellipticModel:
     )
 
 
+def spliced_stable_model(c: CoverModel) -> StableHyperellipticModel:
+    """Contract genus-0 components meeting the rest of the curve in 2 points,
+    on any cover: the generic contraction the library ran before it read the
+    model off the tree by Section 5's rule.
+
+    Such a soft component has genus 0, exactly two node ends and no
+    self-node.  Contracting one identifies its two attachment points into one
+    node, so no other component's count of node ends changes, and the soft
+    components are read off the cover once.  They are contracted one at a
+    time, in component order: each is spliced out of its soft neighbours'
+    links, and once neither of its links is soft the node between them is
+    kept.  So each maximal chain of soft components becomes one node between
+    the kept anchors at its two ends, a self-node when they coincide.  A
+    closed cycle of soft components (a whole curve of genus 1) is left as its
+    last component in component order, linked to itself twice: it is kept
+    with one self-node.  Arithmetic genus is preserved.
+    """
+    pairs = [*map(itemgetter(2), c.nodes)]  # each node's `components`
+    ends = Counter(chain.from_iterable(pairs))
+    looped = {a for a, _ in compress(pairs, starmap(eq, pairs))}
+    id_genus = [*map(itemgetter(0, 4), c.components)]  # each component's (id, genus)
+    # A soft component's two neighbours, one per node end, in component order.
+    link: dict[int, list[int]] = {cid: [] for cid, genus in id_genus
+                                  if not genus and ends[cid] == 2 and cid not in looped}
+
+    nodes: list[tuple[int, int]] = []  # the nodes with no soft end stay as they are
+    for pair in pairs:
+        a, b = pair
+        if a in link:
+            link[a].append(b)
+            if b in link:
+                link[b].append(a)
+        elif b in link:
+            link[b].append(a)
+        else:
+            nodes.append(pair if a <= b else (b, a))
+
+    kept: list[tuple[int, int]] = [pair for pair in id_genus if pair[0] not in link]
+    # A link never names a soft component spliced out before: it was replaced then.
+    for cid, (x, y) in link.items():
+        if x == cid:  # the last member of a closed cycle
+            kept.append((cid, 0))
+            nodes.append((cid, cid))
+            continue
+        if x in link:
+            link[x][link[x].index(cid)] = y
+        if y in link:
+            link[y][link[y].index(cid)] = x
+        elif x not in link:
+            nodes.append((x, y) if x <= y else (y, x))
+
+    nodes.sort()
+    kept.sort()
+    model = StableHyperellipticModel(components=tuple(kept), nodes=tuple(nodes), g=c.g)
+    check(model.arithmetic_genus == c.g, "contraction changed the genus")
+    return model
+
+
 def permutation_model_code(model: StableHyperellipticModel) -> tuple:
     """Model canonical code by index bookkeeping over genus-preserving maps."""
     genera = [genus for _, genus in model.components]
@@ -625,13 +683,33 @@ def reduced_curve_unstable(out: ReductionOutput) -> bool:
 
 
 def partitions(total: int, top: int):
-    """Every partition of `total` with no part above `top`, as a descending tuple."""
+    """Every partition of `total` with no part above `top`, as a descending
+    tuple, in decreasing lexicographic order.
+
+    One list is rewritten in place: the next partition lowers the last part
+    above 1 by one and refills what that part and the trailing 1s held,
+    greedily, with parts no larger than the lowered one."""
     if total == 0:
         yield ()
         return
-    for first in range(min(total, top), 0, -1):
-        for rest in partitions(total - first, first):
-            yield (first, *rest)
+    top = min(total, top)
+    if top < 1:
+        return
+    parts = [top] * (total // top) + [total % top] * (total % top > 0)
+    while True:
+        yield tuple(parts)
+        freed = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            freed += 1
+        if not parts:
+            return
+        k = parts[-1] - 1
+        parts[-1] = k
+        whole, rest = divmod(freed + 1, k)
+        parts += [k] * whole
+        if rest:
+            parts.append(rest)
 
 
 def compositions(total, max_part=None):

@@ -167,6 +167,23 @@ def fibres(m: int) -> dict:
     return {form: fibre_count(form, T) for form in forms}
 
 
+def recursive_partitions(total: int, top: int):
+    """`partitions` as a chain of nested generators, one per part: the
+    reference the iterative oracle is checked against."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, top), 0, -1):
+        for rest in recursive_partitions(total - first, first):
+            yield (first, *rest)
+
+
+@pytest.mark.parametrize("total", range(21))
+def test_partitions_match_the_recursive_reference(total):
+    for top in range(total + 2):
+        assert list(partitions(total, top)) == list(recursive_partitions(total, top)), top
+
+
 class TestFibres:
     """Section 3's map on the census, fibre by fibre: the trees over a form
     are its centre's tails, counted apart from the census."""

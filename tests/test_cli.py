@@ -836,7 +836,11 @@ LAYERS = ["census", "cover", "from_dict", "stable_model", "canonical_code"]
 
 class TestLibraryCollector:
     """The census and every tree-sized layer, like `main`, run with the cyclic
-    collector off and leave it as the caller had it, on every exit."""
+    collector off and leave it as the caller had it, on every exit.  The
+    stable model is built inside `build_cover`, so `stable_model` only reads
+    it: its cases check that the read runs no collection and leaves the
+    collector alone, and that a failure while `build_cover` builds the model
+    gives the collector back."""
 
     prior = TestCollector.prior
 
@@ -878,12 +882,13 @@ class TestLibraryCollector:
             fn(*args)
         assert gc.isenabled() is prior
 
-    # Each patched inner call raises partway through its layer's work.
+    # Each patched inner call raises partway through its layer's work; the
+    # stable model's record is built last in `build_cover`, after the cover's.
     @pytest.mark.parametrize("name, module, inner", [
         ("census", census_mod, "_make_census"),
         ("cover", covers, "require_even"),
         ("from_dict", trees_mod, "peel"),
-        ("stable_model", covers, "arithmetic_genus"),
+        ("cover", covers, "StableHyperellipticModel"),
         ("canonical_code", trees_mod, "rooted_code"),
     ], ids=LAYERS)
     def test_restored_after_an_invariant_failure(self, monkeypatch, prior, name, module, inner):

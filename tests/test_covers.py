@@ -44,6 +44,7 @@ from conftest import (
     rooted,
     side_weight,
     special_points,
+    spliced_stable_model,
     traced_peak,
 )
 
@@ -284,7 +285,7 @@ class TestStableModel:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_trees_agree_with_fixpoint_oracle(self, seed):
         cover = build_cover(random_stable_tree(seed, n=5 + 5 * seed, extra=seed % 4))
-        assert stable_model(cover) == fixpoint_stable_model(cover)
+        assert stable_model(cover) == fixpoint_stable_model(cover) == spliced_stable_model(cover)
 
     def test_model_code_relabeling_invariant(self):
         t1 = star_tree(0, 2, 2, 4)
@@ -296,16 +297,18 @@ class TestStableModel:
 
 
 class TestDroppedComponents:
-    """Section 5 across the two layers: the components `stable_model` drops are
-    exactly those over the weight-2 leaves.  A genus-0 component with two node
-    ends and no self-node lies over a vertex of weight w with r ramified and s
-    split edges, where w + r = 2 and r + 2s = 2; stability (w + r + s >= 3)
-    leaves w = 2, s = 1: a weight-2 leaf."""
+    """Section 5 across the two layers: the components that the generic
+    contraction (`spliced_stable_model`) drops are exactly those over the
+    weight-2 leaves, which is the rule `build_cover` builds the model by.  A
+    genus-0 component with two node ends and no self-node lies over a vertex
+    of weight w with r ramified and s split edges, where w + r = 2 and
+    r + 2s = 2; stability (w + r + s >= 3) leaves w = 2, s = 1: a weight-2 leaf."""
 
     @staticmethod
     def dropped_and_leaves(t):
         cover = build_cover(t)
-        model = stable_model(cover)
+        model = spliced_stable_model(cover)
+        assert stable_model(cover) == model, t
         degree = Counter(v for edge in t.edges for v in edge)
         leaves = {v for v, w in t.vertices if w == 2 and degree[v] == 1}
         dropped = {c.id for c in cover.components} - {cid for cid, _ in model.components}
@@ -330,6 +333,49 @@ class TestDroppedComponents:
         t = random_stable_tree(seed, n=50 + 50 * seed, extra=seed)
         dropped, over_leaves, _, _ = self.dropped_and_leaves(t)
         assert dropped == over_leaves and dropped
+
+
+class TestSectionFiveRule:
+    """`build_cover`'s model, read off the tree by Section 5's rule, against
+    the generic contraction of its cover, and what `stable_model` accepts."""
+
+    def test_every_class_at_m14_agrees_with_the_contraction(self):
+        # m <= 12 is checked with the dropped components, in `TestDroppedComponents`
+        for t in enumerate_stable_trees(14, bound=14).trees:
+            cover = build_cover(t)
+            assert stable_model(cover) == spliced_stable_model(cover), t
+
+    @pytest.mark.parametrize("t, nodes", [
+        (path_tree(2, 2), ((1, 1),)),  # both leaves weigh 2: the stated special case
+        (tree({5: 2, 3: 2}, [(5, 3)]), ((1, 1),)),  # the same on ids that are not positions
+        (path_tree(2, 4), ((1, 1),)),  # a self-node on a branched neighbour
+        (star_tree(0, 2, 2, 4), ((0, 1), (0, 1), (0, 4), (1, 4))),  # between the centre's sheets
+    ], ids=["path-2-2", "path-2-2-ids", "path-2-4", "star-0-2-2-4"])
+    def test_leaf_nodes(self, t, nodes):
+        cover = build_cover(t)
+        model = stable_model(cover)
+        assert model.nodes == nodes
+        assert model == spliced_stable_model(cover)
+
+    def test_reading_the_model_allocates_under_1_kb(self):
+        # The model is built inside `build_cover`; reading it allocates nothing
+        # that grows with the tree (the generic contraction held about 190 KB here).
+        cover = build_cover(random_stable_tree(seed=1, n=1000))
+        model, peak = traced_peak(lambda: stable_model(cover))
+        assert model.arithmetic_genus == cover.g
+        assert peak < 1000, f"{peak} bytes held while reading the model"
+
+    @pytest.mark.parametrize("make", [
+        lambda c: CoverModel(c.components, c.nodes, c.g),
+        lambda c: c._replace(g=c.g),
+        lambda c: CoverModel._make(c),
+    ], ids=["constructor", "replace", "make"])
+    def test_a_cover_not_made_by_build_cover_is_a_value_error(self, make):
+        cover = make(build_cover(star_tree(0, 2, 2, 4)))
+        with pytest.raises(ValueError, match="^stable_model takes a cover made by build_cover") as caught:
+            stable_model(cover)
+        assert type(caught.value) is ValueError
+        assert caught.value.__cause__ is None and caught.value.__suppress_context__
 
 
 class TestModelCanonicalCode:
@@ -487,14 +533,16 @@ def cycle_cover(k: int, anchored: bool, seed: int) -> CoverModel:
 
 
 class TestStableModelOffThePipeline:
-    """`stable_model` on chains and cycles built by hand.  The tree pipeline
-    builds only chains of one (the component over a weight-2 leaf) and one
-    closed cycle: the two soft components over `path_tree(2, 2)` at m = 4,
-    joined by two nodes (see `TestDroppedComponents`)."""
+    """The generic contraction, `spliced_stable_model`, on chains and cycles
+    built by hand, against the fixpoint oracle.  The tree pipeline builds only
+    chains of one (the component over a weight-2 leaf) and one closed cycle:
+    the two soft components over `path_tree(2, 2)` at m = 4, joined by two
+    nodes (see `TestDroppedComponents`).  `stable_model` models only trees'
+    covers, so these check the oracle that `TestSectionFiveRule` trusts."""
 
     @staticmethod
     def check(cover: CoverModel) -> StableHyperellipticModel:
-        model = stable_model(cover)
+        model = spliced_stable_model(cover)
         assert model == fixpoint_stable_model(cover)
         # No contraction changes a kept component's node branches.
         ends = Counter(cid for node in cover.nodes for cid in node.components)

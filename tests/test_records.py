@@ -67,8 +67,13 @@ class TestImmutable:
 
 @pytest.mark.parametrize("name", sorted(set(RECORDS) - {"WeightedTree"}))
 def test_records_hold_only_their_fields(name):
-    """Only `WeightedTree` keeps cached tables, and so an instance `__dict__`."""
-    assert not hasattr(RECORDS[name], "__dict__")
+    """Only `WeightedTree` and `CoverModel` keep tables, and so an instance
+    `__dict__`; a cover keeps its stable model and nothing else."""
+    record = RECORDS[name]
+    if name == "CoverModel":
+        assert set(vars(record)) == {"_model"}
+    else:
+        assert not hasattr(record, "__dict__")
 
 
 class TestCachedTables:
@@ -90,6 +95,16 @@ class TestCachedTables:
         with pytest.raises(AttributeError):
             model._special = None
         assert [special_points(model, cid) for cid, _ in model.components] == points
+
+    def test_cover_table_cannot_be_overwritten(self):
+        cover = build_cover(path_tree(3, 5))
+        model = stable_model(cover)
+        for name in ("_model", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(cover, name, None)
+            with pytest.raises(AttributeError):
+                delattr(cover, name)
+        assert stable_model(cover) is model
 
     def test_tables_still_cached(self):
         t = path_tree(3, 5)
