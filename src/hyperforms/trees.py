@@ -11,9 +11,9 @@ import gc
 import json
 from bisect import bisect
 from collections import deque, namedtuple
-from functools import cached_property, wraps
-from itertools import chain, islice
-from operator import getitem, itemgetter
+from functools import cached_property, partial, wraps
+from itertools import chain, islice, takewhile
+from operator import getitem, is_not, itemgetter
 
 DEFAULT_BOUND = 10  # the census's default cap on m; here so the CLI parser need not load it
 # The largest central vertex weight (`contract_F_m`), exponent (`blowup_chain`)
@@ -117,26 +117,34 @@ def pair_table(m: int) -> PairTable:
 Rooted = namedtuple("Rooted", "order parent below degree edges")
 
 
-def peel(vertices: tuple, edges: tuple) -> Rooted:
-    """The rooted table of a graph with distinct sorted ids and len(vertices) - 1
-    edges, by one FIFO peel of leaves: it reaches every vertex exactly when the
-    graph is a tree, and otherwise stops short.  Self-loops and repeated edges
-    may be among the edges: a vertex on a loop, a repeated edge or a cycle
-    never becomes a leaf, and a peeled leaf has exactly one edge to an
-    unpeeled vertex, so its XOR still names that vertex.
+def peel(vertices: tuple, edges: tuple) -> Rooted | None:
+    """The rooted table of a graph on distinct sorted ids whose edges are sorted
+    pairs (a, b), a <= b, or None unless the graph is a tree: n - 1 edges,
+    every end an id, and one FIFO peel of leaves reaching every vertex.
+    Self-loops and repeated edges may be among the edges: a vertex on a loop,
+    a repeated edge or a cycle never becomes a leaf, and a peeled leaf has
+    exactly one edge to an unpeeled vertex, so its XOR still names that vertex.
 
     One pass over the edges counts degrees and XORs each vertex's neighbour
     positions together.  A leaf's XOR is then its one unpeeled neighbour, its
     parent; peeling it XORs it out of the parent's, so the table that finds
-    the parents also keeps them.  Ids 0..n-1 are their own positions, and
-    their edges are read as they are; other ids are mapped once.
+    the parents also keeps them.  Ids 0..n-1 are their own positions, read
+    as they are once every end is in range (-1 would read as the last);
+    other ids are mapped once, and an unknown one is caught as a `KeyError`.
     """
     n = len(vertices)
+    if len(edges) != n - 1:
+        return None
     if vertices[0][0] == 0 and vertices[-1][0] == n - 1:  # sorted distinct ids: exactly 0..n-1
+        if edges and (edges[0][0] < 0 or max(map(itemgetter(1), edges)) >= n):  # least end, greatest end
+            return None
         ends = edges
     else:
         at = {v: i for i, (v, _) in enumerate(vertices)}
-        ends = [(at[a], at[b]) for a, b in edges]
+        try:
+            ends = [(at[a], at[b]) for a, b in edges]
+        except KeyError:
+            return None
     degree = [0] * n
     parent = [0] * n  # the XOR of the neighbours not yet peeled
     for a, b in ends:
@@ -157,6 +165,8 @@ def peel(vertices: tuple, edges: tuple) -> Rooted:
         left[u] -= 1
         if left[u] == 1:
             order.append(u)
+    if len(order) < n:  # stopped short: a cycle, a loop or a repeated edge
+        return None
     return tuple.__new__(Rooted, (order, parent, below, degree, ends))  # no per-field call
 
 
@@ -174,13 +184,13 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
                      *map(type, chain.from_iterable(edges))} <= {int}
         except TypeError:  # an item that is not a pair
             typed = False
-        if not typed:
-            try:
-                for x in chain.from_iterable((*vertices, *edges)):
-                    if not is_int(x):
-                        raise InvalidTreeError(f"ids and weights must be integers, got {x!r}")
-            except TypeError:  # reached an item that is not a pair: reported as such below
-                pass
+        if not typed:  # name the tokens up to the first item that is no list or tuple
+            # Whatever such an item holds, it is no pair: it reads as None, named by its field's shape check.
+            vertices, edges = ([x if isinstance(x, (list, tuple)) else None for x in items]
+                               for items in (vertices, edges))
+            for x in chain.from_iterable(takewhile(partial(is_not, None), chain(vertices, edges))):
+                if not is_int(x):
+                    raise InvalidTreeError(f"ids and weights must be integers, got {x!r}")
         try:
             verts = tuple(sorted(map(tuple, vertices)))
             weight_of = dict(verts)
@@ -196,21 +206,8 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
             edges = tuple(sorted([(a, b) if a < b else (b, a) for a, b in edges]))
         except (TypeError, ValueError):
             raise InvalidTreeError("each edge must be an array of two vertex ids") from None
-        # n - 1 edges whose ends are ids, all reached by the peel, make a tree:
-        # a self-loop, a repeated edge or a cycle keeps its vertices from ever
-        # being peeled.  Every end lies between the least and greatest id, which
-        # on ids 0..n-1 (positions) makes it an id, and must be checked before
-        # the peel reads an end as a position (-1 would read as the last);
-        # other ids are mapped, and an unknown one is a `KeyError`.
-        n = len(verts)
-        rooted = None
-        if len(edges) == n - 1 and (not edges or edges[0][0] >= verts[0][0]
-                                    and max(map(itemgetter(1), edges)) <= verts[-1][0]):
-            try:
-                rooted = peel(verts, edges)
-            except KeyError:
-                pass
-        if rooted is None or len(rooted.order) != n:  # not a tree: name the first fault
+        rooted = peel(verts, edges)
+        if rooted is None:  # not a tree: name the first fault
             for a, b in edges:
                 if a == b:
                     raise InvalidTreeError(f"self-loop at vertex {a}")
@@ -218,7 +215,7 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
                     raise InvalidTreeError(f"edge ({a},{b}) uses unknown vertex")
             if len(set(edges)) != len(edges):
                 raise InvalidTreeError("repeated edge")
-            if len(edges) != n - 1:
+            if len(edges) != len(verts) - 1:
                 raise InvalidTreeError("edge count does not match a tree")
             raise InvalidTreeError("graph is disconnected")
         self = tuple.__new__(cls, (verts, edges))
@@ -274,7 +271,9 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         """The tree's one walk (`peel`), which `__new__` runs to prove the
         graph a tree and keeps, and which serves the degrees, side weights,
         cover parities and canonical code."""
-        return peel(self.vertices, self.edges)
+        rooted = peel(self.vertices, self.edges)
+        check(rooted is not None, "grown tree: the peel must prove it a tree")
+        return rooted
 
     @cached_property
     def _stability(self) -> "StabilityReport":
@@ -303,7 +302,7 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
             vertices = tuple(map(itemgetter("id", "weight"), vertices))
         except (KeyError, TypeError) as exc:
             raise InvalidTreeError("each vertex must be an object with an id and a weight") from exc
-        # The constructor checks the shape too, but after the ids and weights;
+        # Edge shapes come first here, before the constructor's ids and weights;
         # an object or a string may hold two items, but is not an array.
         if not ({*map(type, edges)} <= {list, tuple} and {*map(len, edges)} <= {2}):
             raise InvalidTreeError("each edge must be an array of two vertex ids")

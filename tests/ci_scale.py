@@ -1,6 +1,6 @@
-"""Scale checks one step past the suite: the m = 15 census documents, count
-and fibres of `contract_F_m`, the fibre sizes summing to the census count at
-m = 60, the m = 16 count under a memory and a time bound, the stable model
+"""Scale checks one step past the suite: the m = 15 census documents,
+count, fibres of `contract_F_m` and Keel's Poincaré identity, the fibre
+sizes summing to the census count at m = 60, the m = 16 count under a memory and a time bound, the stable model
 of every m = 16 class against the generic contraction, the m = 14
 identities, the exponent-side square up to 2g+2 = 30, a stable model with 9!
 relabelings under a memory bound, the closed-form stable model of a
@@ -42,8 +42,9 @@ from hyperforms import (
     find_central, path_tree, stable_model, star_tree, tree,
 )
 from conftest import (
-    check_branch_identity, check_exponent_square, checkout_env, dissymmetry_count, random_stable_tree,
-    relabeled, root_blocks, roots_refine, run_python, spliced_stable_model, square_partitions, traced_peak,
+    check_branch_identity, check_exponent_square, checkout_env, dissymmetry_count, keel_poincare,
+    random_stable_tree, relabeled, root_blocks, roots_refine, run_python, spliced_stable_model,
+    square_partitions, strata_poincare, traced_peak,
 )
 from test_central import fibres
 from test_covers import chain_cover, cycle_cover
@@ -157,6 +158,7 @@ def test_census_codes_roots_and_documents_at_m15():
     roots = (CentralResult(vertex=0), CentralResult(edge=(0, 1)))
     assert all(find_central(t) in roots for t in census.trees), "class not rooted at its centre"
     assert Counter(map(contract_F_m, census.trees)) == fibres(15), "a fibre of contract_F_m changed size"
+    assert strata_poincare(15, census.trees) == keel_poincare(15), "the open strata miss Keel's Betti numbers"
     # sha256 of `enumerate --m 15 --bound 15` stdout: any change to a class, the class order,
     # the ids, weights or edges of a tree, or the stratum counts changes a digest
     digests = {"json": "273cf4b43a1bb941a48d70d6b65ac1dde152ee2655be00475a3bb5362d62e128",

@@ -11,7 +11,7 @@ import sys
 import tracemalloc
 from collections import Counter, defaultdict
 from itertools import chain, compress, permutations, product, starmap
-from math import comb, prod
+from math import comb, factorial, prod
 from operator import eq, itemgetter, le, lt
 from pathlib import Path
 
@@ -394,6 +394,88 @@ def fibre_count(form: BinaryFormClass, T: list[int]) -> int:
         half = T[m // 2] if m % 2 == 0 else 0
         return half * (half + 1) // 2
     return prod(comb(T[n] + r - 1, r) for n, r in Counter(form.multiplicities).items() if n >= 2)
+
+
+# -- the census against Keel's Betti numbers of M̄_{0,m} (ROADMAP item 24) --
+
+def aut_order(t: WeightedTree) -> int:
+    """|Aut T|: the automorphisms of the tree that keep every weight.  The tree
+    is rooted at its vertex-count centroid by the oracles' own `walk` and coded
+    by nested (weight, sorted child codes) tuples, not `canonical_code`: at
+    each vertex, k equal child subtrees are permuted in k! ways, and two
+    centroids whose halves code alike are swapped once more."""
+    adj, weight = adjacency(t), dict(t.vertices)
+    order, parent = walk(adj, t.vertices[0][0])
+    n, size = len(order), dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    # a centroid leaves no side of more than n/2 vertices: one, or two adjacent
+    centroids = [v for v in order if 2 * (n - size[v]) <= n
+                 and all(2 * size[u] <= n for u in adj[v] if u != parent[v])]
+
+    def coded(root: int, cut: int | None = None) -> tuple[tuple, int]:
+        """The code and |Aut| of the subtree at `root`, away from `cut`."""
+        below, up = walk(adj, root, cut)
+        code, aut = {}, 1
+        for v in reversed(below):  # children before parents
+            kids = sorted(code[u] for u in adj[v] if up.get(u) == v)
+            aut *= prod(map(factorial, Counter(kids).values()))
+            code[v] = (weight[v], tuple(kids))
+        return code[root], aut
+
+    if len(centroids) == 1:
+        return coded(centroids[0])[1]
+    a, b = centroids
+    (code_a, aut_a), (code_b, aut_b) = coded(a, b), coded(b, a)
+    return aut_a * aut_b * (2 if code_a == code_b else 1)
+
+
+def poly_mul(p: list[int], q: list[int]) -> list[int]:
+    """Product of two polynomials in q, as coefficient lists from degree 0."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def poly_add(*ps: list[int]) -> list[int]:
+    out = [0] * max(map(len, ps))
+    for p in ps:
+        for i, a in enumerate(p):
+            out[i] += a
+    return out
+
+
+def keel_poincare(m: int) -> list[int]:
+    """The Poincaré polynomial P_m(q) of M̄_{0,m} (q of degree 2), as
+    coefficients from degree 0, by Keel's recursion:
+    P_3 = 1,  P_{n+1} = (1 + q)·P_n + (q/2)·Σ_{j=2}^{n−2} C(n, j)·P_{j+1}·P_{n−j+1}."""
+    P = {3: [1]}
+    for n in range(3, m):
+        joined = poly_add([0], *(poly_mul([comb(n, j)], poly_mul(P[j + 1], P[n - j + 1]))
+                                 for j in range(2, n - 1)))
+        check(all(c % 2 == 0 for c in joined), f"P_{n + 1}: the sum over j is odd")
+        P[n + 1] = poly_add(poly_mul([1, 1], P[n]), [0, *(c // 2 for c in joined)])
+    return P[m]
+
+
+def strata_poincare(m: int, trees) -> list[int]:
+    """Σ_T m!/(∏ w_v!·|Aut T|)·∏_v E(M_{0, w_v + deg v})(q) over the classes T
+    of weight m, E(M_{0,k}) = (q−2)(q−3)…(q−k+2): the open strata of M̄_{0,m}
+    with labelled marks, one per labelled stable tree (which has no
+    automorphisms), each a product of M_{0,k}, one per vertex.  Degrees are
+    read off the oracles' own `adjacency`."""
+    total = [0]
+    for t in trees:
+        labellings, rest = divmod(factorial(m), prod(factorial(w) for _, w in t.vertices) * aut_order(t))
+        check(rest == 0, f"{t}: |Aut| does not divide the labellings")
+        adj, stratum = adjacency(t), [labellings]
+        for v, w in t.vertices:
+            for i in range(2, w + len(adj[v]) - 1):
+                stratum = poly_mul(stratum, [-i, 1])
+        total = poly_add(total, stratum)
+    return total
 
 
 def leaf_strip_cover(t: WeightedTree):

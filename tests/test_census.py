@@ -3,6 +3,7 @@ import json
 import sys
 from collections import Counter
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -13,11 +14,16 @@ from hyperforms import (
     classify_stratum,
     enumerate_stable_trees,
     find_central,
+    path_tree,
+    star_tree,
     tree,
     validate_stable,
 )
 from hyperforms.trees import MAX_LISTED
-from conftest import adjacency, brute_force_census, dissymmetry_count, run_python, tree_centers, walk
+from conftest import (
+    adjacency, aut_order, brute_force_census, dissymmetry_count, keel_poincare, run_python, strata_poincare,
+    tree_centers, walk,
+)
 
 
 def walk_depth(t) -> int:
@@ -185,6 +191,33 @@ class TestDualGenerators:
     def test_brute_force_excludes_unstable(self, m):
         for t in brute_force_census(m).trees:
             assert validate_stable(t).stable
+
+
+class TestKeelPoincare:
+    """The census against the geometry of M̄_{0,m} (Section 2, H̄_g ≅ M̄_{0,2g+2};
+    Keel 1992), not against the census's own definition of a stable tree."""
+
+    @pytest.mark.parametrize("m", range(3, 15))
+    def test_open_strata_sum_to_the_poincare_polynomial(self, m):
+        assert strata_poincare(m, enumerate_stable_trees(m, 14).trees) == keel_poincare(m)
+
+    @pytest.mark.parametrize("m", range(4, 17))
+    def test_recursion_gives_keels_picard_number_and_duality(self, m):
+        P = keel_poincare(m)
+        assert len(P) == m - 2 and P == P[::-1] and P[1] == 2 ** (m - 1) - comb(m, 2) - 1
+
+    @pytest.mark.parametrize("t, order", [
+        (path_tree(2, 3), 1),
+        (path_tree(2, 2), 2),  # two centroids whose halves code alike
+        (path_tree(2, 0, 0, 2), 2),
+        (path_tree(2, 0, 1, 2), 1),
+        (path_tree(2, 1, 2), 2),
+        (star_tree(0, 2, 2, 3), 2),
+        (star_tree(0, 2, 2, 2), 6),
+        (tree({0: 0, 1: 0, 2: 2, 3: 2, 4: 2, 5: 2}, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]), 8),
+    ])
+    def test_aut_order_of_small_shapes(self, t, order):
+        assert aut_order(t) == order
 
 
 class TestCentralGenerator:

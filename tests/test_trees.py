@@ -135,9 +135,15 @@ class TestStructure:
             (((0, 2), (1, 2)), ((0,),), "each edge must be an array of two vertex ids"),
             (((0, 2), (1, 2)), ((0, 1, 1),), "each edge must be an array of two vertex ids"),
             (((0, 2), (1, 2)), (0,), "each edge must be an array of two vertex ids"),
+            # a dict or a string holds two items, but is no pair: the token scan stops there
+            (((0, 2), (1, 2)), ({"a": 0, "b": 1},), "each edge must be an array of two vertex ids"),
+            (((0, 2), (1, 2)), ("01",), "each edge must be an array of two vertex ids"),
+            (({"id": 0, "weight": 2}, (1, 2)), ((0, 1),), "each vertex must be an (id, weight) pair"),
+            (("ab", (1, 2)), ((0, 1),), "each vertex must be an (id, weight) pair"),
         ],
         ids=["vertex-of-3", "vertex-of-1", "vertex-not-a-pair",
-             "edge-of-1", "edge-of-3", "edge-not-a-pair"],
+             "edge-of-1", "edge-of-3", "edge-not-a-pair",
+             "edge-dict", "edge-string", "vertex-dict", "vertex-string"],
     )
     def test_rejects_items_that_are_not_pairs(self, vertices, edges, error):
         with pytest.raises(InvalidTreeError, match=f"^{re.escape(error)}$"):
@@ -209,6 +215,38 @@ class TestErrorPrecedence:
         assert t == plain
         assert t.vertices == plain.vertices == ((0, 2), (1, 2))
         assert canonical_code(t) == canonical_code(plain)
+
+
+class TestPeel:
+    """`peel` returns the rooted table exactly when the graph is a tree, and None
+    for each way to miss one: an edge count other than n - 1, an end that is no
+    id, and a peel that stops short.  Edges are on vertex indices here: index -1
+    is an id below the least and index 4 one above the greatest."""
+
+    @pytest.mark.parametrize("ids", [(0, 1, 2, 3), (10, 11, 12, 13), (-5, 0, 7, 9)],
+                             ids=["positions", "shifted", "gapped"])
+    @pytest.mark.parametrize("edges, is_tree", [
+        (((0, 1), (1, 2), (1, 3)), True),
+        (((0, 1), (1, 2)), False),
+        (((0, 1), (1, 2), (1, 3), (2, 3)), False),
+        (((-1, 0), (0, 1), (1, 2)), False),  # on positions, -1 would read as vertex 3 and make a tree
+        (((0, 1), (1, 2), (2, 4)), False),
+        (((0, 1), (0, 2), (1, 2)), False),
+        (((0, 1), (1, 2), (3, 3)), False),
+        (((0, 1), (0, 1), (2, 3)), False),
+    ], ids=["tree", "too-few", "too-many", "end-below", "end-above", "cycle", "self-loop", "repeated"])
+    def test_a_table_exactly_for_a_tree(self, ids, edges, is_tree):
+        def at(i):
+            return ids[i] if 0 <= i < len(ids) else ids[0] - 1 if i < 0 else ids[-1] + 1
+
+        vertices = tuple((v, 2) for v in ids)
+        edges = tuple(sorted(tuple(sorted((at(a), at(b)))) for a, b in edges))
+        got = peel(vertices, edges)
+        if not is_tree:
+            assert got is None
+            return
+        assert got == WeightedTree(vertices, edges)._rooted
+        assert sorted(got.order) == [0, 1, 2, 3] and got.parent[got.order[-1]] == -1
 
 
 class TestOneWalk:
@@ -682,6 +720,12 @@ class TestGrownTree:
     def test_rejects_with_the_contract_message(self, weights, up):
         with pytest.raises(InvariantError, match="^grown tree: parents must be breadth first"):
             WeightedTree._grown(weights, up, pair_table(6))
+
+    def test_a_peel_that_rejects_a_grown_tree_is_an_invariant_failure(self, monkeypatch):
+        t = WeightedTree._grown([2, 1, 2], [0, 1], pair_table(6))
+        monkeypatch.setattr(trees_mod, "peel", lambda vertices, edges: None)
+        with pytest.raises(InvariantError, match="^grown tree: the peel must prove it a tree$"):
+            t._rooted
 
     @settings(max_examples=300)
     @given(short_grown_trees())
