@@ -82,7 +82,7 @@ def build_cover(t: WeightedTree) -> CoverModel:
     Each edge's parity is read once from the tree's rooted table, on
     positions: the edge is ramified iff the weight below its lower end is
     odd, and a ramified edge adds one branch point at each end.  The cover
-    graph's adjacency is built with its nodes, for the one connectivity walk.
+    is connected iff some vertex is branched, so no cover graph is walked.
     The stable model is read off in the same two loops, by Section 5's rule.
     """
     g = require_even(t)
@@ -97,6 +97,9 @@ def build_cover(t: WeightedTree) -> CoverModel:
             branch[b] += 1
 
     check(not any(map(mod, branch, repeat(2))), "branch count must be even")
+    # Each edge joins the components over its ends, first to first and last to last, and
+    # first == last over a branched vertex: only with none do the two sheets stay apart.
+    check(any(branch), "admissible double cover must be connected")
     new = tuple.__new__  # records built as `_grown` builds trees: no per-field call
     components: list[CoverComponent] = []
     # Base vertex position -> (first, last) component over it: sheets 0 and 1
@@ -130,19 +133,14 @@ def build_cover(t: WeightedTree) -> CoverModel:
     # Positions, and so component ids, increase along an edge: every pair is sorted.
     nodes: list[CoverNode] = []
     model_nodes: list[tuple[int, int]] = []
-    adj: list[list[int]] = [[] for _ in components]  # component ids are positions
     for edge, (i, j), odd in zip(t.edges, ends, ramified):
         (a, a1), (b, b1) = over[i], over[j]
-        adj[a].append(b)
-        adj[b].append(a)
         if odd:
             check(a == a1 and b == b1, "ramified node over an unbranched vertex")
             pair = (a, b)
             nodes.append(new(CoverNode, (edge, RAMIFIED, pair)))
             model_nodes.append(pair)
         else:
-            adj[a1].append(b1)
-            adj[b1].append(a1)
             first, last = (a, b), (a1, b1)
             nodes.append(new(CoverNode, (edge, SPLIT, first)))
             nodes.append(new(CoverNode, (edge, SPLIT, last)))
@@ -155,13 +153,6 @@ def build_cover(t: WeightedTree) -> CoverModel:
             else:
                 model_nodes += first, last
 
-    reached, seen = [0], [True] + [False] * (len(adj) - 1)
-    for u in reached:  # the list grows while it is read, so it is the queue
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                reached.append(w)
-    check(len(reached) == len(adj), "admissible double cover must be connected")
     cover = CoverModel(tuple(components), tuple(nodes), g)
     check(cover.arithmetic_genus == g, "arithmetic genus mismatch")
     if not kept:  # path_tree(2, 2): its edge gave component 1 the self-node (1, 1)

@@ -178,6 +178,7 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
     """
 
     def __new__(cls, vertices, edges):
+        vertices, edges = tuple(vertices), tuple(edges)  # read once: the checks below read each twice
         # Bulk checks first; the per-item loops run only to name the first offender.
         try:
             typed = {*map(type, chain.from_iterable(vertices)),

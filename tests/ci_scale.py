@@ -8,10 +8,10 @@ relabelings under a memory bound, the closed-form stable model of a
 (`spliced_stable_model`) of a 10^5-component soft chain and of two
 10^5-component soft cycles, and 10^5-vertex trees through `from_dict` against
 `json.loads`, `canonical_code`, `stable_model` against the generic
-contraction, five edge contractions and every tree command, with the peak
-RSS of `stability` on one of them.  The census at m = 15 and `from_dict`,
-`stable_model` and `canonical_code` on the 10^5-vertex trees must run no
-collection of the cyclic collector.
+contraction, a connectivity walk over each cover, five edge contractions and
+every tree command, with the peak RSS of `stability` on one of them.  The
+census at m = 15 and `from_dict`, `stable_model` and `canonical_code` on the
+10^5-vertex trees must run no collection of the cyclic collector.
 
 The name does not match `test_*.py`, so a plain `pytest` run leaves this
 module out; pytest collects it only when it is named on the command line:
@@ -42,9 +42,9 @@ from hyperforms import (
     find_central, path_tree, stable_model, star_tree, tree,
 )
 from conftest import (
-    check_branch_identity, check_exponent_square, checkout_env, dissymmetry_count, keel_poincare,
-    random_stable_tree, relabeled, root_blocks, roots_refine, run_python, spliced_stable_model,
-    square_partitions, strata_poincare, traced_peak,
+    check_branch_identity, check_exponent_square, checkout_env, cover_connected, dissymmetry_count,
+    keel_poincare, random_stable_tree, relabeled, root_blocks, roots_refine, run_python,
+    spliced_stable_model, square_partitions, strata_poincare, traced_peak,
 )
 from test_central import fibres
 from test_covers import chain_cover, cycle_cover
@@ -290,6 +290,7 @@ def test_tree_layers_at_10_5_vertices_run_no_collection(big_trees):
         read, wall = uncollected(WeightedTree.from_dict, t.to_dict())
         assert read == t, name
         cover = build_cover(t)
+        assert cover_connected(cover), name  # the walk `build_cover` does not make
         model, model_wall = uncollected(stable_model, cover)
         assert model.arithmetic_genus == cover.g, name
         assert model == spliced_stable_model(cover), name

@@ -509,7 +509,8 @@ def leaf_strip_cover(t: WeightedTree):
 
 def cover_connected(cover: CoverModel) -> bool:
     """Whether the cover's components form one connected curve: a walk over
-    its nodes by component id, apart from the walk inside `build_cover`."""
+    its nodes by component id.  `build_cover` walks no cover: it checks only
+    that some vertex is branched."""
     adj: dict[int, set[int]] = {c.id: set() for c in cover.components}
     for node in cover.nodes:
         a, b = node.components

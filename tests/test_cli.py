@@ -633,6 +633,21 @@ class TestErrors:
         status, out = run(["enumerate", "--m", "19", "--bound", "19", "--format", "count"])
         assert (status, out) == (2, '{"error": "out of memory"}\n')
 
+    @pytest.mark.parametrize("argv, error", [
+        (["enumerate", "--m", "x"], "hyperforms enumerate: error: argument --m: invalid int value: 'x'"),
+        (["enumerate"], "hyperforms enumerate: error: the following arguments are required: --m"),
+        (["bogus"], "hyperforms: error: argument command: invalid choice: 'bogus'"),
+        (["cover", "--format", "svg"], "hyperforms cover: error: argument --format: invalid choice: 'svg'"),
+    ], ids=["ill-typed-option", "missing-option", "unknown-command", "unknown-choice"])
+    def test_rejected_command_line_exits_2_with_empty_stdout(self, capsys, argv, error):
+        """argparse writes no error document: usage and its error go to stderr."""
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exit_.value.code, out) == (2, "")
+        assert err.startswith("usage: hyperforms")
+        assert error in err
+
     def test_bad_reduce_input_exits_2(self, run):
         status, out = run(["reduce"], stdin=json.dumps({"exponents": [3, 1]}))
         assert status == 2

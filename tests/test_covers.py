@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from hyperforms.covers import (
     arithmetic_genus,
 )
 from conftest import (
+    _prufer_edges,
     branch_count,
     central_by_definition,
     check_branch_identity,
@@ -80,6 +82,29 @@ class TestBuildCover:
         t.__dict__["_stability"] = StabilityReport(stable=True, violations=())
         with pytest.raises(InvariantError, match="^admissible double cover must be connected$"):
             build_cover(t)
+
+    def test_forced_stable_cover_is_connected_iff_weighted(self):
+        # Every labelled tree on n <= 4 vertices with weights 0..3 and even m,
+        # passed as stable: a cover with a branched vertex is one curve, and
+        # with none (m = 0) its sheets 0 and sheets 1 are two.
+        raised = covers = 0
+        for n in range(1, 5):
+            for seq in product(range(n), repeat=max(n - 2, 0)):
+                edges = _prufer_edges(seq, n)
+                for weights in product(range(4), repeat=n):
+                    if sum(weights) % 2:
+                        continue
+                    t = tree(dict(enumerate(weights)), edges)
+                    t.__dict__["_stability"] = StabilityReport(stable=True, violations=())
+                    if t.m == 0:
+                        with pytest.raises(InvariantError,
+                                           match="^admissible double cover must be connected$"):
+                            build_cover(t)
+                        raised += 1
+                    else:
+                        assert cover_connected(build_cover(t))
+                        covers += 1
+        assert (raised, covers) == (21, 2154 - 21)
 
     def test_odd_branch_count_raises_invariant_error(self):
         # An even weight below the edge leaves it split, so no branch point is added.
@@ -343,6 +368,7 @@ class TestSectionFiveRule:
         # m <= 12 is checked with the dropped components, in `TestDroppedComponents`
         for t in enumerate_stable_trees(14, bound=14).trees:
             cover = build_cover(t)
+            assert cover_connected(cover), t
             assert stable_model(cover) == spliced_stable_model(cover), t
 
     @pytest.mark.parametrize("t, nodes", [

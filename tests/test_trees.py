@@ -149,6 +149,23 @@ class TestStructure:
         with pytest.raises(InvalidTreeError, match=f"^{re.escape(error)}$"):
             WeightedTree(vertices, edges)
 
+    # The bulk token check reads both arguments, and the per-field checks read them again.
+    @pytest.mark.parametrize(
+        "vertices, edges, expected",
+        [
+            (lambda: ((i, 3) for i in range(1)), lambda: (), tree({0: 3})),
+            (lambda: [(0, 2), (1, 2)], lambda: (e for e in [(0, 1)]), path_tree(2, 2)),
+        ],
+        ids=["vertex-generator", "edge-generator"],
+    )
+    def test_accepts_one_shot_iterables(self, vertices, edges, expected):
+        assert WeightedTree(vertices(), edges()) == expected
+
+    @pytest.mark.parametrize("vertices, edges", [(5, ()), (((0, 2),), 5), (None, ())])
+    def test_non_iterable_argument_is_a_type_error(self, vertices, edges):
+        with pytest.raises(TypeError, match="object is not iterable$"):
+            WeightedTree(vertices, edges)
+
 
 class Id(int):
     """An `int` subclass: a JSON integer to `is_int`."""
