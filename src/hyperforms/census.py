@@ -2,45 +2,38 @@
 
 The census is built from the paper's central-vertex lemma: a stable tree has
 either a unique vertex whose branches all weigh less than m/2, or a unique
-edge splitting the weight (m/2, m/2).  So a class is a centre weight plus a
+edge splitting the weight (m/2, m/2).  So a class is a centre weight over a
 multiset of rooted stable tails lighter than m/2, or an unordered pair of
-tails of weight m/2.  Both are one rooted form, a root weight over child
-tails: the pair is the first tail's root with the second tail hung below it.
-Tails are drawn from one table in a fixed order, so each class is built
-exactly once: there is no stability filter and no dedup pass.
+half-weight tails: the first tail's root with the second hung below it.
+Each class is built exactly once: there is no stability filter and no dedup.
 
-The multisets of tails come from one forest table, the one Otter's count of
-trees folds, tail by tail: `_central_classes` states when a tail is folded and
-`_fold` how, so each multiset is built once and the rows share their tuples.
-A class holds at most two half-weight tails, so they are paired directly.
+The multisets come from one forest table, the one Otter's count of trees
+folds tail by tail (`_fold`), so each is built once and the rows share their
+tuples.  Each tail's rooted code and height are computed once, when it joins
+the table.
 
-Each tail's rooted code and height are computed once, when it joins the
-table.  A class's canonical code is then a short walk from its root toward
-the tree's centre, stepping into the deepest child tail while that lowers the
-eccentricity; no tree is walked or peeled for its code.  At two centres, the
-walk hands the deep child's code to `trees.two_centre_code`, which picks the code.
+`_central_classes` reads each class root straight off its forest row, then
+the half-weight pairs, and codes and grows the class in one loop body.  The
+code is a short walk from the root toward the tree's centre, into the deepest
+child tail while that lowers the eccentricity (`trees.two_centre_code` picks
+it at two centres), so no tree is walked or peeled for its code.  The tree is
+grown breadth first from one queue of tail indices, which meets the contract
+of the trusted `WeightedTree._grown`; its (id, weight) and (parent, child)
+pairs come from one `pair_table(m)` per census, shared by all its trees.
 
-Each tree is grown from one queue of tail indices, breadth first, so it meets
-the contract that the trusted `WeightedTree._grown` states and checks, and it
-is not validated again.  A tree's (id, weight) and (parent, child) pairs come
-from one table per census, `pair_table(m)`, about 1.5 m^2 pairs, so the trees
-share them and no tree allocates a pair of its own.
-
-The stratum counts come from `strata.count_strata`, which labels each shape
-of tree once.
-
-The test suite checks the census against an independent Pruefer-sequence
-oracle, checks every code against `canonical_code`, and pins every tree to
-the checked constructor.
+`strata.count_strata` counts the trees by vertex count.  The test suite checks
+the census against an independent Pruefer-sequence oracle, every code against
+`canonical_code`, and every tree against the checked constructor.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 
 from .strata import count_strata
 from .trees import (
-    DEFAULT_BOUND, MAX_LISTED, CanonicalCode, PairTable, WeightedTree, checked_make, is_int, pair_table,
+    DEFAULT_BOUND, MAX_LISTED, CanonicalCode, WeightedTree, checked_make, is_int, pair_table,
     rooted_code, two_centre_code, without_collector,
 )
 
@@ -122,6 +115,8 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
             for i in range(start, len(tails)):
                 _fold(forests, i, w)
 
+    height_of, code_of = height.__getitem__, code.__getitem__
+
     def centre_code(a: int, kids: tuple[int, ...]) -> CanonicalCode:
         """Code of the tree rooted at a vertex of weight `a` over child tails
         `kids`: walk into the deepest child while the eccentricity drops,
@@ -129,7 +124,7 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
         up: list[CanonicalCode] = []
         up_depth = 0  # depth of `up` seen from the current vertex
         while kids:
-            hs = list(map(height.__getitem__, kids))
+            hs = list(map(height_of, kids))
             top = max(hs)
             j = hs.index(top)  # the first deepest child
             hs[j] = up_depth - 1  # now max(hs) + 1 is the depth of what is left behind
@@ -137,48 +132,46 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
             if d1 <= d2:  # the current vertex is the one centre
                 break
             b, below = tails[kids[j]]
-            left = [*map(code.__getitem__, kids), *up]
+            left = [*map(code_of, kids), *up]
             side = left.pop(j)  # the deep child's code
             if d1 == d2 + 1:  # two centres, the current vertex and the deep child
-                return two_centre_code(a, left, b, map(code.__getitem__, below), side)
+                return two_centre_code(a, left, b, map(code_of, below), side)
             up, up_depth = [rooted_code(a, left)], d2 + 1
             a, kids = b, below
-        return rooted_code(a, [*map(code.__getitem__, kids), *up])
+        return rooted_code(a, [*map(code_of, kids), *up])
 
-    roots = [(c, kids) for c in range(m + 1) for kids in forests[m - c] if c + len(kids) >= 3]
-    if m % 2 == 0:  # half-weight classes
+    rows = [(c, forests[m - c]) for c in range(m + 1)]  # unfiltered: each tail < m/2, so c + len(kids) >= 3
+    if m % 2 == 0:  # tail i's root over tail j >= i and the tails of i
         half = range(start, len(tails))  # the last weight's tails: m/2
-        roots += [(tails[i][0], (j, *tails[i][1])) for i in half for j in half if i <= j]
+        rows += [(tails[i][0], [(j, *tails[i][1]) for j in half[i - start:]]) for i in half]
     pairs = pair_table(m)  # every class's vertex and edge pairs, built once
-    return [(centre_code(a, kids), _build(a, kids, tails, pairs)) for a, kids in roots]
+    grown = WeightedTree._grown
+    classes = []
+    # Ids in build order: the root 0, then the tails breadth first, so a
+    # half-weight class hangs its second tail first, on the edge (0, 1).
+    for a, row in rows:
+        for kids in row:
+            weights = [a]
+            up = [0] * len(kids)  # up[v - 1] is vertex v's parent
+            queue = list(kids)  # tail indices: vertex j + 1 is queue[j]
+            for v, i in enumerate(queue, 1):  # the list grows while it is read
+                b, below = tails[i]
+                weights.append(b)
+                if below:  # most vertices are leaves: skip the empty extends
+                    up += [v] * len(below)
+                    queue += below
+            classes.append((centre_code(a, kids), grown(weights, up, pairs)))
+    return classes
 
 
-def _build(a: int, kids: tuple[int, ...], tails: list[Tail], pairs: PairTable) -> WeightedTree:
-    """The root of weight `a` as id 0, then its child tails breadth first, ids
-    in build order.  A half-weight class hangs its second tail first, so the
-    half-weight edge is (0, 1).  Its pairs come from the census's `pairs`."""
-    weights = [a]
-    up = [0] * len(kids)  # up[v - 1] is vertex v's parent
-    queue = list(kids)  # tail indices: vertex j + 1 is queue[j]
-    for v, i in enumerate(queue, 1):  # the list grows while it is read
-        b, below = tails[i]
-        weights.append(b)
-        if below:  # most vertices are leaves: skip the empty extends
-            up += [v] * len(below)
-            queue += below
-    return WeightedTree._grown(weights, up, pairs)
-
-
-def _make_census(m: int, classes) -> Census:
-    """Census from (code, stable tree) pairs with distinct codes, in code order."""
+def _make_census(m: int, classes: list) -> Census:
+    """Census from a list of (code, stable tree) pairs with distinct codes,
+    which it sorts in place into code order."""
     # Keyed: bare pairs would sort the same, but each comparison would scan
     # the two codes twice, once for equality and once for order.
-    ordered = tuple(sorted(classes, key=lambda pair: pair[0]))
-    if m % 2 == 0:
-        stratum_counts = count_strata([t for _, t in ordered], (m - 2) // 2)
-    else:
-        stratum_counts = ()
-    return Census(m=m, classes=ordered, stratum_counts=stratum_counts)
+    classes.sort(key=itemgetter(0))
+    counts = count_strata(list(map(itemgetter(1), classes)), (m - 2) // 2) if m % 2 == 0 else ()
+    return Census(m=m, classes=tuple(classes), stratum_counts=counts)
 
 
 @without_collector

@@ -9,6 +9,8 @@ A stratum is read off the tree's shape; the map itself is `central.f_g_exponents
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from itertools import compress
+from operator import itemgetter
 
 from .trees import WeightedTree, check, is_int, require_even
 
@@ -74,12 +76,16 @@ def _label(shape: tuple[int, int | None], g: int) -> StratumLabel:
 
 def count_strata(trees: list[WeightedTree], g: int) -> tuple[tuple[str, int], ...]:
     """(label, count) pairs of stable trees of weight 2g+2, in label order.
-
-    Trees are counted per `_shape`, and each shape is labelled once.
-    """
+    Trees are counted by vertex count in one C-level pass and each count is
+    labelled once, but for the few two-vertex trees: their labels need their
+    smaller weights, so they are labelled one by one."""
+    sizes = list(map(len, map(itemgetter(0), trees)))  # item 0 is a tree's vertices
     counts = Counter()
-    for shape, k in Counter(map(_shape, trees)).items():
-        counts[str(_label(shape, g))] += k
+    for n, k in Counter(sizes).items():
+        if n != 2:
+            counts[str(_label((n, None), g))] += k
+    for t in compress(trees, map((2).__eq__, sizes)):
+        counts[str(_label(_shape(t), g))] += 1
     return tuple(sorted(counts.items()))
 
 

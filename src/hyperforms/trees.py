@@ -232,30 +232,31 @@ class WeightedTree(namedtuple("WeightedTree", "vertices edges")):
         the parent of vertex v, indexed as the edge rows of `pairs` are.
 
         Trusted path for trees correct by construction (the census): it skips
-        the checks of `__new__` and checks only that the parents are breadth
-        first: one per vertex 1..n-1, every parent precedes its child
-        (`up[v - 1] < v`, so the ids form a tree) and the parents never
-        decrease, starting from 0.  Then the edges (up[v - 1], v) come out in
-        ascending order, already the sorted normal form of `__new__`, so they
-        are not sorted.  The ids are 0..n-1, so they are the peel's positions
-        as they are; the peel (`_rooted`) runs on first use, like every other
-        cached table.
+        the checks of `__new__` and tests only that the parents are breadth
+        first: one per vertex 1..n-1, each before its child (`up[v - 1] < v`,
+        so the ids form a tree) and never decreasing, from 0.  Then the edges
+        (up[v - 1], v) come out in ascending order, already the sorted normal
+        form of `__new__`.  The ids are the peel's positions as they are; the
+        peel (`_rooted`) runs on first use, like every other cached table.
 
         The vertex pairs (v, weights[v]) and edge pairs (up[v - 1], v) are
         looked up in `pairs`, a `pair_table` shared by every tree of one
         census, so no pair is allocated per tree.
 
-        Each half of the contract costs one C-level pass.  "Never decreasing,
-        from 0" is `up == sorted(up)` with a first parent of at least 0, so
-        every parent is at least 0.  "Each before its child" is the edge
-        lookup itself: row v - 1 holds (p, v) for 0 <= p < v alone, so a
-        parent p >= v raises `IndexError`, reported as the same breach.
+        Each half of the contract is a plain condition costing one C-level
+        pass, and `InvariantError` is raised only on a breach.  "Never
+        decreasing, from 0" is `up == sorted(up)` with a first parent of at
+        least 0.  "Each before its child" is the edge lookup itself: row v - 1
+        holds (p, v) for 0 <= p < v alone, so a parent p >= v raises
+        `IndexError`, reported as the same breach.
         """
         n = len(weights)
         breadth_first = "grown tree: parents must be breadth first, each before its child and never decreasing"
-        check(len(up) == n - 1 and up == sorted(up) and (not up or up[0] >= 0), breadth_first)
+        if not (len(up) == n - 1 and up == sorted(up) and (not up or up[0] >= 0)):
+            raise InvariantError(breadth_first)
         vertex_rows, edge_rows = pairs
-        check(n <= len(vertex_rows), "grown tree: more vertices than its pair table has rows")
+        if n > len(vertex_rows):
+            raise InvariantError("grown tree: more vertices than its pair table has rows")
         try:
             edges = tuple(map(getitem, edge_rows, up))
         except IndexError:

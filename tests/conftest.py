@@ -347,7 +347,7 @@ def brute_force_census(m: int, bound: int = 8) -> Census:
     every labeled tree, kept if stable and deduplicated by canonical code."""
     if not 3 <= m <= bound:
         raise ValueError(f"m must satisfy 3 <= m <= {bound}, got {m}")
-    return _make_census(m, _prufer_classes(m).items())
+    return _make_census(m, list(_prufer_classes(m).items()))
 
 
 def tail_counts(m: int) -> list[int]:

@@ -282,6 +282,25 @@ class TestCentralGenerator:
             else:
                 assert central.vertex == 0
 
+    @pytest.mark.parametrize("m,count", [(12, 1350), (13, 3741)])
+    def test_each_class_grown_once_and_no_tree_walked(self, m, count, monkeypatch):
+        # exact counts, not times: growing a class twice or walking a tree fails
+        grown, peeled = [], []
+        grow, peel = trees_mod.WeightedTree._grown.__func__, trees_mod.peel
+
+        def counted_grow(cls, *args):
+            grown.append(args)
+            return grow(cls, *args)
+
+        def counted_peel(*args):
+            peeled.append(args)
+            return peel(*args)
+
+        monkeypatch.setattr(trees_mod.WeightedTree, "_grown", classmethod(counted_grow))
+        monkeypatch.setattr(trees_mod, "peel", counted_peel)
+        assert len(enumerate_stable_trees(m, bound=m)) == count
+        assert (len(grown), len(peeled)) == (count, 0)
+
     @pytest.mark.parametrize("m", [8, 11, 12])
     def test_no_generic_canonical_code(self, m, monkeypatch):
         calls = []
