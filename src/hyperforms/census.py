@@ -86,13 +86,14 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
     """Every stable class of weight m with its code, built once around its
     central vertex or edge.
 
-    A tail is a rooted stable tree hanging off one edge: a root weight `a` and a
-    multiset of lighter tails, with a + children + 1 >= 3 (the +1 is the edge
-    up).  `tails` lists them by weight, and a multiset of tails is a
-    non-increasing tuple of indices into it, so each multiset appears once.
-    `forests[t]` lists the multisets of the folded tails that weigh t.  The
-    weight-w tails are built from a root weight `a` over a multiset in row
-    w - a, and folded right after, if light: 2w < m.
+    A tail is a rooted stable tree hanging off one edge: a root weight `a` over a
+    multiset of lighter tails.  `tails` lists them by weight; a multiset is a
+    non-increasing tuple of indices into it, so each appears once.  `forests[t]`
+    lists the multisets of the folded tails that weigh t.  The weight-w tails
+    are built from a root weight `a` over a multiset in row w - a, and folded
+    after them all, if light: 2w < m.  So each is stable, a + children + 1 >= 3
+    (+1 for the edge up), with no test: a = w >= 2, row 1 is empty, and rows
+    w - a >= 2 hold multisets of one tail or more, two at a = 0, each lighter than w.
     A class is one more root of that form: a centre weight c over a multiset
     in row m - c, or, across a half-weight edge, the root of half-weight
     tail i over tail j >= i and the tails of i.
@@ -107,10 +108,9 @@ def _central_classes(m: int) -> list[tuple[CanonicalCode, WeightedTree]]:
         start = len(tails)  # index of the first weight-w tail
         for a in range(w + 1):
             for kids in forests[w - a]:
-                if a + len(kids) + 1 >= 3:
-                    tails.append((a, kids))
-                    code.append(rooted_code(a, [code[k] for k in kids]))
-                    height.append(max((height[k] + 1 for k in kids), default=0))
+                tails.append((a, kids))
+                code.append(rooted_code(a, [code[k] for k in kids]))
+                height.append(max((height[k] + 1 for k in kids), default=0))
         if 2 * w < m:  # light tails fold; half-weight ones never do
             for i in range(start, len(tails)):
                 _fold(forests, i, w)

@@ -81,7 +81,8 @@ def build_cover(t: WeightedTree) -> CoverModel:
 
     Each edge's parity is read once from the tree's rooted table, on
     positions: the edge is ramified iff the weight below its lower end is
-    odd, and a ramified edge adds one branch point at each end.  The cover
+    odd, and a ramified edge adds one branch point at each end, so both its
+    ends are branched and it joins the one component over each.  The cover
     is connected iff some vertex is branched, so no cover graph is walked.
     The stable model is read off in the same two loops, by Section 5's rule.
     """
@@ -136,7 +137,6 @@ def build_cover(t: WeightedTree) -> CoverModel:
     for edge, (i, j), odd in zip(t.edges, ends, ramified):
         (a, a1), (b, b1) = over[i], over[j]
         if odd:
-            check(a == a1 and b == b1, "ramified node over an unbranched vertex")
             pair = (a, b)
             nodes.append(new(CoverNode, (edge, RAMIFIED, pair)))
             model_nodes.append(pair)

@@ -100,7 +100,8 @@ def reduce(e: ExponentVector) -> ReductionOutput:
     """Closed-form local stable reduction of the hyperelliptic equation.
 
     Exponents above 2g are rejected (no central component remains); exponents
-    in (g+1, 2g] describe GIT-unstable forms and are computed but flagged.
+    in (g+1, 2g] describe GIT-unstable forms and are computed but flagged.  One
+    branch point per odd exponent: an even count, as `ExponentVector`'s total is.
     """
     g = e.g
     mults = e.all_multiplicities()
@@ -117,7 +118,6 @@ def reduce(e: ExponentVector) -> ReductionOutput:
         for idx, n in enumerate(mults) if n >= 3
     )
 
-    check(branch_points % 2 == 0, "central branch-point count must be even")
     split = branch_points == 0
     central_genus = 0 if split else branch_points // 2 - 1
     out = ReductionOutput(

@@ -130,6 +130,13 @@ class TestContract:
         # genus-3 boundary: branch of weight 3 contracted onto 5 simple points
         assert contract_F_m(path_tree(3, 5)).multiplicities == (3, 1, 1, 1, 1, 1)
 
+    def test_lost_weight_raises_invariant_error(self):
+        # A light side of 2 below the weight-5 root passes the m/2 check and leaves degree 7.
+        t = path_tree(3, 5)
+        t.__dict__["_rooted"] = t._rooted._replace(below=[2, 8])
+        with pytest.raises(InvariantError, match="^contracted form degree differs from m$"):
+            contract_F_m(t)
+
     def test_semistable_point(self):
         assert contract_F_m(path_tree(2, 2)) == BinaryFormClass(semistable_point=True)
 

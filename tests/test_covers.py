@@ -113,6 +113,15 @@ class TestBuildCover:
         with pytest.raises(InvariantError, match="^branch count must be even$"):
             build_cover(t)
 
+    def test_model_genus_mismatch_raises_invariant_error(self):
+        # Read as a leaf, the middle weight-2 vertex is dropped: model genus 4, g = 5.
+        t = path_tree(4, 2, 2, 4)
+        degree = list(t._rooted.degree)
+        degree[1] = 1
+        t.__dict__["_rooted"] = t._rooted._replace(degree=degree)
+        with pytest.raises(InvariantError, match="^contraction changed the genus$"):
+            build_cover(t)
+
     def test_two_elliptic_components(self):
         # both subtree sides odd: one ramified node, genera (1, 1)
         cover = build_cover(path_tree(3, 3))

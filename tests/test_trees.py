@@ -616,7 +616,7 @@ def id_copies(t: WeightedTree, seed: int):
         yield name, copy, {b: a for a, b in to.items()}
 
 
-def model_shape(model) -> tuple:
+def coarse_model_key(model) -> tuple:
     """The stable model up to relabeling, coarsely: its genera and its nodes as
     genus pairs.  For trees whose model code is factorial."""
     genus = dict(model.components)
@@ -665,7 +665,7 @@ class TestIdIndependence:
 
     @pytest.mark.parametrize("seed,n,extra", [(1, 2, 0), (2, 7, 1), (3, 40, 0), (4, 41, 3), (5, 300, 2), (6, 1000, 0)])
     def test_random_stable_trees(self, seed, n, extra):
-        self.check_copies(random_stable_tree(seed, n, extra), seed, model_shape)
+        self.check_copies(random_stable_tree(seed, n, extra), seed, coarse_model_key)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unstable_trees_name_their_violations(self, seed):
@@ -673,7 +673,7 @@ class TestIdIndependence:
         n = 30
         t = tree({v: rng.randrange(3) for v in range(n)}, [(v, rng.randrange(v)) for v in range(1, n)])
         assert not validate_stable(t).stable
-        self.check_copies(t, seed, model_shape)
+        self.check_copies(t, seed, coarse_model_key)
 
     # Hand codes at n = 1, 2 and 3, on paths with one and two centres, and on
     # two centres of one weight whose codes differ below them.
